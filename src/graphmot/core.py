@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from . import kernels
+
 if TYPE_CHECKING:
     from .motion import KalmanState
     from .nn import LstmState
@@ -128,6 +130,24 @@ def max_overlap(target: Detection, others: list[Detection]) -> float:
         if v > best:
             best = v
     return best
+
+
+def box_array(detections: list[Detection]) -> np.ndarray:
+    """(N, 4) xywh boxes of the detections."""
+    boxes = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in detections]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
+
+
+def frame_overlaps(detections: list[Detection]) -> np.ndarray:
+    """max_overlap of every detection against the rest of its frame.
+
+    One IoU matrix with its diagonal zeroed; entry j equals
+    max_overlap(detections[j], detections without j).
+    """
+    boxes = box_array(detections)
+    overlap = kernels.iou_matrix(boxes, boxes)
+    np.fill_diagonal(overlap, 0.0)
+    return overlap.max(axis=1, initial=0.0)
 
 
 def feature_distance(f1: np.ndarray, f2: np.ndarray) -> float:

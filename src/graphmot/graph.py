@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import Detection, Trajectory
+from .core import Detection, Trajectory, box_array
 
 RATIO_VARIANTS = ("none", "iou", "app")
 DEFAULT_ALPHA = {"iou": 0.1, "app": 0.3}
@@ -68,24 +68,18 @@ def candidate_edges(
     if not trajectories or not detections:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty.copy(), traj_boxes
-    det_boxes = np.array([d.box.as_xywh() for d in detections])
-    dist = kernels.center_dist_matrix(traj_boxes, det_boxes)  # (M, N)
-    ids = np.array([t.id for t in trajectories])
-    edge_traj: list[int] = []
-    edge_det: list[int] = []
+    dist = kernels.center_dist_matrix(traj_boxes, box_array(detections))  # (M, N)
+    ids = np.broadcast_to(np.array([t.id for t in trajectories])[:, None], dist.shape)
     take = min(k, len(trajectories))
-    for j in range(len(detections)):
-        order = np.lexsort((ids, dist[:, j]))[:take]
-        edge_traj.extend(int(i) for i in order)
-        edge_det.extend([j] * take)
-    return np.asarray(edge_traj, dtype=np.intp), np.asarray(edge_det, dtype=np.intp), traj_boxes
+    nearest = np.lexsort((ids, dist), axis=0)[:take]  # (take, N), one column per detection
+    edge_det = np.repeat(np.arange(len(detections), dtype=np.intp), take)
+    return nearest.T.ravel(), edge_det, traj_boxes
 
 
 def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
     """Per-edge distance under the chosen ratio-test variant."""
     if variant == "iou":
-        det_boxes = np.array([d.box.as_xywh() for d in graph.detections])
-        overlap = kernels.iou_matrix(graph.traj_boxes, det_boxes)
+        overlap = kernels.iou_matrix(graph.traj_boxes, box_array(graph.detections))
         return 1.0 - overlap[graph.edge_traj, graph.edge_det]
     if variant == "app":
         traj_feats = np.array([t.integrated_feature for t in graph.trajectories])
@@ -95,6 +89,11 @@ def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
     raise ValueError(f"no distances for variant {variant!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def conclusive_pick(dists: np.ndarray, alpha: float) -> int | None:
     """Ratio-test one trajectory's candidate distances.
 
@@ -102,8 +101,7 @@ def conclusive_pick(dists: np.ndarray, alpha: float) -> int | None:
     is strictly below alpha times the second smallest, None otherwise
     (including the single-candidate case, where the ratio is undefined).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if dists.size < 2:
         return None
     order = np.argsort(dists, kind="stable")
@@ -120,14 +118,23 @@ def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
     """
     if graph.edge_dist is None:
         raise ValueError("graph has no edge distances; compute them first")
-    keep = np.ones(graph.n_edges, dtype=bool)
-    for ti in np.unique(graph.edge_traj):
-        mask = graph.edge_traj == ti
-        pick = conclusive_pick(graph.edge_dist[mask], alpha)
-        if pick is not None:
-            winner = np.flatnonzero(mask)[pick]
-            keep[mask] = False
-            keep[winner] = True
+    _check_alpha(alpha)
+    # One stable sort by (trajectory, distance) lays each trajectory's
+    # candidates out as a run in conclusive_pick's order: nearest first,
+    # ties in edge order. A run is conclusive when its first distance is
+    # below alpha times its second; the rest of a conclusive run is dropped.
+    order = np.lexsort((graph.edge_dist, graph.edge_traj))
+    traj = graph.edge_traj[order]
+    dist = graph.edge_dist[order]
+    first = np.ones(traj.size, dtype=bool)
+    first[1:] = traj[1:] != traj[:-1]
+    starts = np.flatnonzero(first)
+    paired = np.append(~first[1:], False)[starts]  # runs with a runner-up
+    best = starts[paired]
+    conclusive = np.zeros(starts.size, dtype=bool)
+    conclusive[paired] = dist[best] < alpha * dist[best + 1]
+    keep = np.empty_like(first)
+    keep[order] = first | ~conclusive[np.cumsum(first) - 1]
     return replace(
         graph,
         edge_traj=graph.edge_traj[keep],
@@ -147,22 +154,19 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
     """
     if graph.n_edges == 0:
         return replace(graph, edge_features=np.zeros((0, EDGE_FEATURE_DIM)))
-    tb = graph.traj_boxes[graph.edge_traj]
-    db = np.array([graph.detections[j].box.as_xywh() for j in graph.edge_det])
+    et, ed = graph.edge_traj, graph.edge_det
+    tb = graph.traj_boxes[et]
+    db = box_array(graph.detections)[ed]
     tcx, tcy = tb[:, 0] + 0.5 * tb[:, 2], tb[:, 1] + 0.5 * tb[:, 3]
     dcx, dcy = db[:, 0] + 0.5 * db[:, 2], db[:, 1] + 0.5 * db[:, 3]
     h_sum = tb[:, 3] + db[:, 3]
-    gaps = np.array(
-        [
-            graph.detections[j].frame - graph.trajectories[i].last_seen_frame
-            for i, j in zip(graph.edge_traj, graph.edge_det)
-        ],
-        dtype=np.float64,
-    )
+    det_frames = np.array([d.frame for d in graph.detections])
+    last_seen = np.array([t.last_seen_frame for t in graph.trajectories])
+    gaps = (det_frames[ed] - last_seen[et]).astype(np.float64)
     if np.any(gaps < 1):
         raise ValueError("edge with non-positive frame gap; frames out of order?")
-    traj_feats = np.array([graph.trajectories[i].integrated_feature for i in graph.edge_traj])
-    det_feats = np.array([graph.detections[j].feature for j in graph.edge_det])
+    traj_feats = np.array([t.integrated_feature for t in graph.trajectories])[et]
+    det_feats = np.array([d.feature for d in graph.detections])[ed]
     app = np.linalg.norm(traj_feats - det_feats, axis=1)
     features = np.column_stack(
         [

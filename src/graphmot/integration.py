@@ -73,21 +73,24 @@ def update_trajectory_feature(
     frame_dets: list[Detection],
     mode: str,
     lstm_cell: LstmCell | None = None,
+    overlap: float | None = None,
 ) -> Trajectory:
     """Refresh traj.integrated_feature from its matched detection.
 
     frame_dets are all detections of the current frame; the matched one is
-    excluded when computing the overlap for "iou" mode. Unmatched
-    trajectories are simply never passed here, which leaves their feature
-    untouched.
+    excluded when computing the overlap for "iou" mode. A caller that
+    updates many trajectories per frame passes the matched detection's
+    entry of core.frame_overlaps(frame_dets) as `overlap` instead.
+    Unmatched trajectories are simply never passed here, which leaves
+    their feature untouched.
     """
     if mode == "none":
         traj.integrated_feature = matched.feature.copy()
     elif mode == "average":
         traj.integrated_feature = integrate_average(traj.integrated_feature, matched.feature)
     elif mode == "iou":
-        others = [d for d in frame_dets if d is not matched]
-        overlap = max_overlap(matched, others)
+        if overlap is None:
+            overlap = max_overlap(matched, [d for d in frame_dets if d is not matched])
         traj.integrated_feature = integrate_iou_guided(
             traj.integrated_feature, matched.feature, overlap
         )

@@ -19,6 +19,7 @@ renormalized to unit length on read.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,8 +53,10 @@ def parse_track_rows(lines, source: str = "<input>") -> list[TrackRow]:
             frame = int(float(parts[0]))
             track_id = int(float(parts[1]))
             x, y, w, h, conf = (float(v) for v in parts[2:7])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # int() of nan / inf
             raise ValueError(f"{source}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+            raise ValueError(f"{source}:{lineno}: non-finite box or confidence")
         if frame < 1:
             raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
         if w <= 0 or h <= 0:
@@ -88,33 +91,51 @@ def write_features(path, feature_rows) -> None:
             fh.write(f"{frame},{det_index},{values}\n")
 
 
+def _parse_feature_line(path, lineno: int, line: str) -> np.ndarray:
+    """One features line as floats; malformed input reports path:line."""
+    parts = line.strip().split(",")
+    if len(parts) < 3:
+        raise ValueError(f"{path}:{lineno}: expected frame,det_index,f_1,...")
+    try:
+        return np.array([float(v) for v in parts], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def read_features(path) -> dict[tuple[int, int], np.ndarray]:
-    """Returns {(frame, det_index): unit feature vector}."""
-    feats: dict[tuple[int, int], np.ndarray] = {}
-    dim = None
+    """Returns {(frame, det_index): unit feature vector}.
+
+    The whole file is parsed by one np.loadtxt call. When it rejects the
+    file, each line is parsed on its own, which names the line at fault;
+    every other error names its line too.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            parts = stripped.split(",")
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected frame,det_index,f_1,...")
-            try:
-                frame = int(float(parts[0]))
-                det_index = int(float(parts[1]))
-                vec = np.array([float(v) for v in parts[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ValueError(f"{path}:{lineno}: feature dimension {vec.size} != {dim}")
-            norm = np.linalg.norm(vec)
-            if norm <= 0:
-                raise ValueError(f"{path}:{lineno}: zero feature vector")
-            feats[(frame, det_index)] = vec / norm
-    return feats
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
+        return {}
+    try:
+        table = np.loadtxt([line for _, line in lines], delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # an unparsable value, or rows of different lengths
+        table = None
+    if table is None or table.shape[1] < 3:
+        rows = [_parse_feature_line(path, lineno, line) for lineno, line in lines]
+        for (lineno, _), row in zip(lines, rows):
+            if row.size != rows[0].size:
+                raise ValueError(
+                    f"{path}:{lineno}: feature dimension {row.size - 2} != {rows[0].size - 2}"
+                )
+        table = np.array(rows)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{lines[np.argmax(bad)][0]}: non-finite value")
+    vecs = table[:, 2:]
+    # Row by row, (1, d) @ (d, 1) is the same dot product np.linalg.norm
+    # takes of one vector; an axis=1 norm sums in another order.
+    norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+    if (norms <= 0).any():
+        raise ValueError(f"{path}:{lines[np.argmax(norms <= 0)][0]}: zero feature vector")
+    keys = zip(table[:, 0].astype(int).tolist(), table[:, 1].astype(int).tolist())
+    return dict(zip(keys, vecs / norms[:, None]))
 
 
 def read_detections(det_path, feature_path) -> dict[int, list[Detection]]:

@@ -14,6 +14,7 @@ position.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import time
 from dataclasses import dataclass
@@ -21,16 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Detection, Trajectory
+from .core import Detection, Trajectory, box_array, frame_overlaps
 from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, build_graph
 from .integration import INTEGRATION_MODES, update_trajectory_feature
 from .motion import (
     ForecastDecision,
     FrameContext,
+    KalmanState,
+    boxes_from_means,
     forecast_lost,
-    kf_init,
-    kf_predict,
-    kf_update,
+    kf_init_batch,
+    kf_predict_batch,
+    kf_update_batch,
     make_verifier,
     state_to_box,
 )
@@ -152,6 +155,11 @@ class Tracker:
         self.config = config
         self.feature_source = feature_source
         self.trajectories: list[Trajectory] = []
+        # Kalman means (M, 8) and covariances (M, 8, 8) of self.trajectories,
+        # row for row, filtered for all of them at once; every step then
+        # points each trajectory's `motion` at its rows.
+        self._means = np.zeros((0, 8))
+        self._covs = np.zeros((0, 8, 8))
         self.next_id = 1
         self.last_frame: int | None = None
         self.stats: list[StepStats] = []
@@ -169,16 +177,30 @@ class Tracker:
             raise ValueError("detections from a different frame passed to step")
         self.last_frame = frame
 
-        for traj in self.trajectories:
-            traj.motion = kf_predict(traj.motion)
+        if self.trajectories:
+            self._means, self._covs = kf_predict_batch(self._means, self._covs)
 
         matches, unmatched_t, unmatched_d = self._associate(frame, detections)
+
+        det_boxes = box_array(detections)
+        overlaps = None
+        if matches:
+            matched_t, matched_d = np.array(matches).T
+            self._means[matched_t], self._covs[matched_t] = kf_update_batch(
+                self._means[matched_t], self._covs[matched_t], det_boxes[matched_d]
+            )
+            if cfg.integration == "iou":
+                overlaps = frame_overlaps(detections)
+        for traj, mean, cov in zip(self.trajectories, self._means, self._covs):
+            traj.motion = KalmanState(mean, cov)
 
         rows: list[TrackRow] = []
         for ti, dj in matches:
             traj, det = self.trajectories[ti], detections[dj]
-            traj.motion = kf_update(traj.motion, det.box)
-            update_trajectory_feature(traj, det, detections, cfg.integration, self.model.lstm)
+            update_trajectory_feature(
+                traj, det, detections, cfg.integration, self.model.lstm,
+                overlap=None if overlaps is None else float(overlaps[dj]),
+            )
             traj.last_box = det.box
             traj.last_seen_frame = frame
             traj.frames_lost = 0
@@ -187,17 +209,17 @@ class Tracker:
             b = det.box
             rows.append(TrackRow(frame, traj.id, b.x, b.y, b.w, b.h, det.confidence))
 
+        spawn = [dj for dj in unmatched_d if detections[dj].confidence >= cfg.spawn_confidence]
+        spawn_means, spawn_covs = kf_init_batch(det_boxes[spawn])
         spawned: list[Trajectory] = []
-        for dj in unmatched_d:
+        for dj, mean, cov in zip(spawn, spawn_means, spawn_covs):
             det = detections[dj]
-            if det.confidence < cfg.spawn_confidence:
-                continue
             traj = Trajectory(
                 id=self.next_id,
                 integrated_feature=det.feature.copy(),
                 last_box=det.box,
                 last_seen_frame=frame,
-                motion=kf_init(det.box),
+                motion=KalmanState(mean, cov),
                 history=[(frame, det.box)],
             )
             self.next_id += 1
@@ -229,9 +251,12 @@ class Tracker:
             else:
                 traj.forecast_stopped = True
 
-        self.trajectories = [
-            t for idx, t in enumerate(self.trajectories) if idx not in pruned
-        ] + spawned
+        if pruned or spawned:
+            keep = np.ones(len(self.trajectories), dtype=bool)
+            keep[list(pruned)] = False
+            self.trajectories = [t for t, kept in zip(self.trajectories, keep) if kept] + spawned
+            self._means = np.concatenate([self._means[keep], spawn_means])
+            self._covs = np.concatenate([self._covs[keep], spawn_covs])
         rows.sort(key=lambda r: r.track_id)
         return rows
 
@@ -241,9 +266,6 @@ class Tracker:
         t_start = time.perf_counter()
         graph = None
         if self.trajectories and detections:
-            traj_boxes = np.array(
-                [state_to_box(t.motion).as_xywh() for t in self.trajectories]
-            )
             graph = build_graph(
                 self.trajectories,
                 detections,
@@ -251,7 +273,7 @@ class Tracker:
                 ratio_variant=cfg.ratio_variant,
                 alpha=cfg.resolved_alpha(),
                 fps=cfg.fps,
-                traj_boxes=traj_boxes,
+                traj_boxes=boxes_from_means(self._means),
             )
         if graph is None:
             self.stats.append(StepStats(frame, 0, 0, time.perf_counter() - t_start))
@@ -284,11 +306,18 @@ def run_sequence(
 
     Frames missing from the dict (every detection dropped) are processed
     as empty so lost-frame counting and motion prediction stay in real
-    frame time.
+    frame time. While no trajectory is alive an empty frame changes
+    nothing, so the run skips ahead to the next frame with detections.
     """
     tracker = Tracker(model, config, feature_source)
     rows: list[TrackRow] = []
-    if frames:
-        for frame in range(min(frames), max(frames) + 1):
-            rows.extend(tracker.step(frame, frames.get(frame, [])))
+    numbers = sorted(frames)
+    frame = numbers[0] if numbers else None
+    while frame is not None:
+        rows.extend(tracker.step(frame, frames.get(frame, [])))
+        if tracker.trajectories:
+            frame = frame + 1 if frame < numbers[-1] else None
+        else:
+            later = bisect.bisect_right(numbers, frame)
+            frame = numbers[later] if later < len(numbers) else None
     return rows, tracker.stats

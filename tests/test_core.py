@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmot.core import BoundingBox, Detection, feature_distance, iou, max_overlap
+from graphmot.core import (
+    BoundingBox,
+    Detection,
+    feature_distance,
+    frame_overlaps,
+    iou,
+    max_overlap,
+)
 
 
 def unit(*values):
@@ -88,6 +95,22 @@ class TestMaxOverlap:
         target = det(0, 0, 10, 10)
         others = [det(5, 0, 10, 10), det(100, 100, 10, 10)]
         assert max_overlap(target, others) == pytest.approx(1 / 3)
+
+
+class TestFrameOverlaps:
+    def test_empty_and_single(self):
+        assert frame_overlaps([]).shape == (0,)
+        assert frame_overlaps([det(0, 0, 10, 10)]).tolist() == [0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(boxes, max_size=10), st.lists(st.integers(0, 9), max_size=4))
+    def test_equals_max_overlap_against_the_others(self, frame_boxes, repeats):
+        # Repeated boxes give exact overlaps of 1 with distinct detections.
+        frame_boxes = frame_boxes + [frame_boxes[i] for i in repeats if i < len(frame_boxes)]
+        dets = [det(b.x, b.y, b.w, b.h) for b in frame_boxes]
+        got = frame_overlaps(dets)
+        for j, target in enumerate(dets):
+            assert got[j] == max_overlap(target, dets[:j] + dets[j + 1:])
 
 
 class TestFeatureDistance:

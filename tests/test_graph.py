@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmot.core import BoundingBox, Detection, Trajectory
 from graphmot.graph import (
@@ -13,6 +15,7 @@ from graphmot.graph import (
     init_edge_features,
     ratio_test_filter,
 )
+from graphmot.kernels import center_dist_matrix
 from graphmot.motion import kf_init
 
 
@@ -321,3 +324,83 @@ class TestSeparatedIdentitiesSweep:
         for i in np.flatnonzero(counts == 1):
             j = g.edge_det[g.edge_traj == i][0]
             assert dets[j].gt_id == trajs[i].id
+
+
+# Reference implementations: the per-detection and per-trajectory loops the
+# sort-based builder replaced. The builder must agree with them exactly.
+
+
+def reference_candidate_edges(trajectories, detections, k, traj_boxes):
+    det_boxes = np.array([d.box.as_xywh() for d in detections])
+    dist = center_dist_matrix(traj_boxes, det_boxes)
+    ids = np.array([t.id for t in trajectories])
+    edge_traj, edge_det = [], []
+    take = min(k, len(trajectories))
+    for j in range(len(detections)):
+        order = np.lexsort((ids, dist[:, j]))[:take]
+        edge_traj.extend(int(i) for i in order)
+        edge_det.extend([j] * take)
+    return np.asarray(edge_traj, dtype=np.intp), np.asarray(edge_det, dtype=np.intp)
+
+
+def reference_ratio_keep(edge_traj, edge_dist, alpha):
+    keep = np.ones(edge_traj.size, dtype=bool)
+    for ti in np.unique(edge_traj):
+        mask = edge_traj == ti
+        pick = conclusive_pick(edge_dist[mask], alpha)
+        if pick is not None:
+            keep[mask] = False
+            keep[np.flatnonzero(mask)[pick]] = True
+    return keep
+
+
+# Coarse grids, so that equal distances and equal ids are common.
+grid_boxes = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 3), st.integers(1, 3)),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestSortBasedBuilderMatchesLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        traj_cells=grid_boxes,
+        det_cells=grid_boxes,
+        ids=st.lists(st.integers(1, 4), min_size=12, max_size=12),
+        k=st.integers(1, 14),
+    )
+    def test_candidate_edges(self, traj_cells, det_cells, ids, k):
+        trajs = [
+            make_traj(ids[i], BoundingBox(10.0 * x, 10.0 * y, 10.0 * w, 10.0 * h), unit_vec(4, 0))
+            for i, (x, y, w, h) in enumerate(traj_cells)
+        ]
+        dets = [
+            make_det(BoundingBox(10.0 * x, 10.0 * y, 10.0 * w, 10.0 * h), unit_vec(4, 0))
+            for x, y, w, h in det_cells
+        ]
+        traj_boxes = np.array([t.last_box.as_xywh() for t in trajs])
+        edge_traj, edge_det, _ = candidate_edges(trajs, dets, k, traj_boxes)
+        ref_traj, ref_det = reference_candidate_edges(trajs, dets, k, traj_boxes)
+        assert edge_traj.dtype == ref_traj.dtype and edge_det.dtype == ref_det.dtype
+        assert np.array_equal(edge_traj, ref_traj)
+        assert np.array_equal(edge_det, ref_det)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])),
+            max_size=30,
+        ),
+        alpha=st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.9]),
+    )
+    def test_ratio_test_filter(self, edges, alpha):
+        et = [e[0] for e in edges]
+        ed = [e[1] for e in edges]
+        dists = [e[2] for e in edges]
+        g = graph_with_distances(list(zip(et, ed)), dists, 6, 6)
+        out = ratio_test_filter(g, alpha)
+        keep = reference_ratio_keep(g.edge_traj, g.edge_dist, alpha)
+        assert np.array_equal(out.edge_traj, g.edge_traj[keep])
+        assert np.array_equal(out.edge_det, g.edge_det[keep])
+        assert np.array_equal(out.edge_dist, g.edge_dist[keep])

@@ -1,18 +1,10 @@
-"""The compiled and NumPy kernel backends must agree with each other and
-with the scalar reference operations."""
+"""The pairwise kernels must agree with the scalar reference operations."""
 
 import numpy as np
 import pytest
 
-from graphmot import _kernels_py, kernels
+from graphmot import kernels
 from graphmot.core import BoundingBox, iou
-
-try:
-    from graphmot import _native
-except ImportError:
-    _native = None
-
-BACKENDS = [_kernels_py] + ([_native] if _native is not None else [])
 
 
 def random_boxes(rng, n):
@@ -22,62 +14,39 @@ def random_boxes(rng, n):
     return out
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
 class TestAgainstScalar:
-    def test_iou_matrix_matches_scalar(self, impl):
+    def test_iou_matrix_matches_scalar(self):
         rng = np.random.default_rng(7)
         a, b = random_boxes(rng, 12), random_boxes(rng, 9)
-        got = impl.iou_matrix(a, b)
+        got = kernels.iou_matrix(a, b)
         for i in range(12):
             for j in range(9):
                 expected = iou(BoundingBox(*a[i]), BoundingBox(*b[j]))
                 assert got[i, j] == pytest.approx(expected, abs=1e-12)
 
-    def test_center_dist_matches_scalar(self, impl):
+    def test_center_dist_matches_scalar(self):
         rng = np.random.default_rng(8)
         a, b = random_boxes(rng, 5), random_boxes(rng, 6)
-        got = impl.center_dist_matrix(a, b)
+        got = kernels.center_dist_matrix(a, b)
         for i in range(5):
             for j in range(6):
                 ca = np.array([a[i, 0] + a[i, 2] / 2, a[i, 1] + a[i, 3] / 2])
                 cb = np.array([b[j, 0] + b[j, 2] / 2, b[j, 1] + b[j, 3] / 2])
                 assert got[i, j] == pytest.approx(np.linalg.norm(ca - cb), abs=1e-9)
 
-    def test_feature_dist_matches_scalar(self, impl):
+    def test_feature_dist_matches_scalar(self):
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(4, 16)), rng.normal(size=(5, 16))
-        got = impl.feature_dist_matrix(x, y)
+        got = kernels.feature_dist_matrix(x, y)
         for i in range(4):
             for j in range(5):
                 assert got[i, j] == pytest.approx(np.linalg.norm(x[i] - y[j]), abs=1e-9)
 
-    def test_feature_dist_rejects_mismatch(self, impl):
+    def test_feature_dist_rejects_mismatch(self):
         with pytest.raises(ValueError):
-            impl.feature_dist_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+            kernels.feature_dist_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
-    def test_empty_inputs(self, impl):
+    def test_empty_inputs(self):
         a = random_boxes(np.random.default_rng(0), 3)
-        assert impl.iou_matrix(a, np.zeros((0, 4))).shape == (3, 0)
-        assert impl.center_dist_matrix(np.zeros((0, 4)), a).shape == (0, 3)
-
-
-@pytest.mark.skipif(_native is None, reason="compiled kernels not built")
-class TestBackendParity:
-    def test_backends_agree(self):
-        rng = np.random.default_rng(42)
-        a, b = random_boxes(rng, 60), random_boxes(rng, 45)
-        x, y = rng.normal(size=(30, 32)), rng.normal(size=(25, 32))
-        assert np.allclose(_native.iou_matrix(a, b), _kernels_py.iou_matrix(a, b), atol=1e-12)
-        assert np.allclose(
-            _native.center_dist_matrix(a, b), _kernels_py.center_dist_matrix(a, b), atol=1e-12
-        )
-        assert np.allclose(
-            _native.feature_dist_matrix(x, y), _kernels_py.feature_dist_matrix(x, y), atol=1e-12
-        )
-
-
-def test_selected_backend_exposes_kernels():
-    assert kernels.BACKEND in ("native", "python")
-    a = random_boxes(np.random.default_rng(1), 4)
-    assert kernels.iou_matrix(a, a).shape == (4, 4)
-    assert np.allclose(np.diag(kernels.iou_matrix(a, a)), 1.0)
+        assert kernels.iou_matrix(a, np.zeros((0, 4))).shape == (3, 0)
+        assert kernels.center_dist_matrix(np.zeros((0, 4)), a).shape == (0, 3)

@@ -51,6 +51,19 @@ class TestTrackRows:
         rows = parse_track_rows(["", "1,1,0,0,5,5,1", "   "])
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("field", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_box_or_confidence(self, field, value):
+        # A NaN box would otherwise score as a perfect match: nan < 0.5 is false.
+        parts = "1,1,0,0,5,5,1".split(",")
+        parts[field] = value
+        with pytest.raises(ValueError, match="hyp.txt:2: non-finite"):
+            parse_track_rows(["1,1,0,0,5,5,1", ",".join(parts)], source="hyp.txt")
+
+    def test_infinite_frame_reports_line_number(self):
+        with pytest.raises(ValueError, match="hyp.txt:1"):
+            parse_track_rows(["inf,1,0,0,5,5,1"], source="hyp.txt")
+
 
 class TestFeatures:
     def test_round_trip_renormalizes(self, tmp_path):
@@ -70,6 +83,41 @@ class TestFeatures:
         path.write_text("1,0,0.5,0.5\n1,1,1.0\n")
         with pytest.raises(ValueError, match=":2"):
             read_features(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2,0,0.5,nan", "non-finite"),
+            ("2,0,inf,0.5", "non-finite"),
+            ("nan,0,0.5,0.5", "non-finite"),
+            ("2,0,0.0,0.0", "zero feature vector"),
+            ("2,0,0.5,x", "could not convert"),
+            ("2,0", "expected frame,det_index"),
+            ("2,0,0.5,0.5,0.5", "feature dimension 3 != 2"),
+        ],
+    )
+    def test_bad_line_reports_its_number(self, tmp_path, line, message):
+        # A blank line before the fault: numbers count file lines, not rows.
+        path = tmp_path / "features.txt"
+        path.write_text(f"1,0,0.6,0.8\n\n{line}\n1,1,1.0,0.0\n")
+        with pytest.raises(ValueError, match=f"features.txt:3: {message}"):
+            read_features(path)
+
+    def test_normalizes_each_row_like_a_single_vector_norm(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [(f, i, rng.normal(size=32)) for f in range(1, 40) for i in range(3)]
+        path = tmp_path / "features.txt"
+        write_features(path, rows)
+        loaded = read_features(path)
+        for f, i, _ in rows:
+            line = next(l for l in path.read_text().splitlines() if l.startswith(f"{f},{i},"))
+            vec = np.array([float(v) for v in line.split(",")[2:]])
+            assert np.array_equal(loaded[(f, i)], vec / np.linalg.norm(vec))
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "features.txt"
+        path.write_text("\n")
+        assert read_features(path) == {}
 
 
 class TestReadDetections:

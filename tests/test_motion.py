@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmot.core import BoundingBox, Trajectory
 from graphmot.motion import (
@@ -14,11 +16,15 @@ from graphmot.motion import (
     FrameContext,
     KalmanParams,
     KalmanState,
+    boxes_from_means,
     default_verifier,
     forecast_lost,
     kf_init,
+    kf_init_batch,
     kf_predict,
+    kf_predict_batch,
     kf_update,
+    kf_update_batch,
     make_verifier,
     state_to_box,
     visible_fraction,
@@ -160,6 +166,55 @@ class TestKalmanAgainstScalarReference:
                     errors.append(math.hypot(b.cx - tx, b.cy - ty))
                 state = kf_update(state, obs)
         assert np.mean(errors) < 2.0
+
+
+box_tuples = st.tuples(
+    st.floats(-200, 1500), st.floats(-200, 900), st.floats(2, 300), st.floats(2, 300)
+)
+
+
+class TestBatchedKalmanMatchesSingleState:
+    """Stacked states filter exactly like one state at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        tracks=st.lists(
+            st.lists(st.one_of(st.none(), box_tuples), min_size=1, max_size=8),
+            min_size=1,
+            max_size=6,
+        ),
+        first=st.lists(box_tuples, min_size=6, max_size=6),
+    )
+    def test_predict_update_sequences(self, tracks, first):
+        # Track i starts at first[i]; step t predicts every track, then
+        # updates those whose observation at t is not None.
+        singles = [kf_init(BoundingBox(*first[i])) for i in range(len(tracks))]
+        means, covs = kf_init_batch(np.array(first[: len(tracks)]))
+        for t in range(max(len(obs) for obs in tracks)):
+            singles = [kf_predict(s) for s in singles]
+            means, covs = kf_predict_batch(means, covs)
+            seen = [i for i, obs in enumerate(tracks) if t < len(obs) and obs[t] is not None]
+            for i in seen:
+                singles[i] = kf_update(singles[i], BoundingBox(*tracks[i][t]))
+            if seen:
+                boxes = np.array([tracks[i][t] for i in seen])
+                means[seen], covs[seen] = kf_update_batch(means[seen], covs[seen], boxes)
+            for i, single in enumerate(singles):
+                np.testing.assert_allclose(means[i], single.mean, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(covs[i], single.cov, rtol=1e-12, atol=1e-12)
+                assert tuple(boxes_from_means(means)[i]) == pytest.approx(
+                    tuple(state_to_box(single).as_xywh()), rel=1e-12, abs=1e-12
+                )
+
+    def test_one_degenerate_row_fails_the_batch(self):
+        params = KalmanParams(0.0, 0.0, 0.0)
+        state = kf_init(box_at(0, 0), params)
+        state = kf_predict(kf_update(kf_predict(state, params), box_at(1, 1), params), params)
+        healthy = kf_predict(kf_init(box_at(50, 50)))
+        means = np.array([healthy.mean, state.mean])
+        covs = np.array([healthy.cov, state.cov])
+        with pytest.raises(ValueError):
+            kf_update_batch(means, covs, np.array([box_at(51, 50).as_xywh(), box_at(2, 2).as_xywh()]), params)
 
 
 class TestCovarianceHealth:

@@ -210,6 +210,34 @@ class TestRunSequence:
             per_frame.setdefault(r.frame, []).append(r.track_id)
         assert all(len(ids) == len(set(ids)) for ids in per_frame.values())
 
+    def test_long_gap_is_skipped_once_nothing_is_alive(self):
+        # Two bursts of one moving target. Every trajectory of the first is
+        # pruned within lost_frame_limit, after which the empty frames up to
+        # the second burst change nothing and are skipped.
+        model = create_model(8, d_node=8, d_edge=8, rounds=2, seed=2)
+        cfg = TrackerConfig(image_size=(600, 400), tau=0.2, lost_frame_limit=5)
+
+        def bursts(gap):
+            frames = {}
+            for start in (1, 11 + gap):
+                for f in range(start, start + 10):
+                    frames[f] = [det(f, 10 + 3 * (f - start), 10)]
+            return frames
+
+        short = bursts(100)
+        stepped = Tracker(model, cfg)
+        every_frame = [r for f in range(1, max(short) + 1) for r in stepped.step(f, short.get(f, []))]
+        short_rows, _ = run_sequence(short, model, cfg)
+        assert short_rows == every_frame
+
+        start = time.perf_counter()
+        long_rows, stats = run_sequence(bursts(1_000_000), model, cfg)
+        assert time.perf_counter() - start < 1.0
+        assert len(stats) < 100
+        shift = 1_000_000 - 100
+        assert long_rows == [r._replace(frame=r.frame + shift) if r.frame > 110 else r
+                             for r in short_rows]
+
     def test_hungarian_mode_runs(self):
         scene = generate(preset("easy", seed=11, n_frames=20))
         model = create_model(scene.config.feature_dim, seed=6)
