@@ -8,6 +8,10 @@ detection overlaps other detections), and "lstm".
 All outputs are renormalized to unit length: downstream distances assume
 unit vectors, and repeated un-normalized averaging would shrink norms and
 silently distort them.
+
+integrate() is the one rule that picks a mode: the tracker (through
+update_trajectory_feature), the trainer's teacher forcing and the ratio
+analysis all call it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Detection, Trajectory, max_overlap
-from .nn import LstmCell, LstmState
+from .nn import LstmCache, LstmCell, LstmState
 
 INTEGRATION_MODES = ("none", "lstm", "average", "iou")
 
@@ -54,6 +58,14 @@ def integrate_iou_guided(f_prev: np.ndarray, f_new: np.ndarray, overlap: float) 
     return _renormalized(blended, f_new)
 
 
+def _lstm_step(
+    cell: LstmCell, state: LstmState | None, f_new: np.ndarray
+) -> tuple[np.ndarray, LstmState, LstmCache]:
+    state = cell.init_state() if state is None else state
+    h, new_state, cache = cell.step(state, f_new)
+    return _renormalized(h, f_new), new_state, cache
+
+
 def integrate_lstm(
     cell: LstmCell, state: LstmState | None, f_new: np.ndarray
 ) -> tuple[np.ndarray, LstmState]:
@@ -62,9 +74,40 @@ def integrate_lstm(
     A zero hidden output (e.g. zero-initialized weights) falls back to
     f_new, like the degenerate cases of the other modes.
     """
-    state = cell.init_state() if state is None else state
-    h, new_state, _ = cell.step(state, f_new)
-    return _renormalized(h, f_new), new_state
+    feature, new_state, _ = _lstm_step(cell, state, f_new)
+    return feature, new_state
+
+
+def integrate(
+    mode: str,
+    f_prev: np.ndarray,
+    f_new: np.ndarray,
+    *,
+    overlap: float | None = None,
+    lstm_cell: LstmCell | None = None,
+    lstm_state: LstmState | None = None,
+) -> tuple[np.ndarray, LstmState | None, LstmCache | None]:
+    """One integration step of `mode`: (feature, lstm_state, lstm_cache).
+
+    "iou" needs `overlap`, the new detection's maximum IoU with the other
+    detections of its frame (core.frame_overlaps). "lstm" needs the cell
+    and steps from lstm_state (None starts a fresh state); its cache lets
+    training backpropagate through the step. The other modes pass
+    lstm_state through and return no cache.
+    """
+    if mode == "none":
+        return f_new.copy(), lstm_state, None
+    if mode == "average":
+        return integrate_average(f_prev, f_new), lstm_state, None
+    if mode == "iou":
+        if overlap is None:
+            raise ValueError("iou integration requires the detection's overlap")
+        return integrate_iou_guided(f_prev, f_new, overlap), lstm_state, None
+    if mode == "lstm":
+        if lstm_cell is None:
+            raise ValueError("lstm integration requires an LstmCell")
+        return _lstm_step(lstm_cell, lstm_state, f_new)
+    raise ValueError(f"unknown integration mode {mode!r}; expected one of {INTEGRATION_MODES}")
 
 
 def update_trajectory_feature(
@@ -84,22 +127,10 @@ def update_trajectory_feature(
     Unmatched trajectories are simply never passed here, which leaves
     their feature untouched.
     """
-    if mode == "none":
-        traj.integrated_feature = matched.feature.copy()
-    elif mode == "average":
-        traj.integrated_feature = integrate_average(traj.integrated_feature, matched.feature)
-    elif mode == "iou":
-        if overlap is None:
-            overlap = max_overlap(matched, [d for d in frame_dets if d is not matched])
-        traj.integrated_feature = integrate_iou_guided(
-            traj.integrated_feature, matched.feature, overlap
-        )
-    elif mode == "lstm":
-        if lstm_cell is None:
-            raise ValueError("lstm integration requires an LstmCell")
-        feature, state = integrate_lstm(lstm_cell, traj.lstm_state, matched.feature)
-        traj.integrated_feature = feature
-        traj.lstm_state = state
-    else:
-        raise ValueError(f"unknown integration mode {mode!r}; expected one of {INTEGRATION_MODES}")
+    if mode == "iou" and overlap is None:
+        overlap = max_overlap(matched, [d for d in frame_dets if d is not matched])
+    traj.integrated_feature, traj.lstm_state, _ = integrate(
+        mode, traj.integrated_feature, matched.feature,
+        overlap=overlap, lstm_cell=lstm_cell, lstm_state=traj.lstm_state,
+    )
     return traj

@@ -22,11 +22,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import Detection, max_overlap
+from .core import Detection, frame_overlaps
 from .graph import conclusive_pick
-from .integration import integrate_average, integrate_iou_guided
+from .integration import integrate
 from .motio import TrackRow, rows_by_frame
-from .motion import kf_init, kf_predict, kf_update, state_to_box
+from .motion import KalmanState, boxes_from_means, kf_init, kf_predict_batch, kf_update
 
 
 @dataclass
@@ -189,6 +189,8 @@ def ratio_analysis(
     """
     if variant not in ("iou", "app"):
         raise ValueError(f"ratio analysis needs variant 'iou' or 'app', got {variant!r}")
+    if integration not in ("none", "average", "iou"):
+        raise ValueError(f"unsupported integration {integration!r} here")
     alphas = tuple(alphas)
     true_c = {a: 0 for a in alphas}
     false_c = {a: 0 for a in alphas}
@@ -203,13 +205,16 @@ def ratio_analysis(
                 for gid, st in tracks.items()
                 if frame - st["last_frame"] <= lost_frame_limit
             }
-            for st in live.values():
-                st["kf"] = kf_predict(st["kf"])
-            if detections and live:
-                order = sorted(live)
-                boxes = np.array(
-                    [state_to_box(live[g]["kf"]).as_xywh() for g in order]
+            order = sorted(live)
+            if order:
+                means, covs = kf_predict_batch(
+                    np.array([live[g]["kf"].mean for g in order]),
+                    np.array([live[g]["kf"].cov for g in order]),
                 )
+                for g, mean, cov in zip(order, means, covs):
+                    live[g]["kf"] = KalmanState(mean, cov)
+            if detections and live:
+                boxes = boxes_from_means(means)
                 det_boxes = np.array([d.box.as_xywh() for d in detections])
                 centers = kernels.center_dist_matrix(boxes, det_boxes)
                 if variant == "iou":
@@ -238,7 +243,8 @@ def ratio_analysis(
                             true_c[a] += 1
                         else:
                             false_c[a] += 1
-            for det in detections:
+            overlaps = frame_overlaps(detections) if integration == "iou" else None
+            for j, det in enumerate(detections):
                 if det.gt_id is None:
                     continue
                 st = tracks.get(det.gt_id)
@@ -250,17 +256,10 @@ def ratio_analysis(
                     }
                     continue
                 st["kf"] = kf_update(st["kf"], det.box)
-                if integration == "none":
-                    st["feature"] = det.feature.copy()
-                elif integration == "average":
-                    st["feature"] = integrate_average(st["feature"], det.feature)
-                elif integration == "iou":
-                    others = [d for d in detections if d is not det]
-                    st["feature"] = integrate_iou_guided(
-                        st["feature"], det.feature, max_overlap(det, others)
-                    )
-                else:
-                    raise ValueError(f"unsupported integration {integration!r} here")
+                st["feature"], _, _ = integrate(
+                    integration, st["feature"], det.feature,
+                    overlap=None if overlaps is None else float(overlaps[j]),
+                )
                 st["last_frame"] = frame
     return RatioAnalysisReport(variant, alphas, true_c, false_c, inconclusive_c, n_decisions)
 

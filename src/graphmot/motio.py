@@ -39,30 +39,58 @@ class TrackRow(NamedTuple):
     conf: float
 
 
+def _parse_track_line(source: str, lineno: int, line: str) -> TrackRow:
+    """One track-format line, checked; malformed input reports source:line."""
+    parts = line.strip().split(",")
+    if len(parts) < 7:
+        raise ValueError(f"{source}:{lineno}: expected at least 7 fields, got {len(parts)}")
+    try:
+        frame = int(float(parts[0]))
+        track_id = int(float(parts[1]))
+        x, y, w, h, conf = (float(v) for v in parts[2:7])
+    except (ValueError, OverflowError) as exc:  # int() of nan / inf
+        raise ValueError(f"{source}:{lineno}: {exc}") from None
+    if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+        raise ValueError(f"{source}:{lineno}: non-finite box or confidence")
+    if frame < 1:
+        raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
+    return TrackRow(frame, track_id, x, y, w, h, conf)
+
+
 def parse_track_rows(lines, source: str = "<input>") -> list[TrackRow]:
-    """Parse track-format lines; malformed input reports its line number."""
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        parts = stripped.split(",")
-        if len(parts) < 7:
-            raise ValueError(f"{source}:{lineno}: expected at least 7 fields, got {len(parts)}")
-        try:
-            frame = int(float(parts[0]))
-            track_id = int(float(parts[1]))
-            x, y, w, h, conf = (float(v) for v in parts[2:7])
-        except (ValueError, OverflowError) as exc:  # int() of nan / inf
-            raise ValueError(f"{source}:{lineno}: {exc}") from None
-        if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
-            raise ValueError(f"{source}:{lineno}: non-finite box or confidence")
-        if frame < 1:
-            raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
-        if w <= 0 or h <= 0:
-            raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
-        rows.append(TrackRow(frame, track_id, x, y, w, h, conf))
-    return rows
+    """Parse track-format lines; malformed input reports its line number.
+
+    The first seven fields of every line are parsed by one np.loadtxt
+    call. When it rejects them, or any value fails a check, each line is
+    parsed and checked on its own, which names the line at fault.
+    """
+    lines = list(lines)
+    if not any(line.strip() for line in lines):
+        return []
+    # No per-line containers outlive the parse: in a process holding many
+    # objects they would trigger garbage collections that cost more than
+    # the parse.
+    try:
+        table = np.loadtxt(lines, delimiter=",", usecols=range(7), ndmin=2, comments=None)
+    except ValueError:  # a bad value, fewer than seven fields, a whitespace-only line
+        table = None
+    if (
+        table is None
+        or not np.isfinite(table).all()
+        or not (np.abs(table[:, :2]) < 2.0**63).all()  # frame and id fit int64
+        or not (table[:, 0] >= 1).all()
+        or not (table[:, 4:6] > 0).all()
+    ):
+        return [
+            _parse_track_line(source, lineno, line)
+            for lineno, line in enumerate(lines, start=1)
+            if line.strip()
+        ]
+    # astype truncates toward zero, like int(float(field)).
+    frames, ids = table[:, :2].astype(np.int64).T.tolist()
+    return list(map(TrackRow, frames, ids, *table[:, 2:].T.tolist()))
 
 
 def read_track_rows(path) -> list[TrackRow]:

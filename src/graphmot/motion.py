@@ -8,11 +8,9 @@ noise weights: with zero noise the filter then locks onto the exact
 velocity after the second observation.
 
 The kf_*_batch functions filter M stacked states, (M, 8) means and
-(M, 8, 8) covariances, in one call; the tracker uses them. The
-single-state kf_init / kf_predict / kf_update give bit-identical results
-one state at a time and cost less per call than a batch of one, which
-matters to teacher-forced training: it calls them about ten thousand
-times per epoch.
+(M, 8, 8) covariances, in one call; the tracker and teacher-forced
+training use them. The single-state kf_init / kf_predict / kf_update are
+batches of one, for callers that hold one KalmanState at a time.
 
 A lost trajectory's predicted box passes three gates, in order, before it
 is emitted as a tracked position:
@@ -70,10 +68,6 @@ DEFAULT_KALMAN = KalmanParams()
 class KalmanState:
     mean: np.ndarray  # (8,)
     cov: np.ndarray  # (8, 8)
-
-
-def _measurement(box: BoundingBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, box.w, box.h], dtype=np.float64)
 
 
 def _measurements(boxes: np.ndarray) -> np.ndarray:
@@ -134,9 +128,9 @@ def kf_update_batch(
     Raises ValueError when any innovation covariance is not positive
     definite (e.g. a noiseless filter that has already converged).
     """
-    # float_power squares through libm pow, like kf_update's scalar `** 2`;
-    # `** 2` on an array multiplies instead, which differs in the last bit
-    # for about 0.1% of heights.
+    # float_power squares through libm pow, as a scalar `** 2` does; `** 2`
+    # on an array multiplies instead, which differs in the last bit for
+    # about 0.1% of heights and so would change trained checkpoints.
     r = np.float_power(params.meas_weight * _height(means), 2)[:, :, None] * _EYE4
     innovation = _measurements(boxes) - means[:, :4]  # H selects the first four rows
     s = covs[:, :4, :4] + r
@@ -156,47 +150,21 @@ def kf_update_batch(
 
 
 def kf_init(box: BoundingBox, params: KalmanParams = DEFAULT_KALMAN) -> KalmanState:
-    mean = np.zeros(8)
-    mean[:4] = _measurement(box)
-    h = box.h
-    stds = np.array(
-        [2 * params.meas_weight * h] * 4 + [INIT_VEL_STD * h] * 4, dtype=np.float64
-    )
-    return KalmanState(mean, np.diag(stds**2))
+    means, covs = kf_init_batch(box.as_xywh()[None], params)
+    return KalmanState(means[0], covs[0])
 
 
 def kf_predict(state: KalmanState, params: KalmanParams = DEFAULT_KALMAN) -> KalmanState:
-    h = max(state.mean[3], _MIN_SIZE)
-    q = np.array(
-        [params.pos_weight * h] * 4 + [params.vel_weight * h] * 4, dtype=np.float64
-    )
-    mean = _F @ state.mean
-    cov = _F @ state.cov @ _F.T + np.diag(q**2)
-    cov = 0.5 * (cov + cov.T)
-    return KalmanState(mean, cov)
+    means, covs = kf_predict_batch(state.mean[None], state.cov[None], params)
+    return KalmanState(means[0], covs[0])
 
 
 def kf_update(
     state: KalmanState, box: BoundingBox, params: KalmanParams = DEFAULT_KALMAN
 ) -> KalmanState:
-    h = max(state.mean[3], _MIN_SIZE)
-    r = np.diag(np.full(4, (params.meas_weight * h) ** 2))
-    innovation = _measurement(box) - _H @ state.mean
-    s = _H @ state.cov @ _H.T + r
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("innovation covariance is not positive definite") from exc
-    # Gain via two triangular solves: K = P H^T S^-1.
-    pht = state.cov @ _H.T
-    k = np.linalg.solve(chol.T, np.linalg.solve(chol, pht.T)).T
-    mean = state.mean + k @ innovation
-    ikh = np.eye(8) - k @ _H
-    cov = ikh @ state.cov @ ikh.T + k @ r @ k.T  # Joseph form keeps PSD
-    cov = 0.5 * (cov + cov.T)
-    mean[2] = max(mean[2], _MIN_SIZE)
-    mean[3] = max(mean[3], _MIN_SIZE)
-    return KalmanState(mean, cov)
+    """Raises ValueError when the innovation covariance is not positive definite."""
+    means, covs = kf_update_batch(state.mean[None], state.cov[None], box.as_xywh()[None], params)
+    return KalmanState(means[0], covs[0])
 
 
 def visible_fraction(box: BoundingBox, image_size: tuple[int, int]) -> float:

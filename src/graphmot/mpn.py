@@ -21,10 +21,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Trajectory, max_overlap
+from .core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps
 from .graph import AssocGraph, build_graph
-from .integration import integrate_average, integrate_iou_guided
-from .motion import kf_init, kf_predict, kf_update, state_to_box
+from .integration import integrate
+from .motion import (
+    KalmanState,
+    boxes_from_means,
+    kf_init_batch,
+    kf_predict_batch,
+    kf_update_batch,
+)
 from .nn import AdamOptimizer, LstmCell, Mlp, sigmoid, weighted_bce
 from .nn import load_checkpoint, save_checkpoint
 
@@ -146,8 +152,13 @@ def encode(model: MpnModel, graph: AssocGraph) -> MpnState:
 
 
 def _aggregate(messages, index, counts, previous, aggregation):
-    out = np.zeros_like(previous)
-    np.add.at(out, index, messages)
+    # One flat bincount sums each node's messages in edge order from zero,
+    # exactly as np.add.at would, at a fraction of its cost. (Without edges
+    # bincount returns integers.)
+    n, width = previous.shape
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=messages.ravel(), minlength=n * width)
+    out = out.astype(previous.dtype, copy=False).reshape(n, width)
     occupied = counts > 0
     if aggregation == "mean":
         out[occupied] /= counts[occupied, None]
@@ -160,12 +171,13 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
     ti, dj = state.graph.edge_traj, state.graph.edge_det
     for _ in range(model.rounds):
         t_prev, d_prev, h_prev = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
-        e_in = np.concatenate([t_prev[ti], d_prev[dj], h_prev], axis=1)
+        t_rows, d_rows = t_prev[ti], d_prev[dj]
+        e_in = np.concatenate([t_rows, d_rows, h_prev], axis=1)
         h_new, e_cache = model.edge_update.forward(e_in)
-        x_in = np.concatenate([t_prev[ti], h_new], axis=1)
+        x_in = np.concatenate([t_rows, h_new], axis=1)
         x_msg, x_cache = model.node_update.forward(x_in)
         t_new = _aggregate(x_msg, ti, state.traj_counts, t_prev, model.aggregation)
-        y_in = np.concatenate([d_prev[dj], h_new], axis=1)
+        y_in = np.concatenate([d_rows, h_new], axis=1)
         y_msg, y_cache = model.node_update.forward(y_in)
         d_new = _aggregate(y_msg, dj, state.det_counts, d_prev, model.aggregation)
         state.traj_layers.append(t_new)
@@ -308,24 +320,135 @@ class _TrainGraph:
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain
 
 
-def _integrate_teacher(feat, lstm_state, det, frame_dets, mode, cell, caches):
-    """One teacher-forced integration step; mirrors the tracker's update."""
-    if mode == "none":
-        return det.feature.copy(), lstm_state
-    if mode == "average":
-        return integrate_average(feat, det.feature), lstm_state
-    if mode == "iou":
-        others = [d for d in frame_dets if d is not det]
-        return integrate_iou_guided(feat, det.feature, max_overlap(det, others)), lstm_state
-    if mode == "lstm":
-        state = cell.init_state() if lstm_state is None else lstm_state
-        h, new_state, cache = cell.step(state, det.feature)
-        caches.append(cache)
-        norm = float(np.linalg.norm(h))
-        if norm < 1e-12:
-            return det.feature.copy(), new_state
-        return h / norm, new_state
-    raise ValueError(f"unknown integration mode {mode!r}")
+@dataclass
+class TeacherForced:
+    """Teacher-forced trajectories of one training sample.
+
+    trajectories are sorted by identity and boxes (K, 4) are their
+    predicted xywh boxes at the target frame; identities lists the same
+    ids in the order the window first shows them, which node dropout draws
+    in. Training reuses one instance across epochs, so everything in it is
+    read-only.
+    """
+
+    identities: list[int]
+    trajectories: list[Trajectory]
+    boxes: np.ndarray
+    lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain, "lstm" only
+
+    def select(self, identities) -> tuple[list[Trajectory], np.ndarray, dict[int, _LstmChain]]:
+        """Trajectories, boxes and chains of a subset of the identities, by identity."""
+        row = {t.id: r for r, t in enumerate(self.trajectories)}
+        rows = sorted(row[g] for g in identities)
+        chains = {k: self.lstm_chains[r] for k, r in enumerate(rows) if r in self.lstm_chains}
+        return [self.trajectories[r] for r in rows], self.boxes[rows], chains
+
+
+def _window_tracks(frames, target_frame, window_frames):
+    """Labeled detections of the window before target_frame, as (index in
+    frame, detection) lists per identity, identities in first-seen order."""
+    tracks: dict[int, list[tuple[int, Detection]]] = {}
+    for f in window_frames:
+        if f >= target_frame:
+            continue
+        for j, det in enumerate(frames.get(f, [])):
+            if det.gt_id is not None:
+                tracks.setdefault(det.gt_id, []).append((j, det))
+    return tracks
+
+
+def teacher_force(
+    frames: dict[int, list[Detection]],
+    target_frame: int,
+    tracks: dict[int, list[tuple[int, Detection]]],
+    integration: str,
+    lstm_cell: LstmCell | None = None,
+) -> TeacherForced:
+    """Filter and integrate each identity along its own labeled detections.
+
+    One frame-synchronous walk from the earliest detection to the target
+    frame: every frame predicts all started identities in one batch,
+    starts the identities first seen there and updates the observed ones
+    in one batch. A second detection of an identity in the same frame is
+    a further update without a predict. Every identity thus gets the
+    same sequence of predicts, updates and integration steps it would get
+    on its own, and the batched filter gives it the same bits.
+    """
+    events: dict[int, list[tuple[int, int, Detection]]] = {}
+    for gid, observations in tracks.items():
+        for j, det in observations:
+            events.setdefault(det.frame, []).append((gid, j, det))
+    n_ids = len(tracks)
+    means, covs = np.zeros((n_ids, 8)), np.zeros((n_ids, 8, 8))
+    row: dict[int, int] = {}  # identity -> row, in the order the walk starts them
+    features: list[np.ndarray] = []
+    last: list[Detection] = []
+    lstm_states: list = []
+    lstm_caches: list[list] = []
+    for f in range(min(events, default=target_frame), target_frame + 1):
+        n = len(row)
+        if n:
+            means[:n], covs[:n] = kf_predict_batch(means[:n], covs[:n])
+        started: list[Detection] = []
+        passes: list[list[tuple[int, int, Detection]]] = []  # k-th update of an identity here
+        updates_here: dict[int, int] = {}
+        for gid, j, det in events.get(f, []):
+            r = row.get(gid)
+            if r is None:
+                row[gid] = len(row)
+                started.append(det)
+                features.append(det.feature.copy())
+                last.append(det)
+                lstm_states.append(None)
+                lstm_caches.append([])
+                continue
+            k = updates_here.get(r, 0)
+            updates_here[r] = k + 1
+            if k == len(passes):
+                passes.append([])
+            passes[k].append((r, j, det))
+        if started:
+            means[n : len(row)], covs[n : len(row)] = kf_init_batch(box_array(started))
+        overlaps = frame_overlaps(frames[f]) if passes and integration == "iou" else None
+        for batch in passes:
+            rows = np.array([r for r, _, _ in batch])
+            means[rows], covs[rows] = kf_update_batch(
+                means[rows], covs[rows], box_array([det for _, _, det in batch])
+            )
+            for r, j, det in batch:
+                features[r], lstm_states[r], cache = integrate(
+                    integration, features[r], det.feature,
+                    overlap=None if overlaps is None else float(overlaps[j]),
+                    lstm_cell=lstm_cell, lstm_state=lstm_states[r],
+                )
+                if cache is not None:
+                    lstm_caches[r].append(cache)
+                last[r] = det
+
+    ids = sorted(row)
+    order = [row[g] for g in ids]
+    means, covs = means[order], covs[order]
+    boxes = boxes_from_means(means)
+    for array in (means, covs, boxes, *features):
+        array.flags.writeable = False
+    trajectories = []
+    chains: dict[int, _LstmChain] = {}
+    for k, (gid, r) in enumerate(zip(ids, order)):
+        trajectories.append(
+            Trajectory(
+                id=gid,
+                integrated_feature=features[r],
+                last_box=last[r].box,
+                last_seen_frame=last[r].frame,
+                motion=KalmanState(means[k], covs[k]),
+                frames_lost=target_frame - last[r].frame - 1,
+            )
+        )
+        caches = lstm_caches[r]
+        if caches:
+            h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
+            chains[k] = _LstmChain(caches, h_norm, features[r])
+    return TeacherForced(list(tracks), trajectories, boxes, chains)
 
 
 def build_training_graph(
@@ -342,6 +465,7 @@ def build_training_graph(
     rng: np.random.Generator | None = None,
     node_dropout: float = 0.0,
     box_jitter: float = 0.0,
+    teacher: TeacherForced | None = None,
 ) -> _TrainGraph | None:
     """One training graph: teacher-forced trajectories vs. one frame's detections.
 
@@ -349,18 +473,23 @@ def build_training_graph(
     window frames before the target frame, with features integrated along
     their own labeled detections (so training never depends on earlier
     matching decisions). Edge labels are identity equality.
+
+    `teacher` is this sample's teacher_force result over all its
+    identities, computed once and reused; without it the kept identities
+    are teacher-forced here. "lstm" features depend on the weights being
+    trained, so that mode takes none.
     """
+    if teacher is not None and integration == "lstm":
+        raise ValueError("lstm integration cannot reuse teacher-forced features")
     detections = list(frames.get(target_frame, []))
-    tracks: dict[int, list[Detection]] = {}
-    for f in window_frames:
-        if f >= target_frame:
-            continue
-        for det in frames.get(f, []):
-            if det.gt_id is not None:
-                tracks.setdefault(det.gt_id, []).append(det)
+    if teacher is None:
+        tracks = _window_tracks(frames, target_frame, window_frames)
+        identities = list(tracks)
+    else:
+        identities = teacher.identities
     if rng is not None and node_dropout > 0.0:
         detections = [d for d in detections if rng.random() >= node_dropout]
-        tracks = {g: dets for g, dets in tracks.items() if rng.random() >= node_dropout}
+        identities = [g for g in identities if rng.random() >= node_dropout]
     if rng is not None and box_jitter > 0.0:
         jittered = []
         for det in detections:
@@ -371,44 +500,13 @@ def build_training_graph(
                           det.confidence, det.feature, det.gt_id)
             )
         detections = jittered
-    if not detections or not tracks:
+    if not detections or not identities:
         return None
+    if teacher is None:
+        kept = {g: tracks[g] for g in identities}
+        teacher = teacher_force(frames, target_frame, kept, integration, model.lstm)
+    trajectories, traj_boxes, chains = teacher.select(identities)
 
-    trajectories: list[Trajectory] = []
-    chains: dict[int, _LstmChain] = {}
-    for gid in sorted(tracks):
-        dets = sorted(tracks[gid], key=lambda d: d.frame)
-        first = dets[0]
-        feat = first.feature.copy()
-        lstm_state = None
-        caches: list = []
-        kf = kf_init(first.box)
-        last_frame = first.frame
-        for det in dets[1:]:
-            for _ in range(det.frame - last_frame):
-                kf = kf_predict(kf)
-            kf = kf_update(kf, det.box)
-            feat, lstm_state = _integrate_teacher(
-                feat, lstm_state, det, frames.get(det.frame, []), integration,
-                model.lstm, caches,
-            )
-            last_frame = det.frame
-        for _ in range(target_frame - last_frame):
-            kf = kf_predict(kf)
-        traj = Trajectory(
-            id=gid,
-            integrated_feature=feat,
-            last_box=dets[-1].box,
-            last_seen_frame=last_frame,
-            motion=kf,
-            frames_lost=target_frame - last_frame - 1,
-        )
-        if integration == "lstm" and caches:
-            h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
-            chains[len(trajectories)] = _LstmChain(caches, h_norm, feat)
-        trajectories.append(traj)
-
-    traj_boxes = np.array([state_to_box(t.motion).as_xywh() for t in trajectories])
     graph = build_graph(
         trajectories,
         detections,
@@ -463,7 +561,8 @@ def train_model(
     """Train in place; returns one telemetry row per epoch.
 
     Each sample pairs one target frame with trajectories teacher-forced
-    from the preceding frames of its window. Batches average the weighted
+    from the preceding frames of its window, once per call except in
+    "lstm" mode. Batches average the weighted
     BCE over all edges; the positive weight defaults to the batch's
     negative/positive ratio.
     """
@@ -487,6 +586,14 @@ def train_model(
                 samples.append((si, t, window))
     if not samples:
         raise ValueError("no trainable samples in the given sequences")
+    # Dropout and jitter leave the teacher-forced states alone, so every
+    # sample is teacher-forced once; "lstm" features move with the weights.
+    teachers = [None] * len(samples)
+    if integration != "lstm":
+        teachers = [
+            teacher_force(sequences[si], t, _window_tracks(sequences[si], t, window), integration)
+            for si, t, window in samples
+        ]
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamOptimizer(model.param_arrays())
@@ -507,6 +614,7 @@ def train_model(
                     integration=integration, k_neighbors=k_neighbors,
                     ratio_variant=ratio_variant, alpha=alpha, fps=fps,
                     rng=rng, node_dropout=cfg.node_dropout, box_jitter=cfg.box_jitter,
+                    teacher=teachers[oi],
                 )
                 if tg is not None:
                     batch.append(tg)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphmot.core import BoundingBox, Detection, Trajectory
 from graphmot.integration import (
+    integrate,
     integrate_average,
     integrate_iou_guided,
     integrate_lstm,
@@ -135,6 +136,27 @@ class TestLstmIntegration:
             prev = out
         assert np.mean(deltas[-5:]) < np.mean(deltas[:5])
         assert deltas[-1] < 1e-3
+
+
+class TestIntegrate:
+    def test_iou_requires_overlap(self):
+        with pytest.raises(ValueError, match="overlap"):
+            integrate("iou", unit(1, 0), unit(0, 1))
+
+    def test_lstm_returns_the_step_cache(self):
+        cell = LstmCell(3, 3, np.random.default_rng(4))
+        f_prev, f_new = unit(1, 0, 0), unit(0, 1, 1)
+        feature, state, cache = integrate("lstm", f_prev, f_new, lstm_cell=cell)
+        h, _, _ = cell.step(cell.init_state(), f_new)
+        assert np.array_equal(cache.o * cache.c_tanh, h)
+        assert np.array_equal(feature, integrate_lstm(cell, None, f_new)[0])
+        assert np.array_equal(state.h, h)
+
+    @pytest.mark.parametrize("mode", ["none", "average", "iou"])
+    def test_other_modes_pass_the_lstm_state_through(self, mode):
+        marker = object()
+        _, state, cache = integrate(mode, unit(1, 0), unit(0, 1), overlap=0.5, lstm_state=marker)
+        assert state is marker and cache is None
 
 
 class TestUpdateTrajectoryFeature:

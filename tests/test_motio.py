@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmot.core import BoundingBox, Detection
 from graphmot.motio import (
@@ -18,6 +22,51 @@ from graphmot.motio import (
 def unit(rng, dim=8):
     v = rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def reference_parse_track_rows(lines, source):
+    """parse_track_rows one line at a time with Python float(), for reference."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) < 7:
+            raise ValueError(f"{source}:{lineno}: expected at least 7 fields, got {len(parts)}")
+        try:
+            frame = int(float(parts[0]))
+            track_id = int(float(parts[1]))
+            x, y, w, h, conf = (float(v) for v in parts[2:7])
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in (x, y, w, h, conf)):
+            raise ValueError(f"{source}:{lineno}: non-finite box or confidence")
+        if frame < 1:
+            raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
+        rows.append(TrackRow(frame, track_id, x, y, w, h, conf))
+    return rows
+
+
+@st.composite
+def track_lines(draw):
+    """Mostly valid rows: fractional frames and ids, 7 to 10 fields, blank
+    lines, and now and then a value that fails a check."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(["", "  ", "1,2,3", "1,1,x,0,5,5,1", "0.5,1,0,0,5,5,1",
+                                     "1,1,0,0,-5,5,1", "1,1,nan,0,5,5,1", "inf,1,0,0,5,5,1",
+                                     "1e30,1,0,0,5,5,1", " 2 , 3 ,1,1,5,5,1"]))
+    coord = st.floats(-2e3, 2e3, allow_nan=False)
+    size = st.floats(0.01, 500.0)
+    fields = [
+        draw(st.floats(1.0, 5e4)),
+        draw(st.floats(-2.0, 500.0)),
+        draw(coord), draw(coord), draw(size), draw(size), draw(st.floats(0.0, 1.0)),
+    ]
+    text = [repr(v) if draw(st.booleans()) else f"{v:.2f}" for v in fields]
+    text += ["-1"] * draw(st.integers(0, 3))
+    return ",".join(text) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestTrackRows:
@@ -63,6 +112,21 @@ class TestTrackRows:
     def test_infinite_frame_reports_line_number(self):
         with pytest.raises(ValueError, match="hyp.txt:1"):
             parse_track_rows(["inf,1,0,0,5,5,1"], source="hyp.txt")
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(track_lines(), max_size=12))
+    def test_equals_line_by_line_parse(self, lines):
+        try:
+            want = reference_parse_track_rows(lines, "det.txt")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_track_rows(lines, source="det.txt")
+            assert str(got.value) == str(exc)
+            return
+        got = parse_track_rows(lines, source="det.txt")
+        assert got == want
+        assert all(type(r.frame) is int and type(r.track_id) is int for r in got)
+        assert all(type(v) is float for r in got for v in r[2:])
 
 
 class TestFeatures:

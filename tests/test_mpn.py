@@ -1,13 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from graphmot.core import BoundingBox, Detection, Trajectory
+from graphmot import mpn
+from graphmot.core import BoundingBox, Detection, Trajectory, max_overlap
 from graphmot.graph import AssocGraph, build_graph
-from graphmot.motion import kf_init
+from graphmot.integration import integrate_average, integrate_iou_guided
+from graphmot.motion import kf_init, kf_predict, kf_update, state_to_box
 from graphmot.mpn import (
     TrainConfig,
+    build_training_graph,
     classify_edges,
     create_model,
     encode,
@@ -176,6 +183,41 @@ class TestPropagate:
         g = grid_graph(3, 3)
         probs, _ = mpn_forward(model, g)
         assert probs.shape == (g.n_edges,)
+
+
+def add_at_aggregate(messages, index, counts, previous, aggregation):
+    """The aggregation as np.add.at computes it, for reference."""
+    out = np.zeros_like(previous)
+    np.add.at(out, index, messages)
+    occupied = counts > 0
+    if aggregation == "mean":
+        out[occupied] /= counts[occupied, None]
+    out[~occupied] = previous[~occupied]
+    return out
+
+
+@st.composite
+def aggregation_cases(draw):
+    n = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 6))
+    n_edges = draw(st.integers(0, 30))
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
+    index = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n_edges, max_size=n_edges)),
+                     dtype=np.int64)
+    messages = draw(hnp.arrays(np.float64, (n_edges, width), elements=floats))
+    previous = draw(hnp.arrays(np.float64, (n, width), elements=floats))
+    return messages, index, previous
+
+
+class TestAggregate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=aggregation_cases(), aggregation=st.sampled_from(mpn.AGGREGATIONS))
+    def test_equals_add_at_exactly(self, case, aggregation):
+        messages, index, previous = case
+        counts = np.bincount(index, minlength=len(previous))
+        got = mpn._aggregate(messages, index, counts, previous, aggregation)
+        want = add_at_aggregate(messages, index, counts, previous, aggregation)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestClassify:
@@ -378,3 +420,241 @@ class TestCheckpointRoundTrip:
         state_b = propagate(model, encode(model, g))
         assert not np.allclose(state_a.traj_layers[-1], state_b.traj_layers[-1])
         assert not np.allclose(state_a.det_layers[-1], state_b.det_layers[-1])
+
+
+# ---------------------------------------------------------------------------
+# Teacher forcing against a sequential reference
+
+
+def reference_integrate(feat, lstm_state, det, frame_dets, mode, cell, caches):
+    """One teacher-forced integration step, one identity at a time."""
+    if mode == "none":
+        return det.feature.copy(), lstm_state
+    if mode == "average":
+        return integrate_average(feat, det.feature), lstm_state
+    if mode == "iou":
+        others = [d for d in frame_dets if d is not det]
+        return integrate_iou_guided(feat, det.feature, max_overlap(det, others)), lstm_state
+    state = cell.init_state() if lstm_state is None else lstm_state
+    h, new_state, cache = cell.step(state, det.feature)
+    caches.append(cache)
+    norm = float(np.linalg.norm(h))
+    if norm < 1e-12:
+        return det.feature.copy(), new_state
+    return h / norm, new_state
+
+
+def reference_training_graph(frames, target_frame, window_frames, model, *, integration,
+                             rng=None, node_dropout=0.0, box_jitter=0.0, **graph_kw):
+    """build_training_graph as a loop over identities, each filtered by the
+    single-state Kalman functions along its own detections."""
+    detections = list(frames.get(target_frame, []))
+    tracks = {}
+    for f in window_frames:
+        if f >= target_frame:
+            continue
+        for det in frames.get(f, []):
+            if det.gt_id is not None:
+                tracks.setdefault(det.gt_id, []).append(det)
+    if rng is not None and node_dropout > 0.0:
+        detections = [d for d in detections if rng.random() >= node_dropout]
+        tracks = {g: dets for g, dets in tracks.items() if rng.random() >= node_dropout}
+    if rng is not None and box_jitter > 0.0:
+        jittered = []
+        for det in detections:
+            b = det.box
+            dx, dy = rng.normal(0.0, box_jitter * b.h, size=2)
+            jittered.append(Detection(det.frame, BoundingBox(b.x + dx, b.y + dy, b.w, b.h),
+                                      det.confidence, det.feature, det.gt_id))
+        detections = jittered
+    if not detections or not tracks:
+        return None
+    trajectories, chains = [], {}
+    for gid in sorted(tracks):
+        dets = sorted(tracks[gid], key=lambda d: d.frame)
+        feat, lstm_state, caches = dets[0].feature.copy(), None, []
+        kf, last_frame = kf_init(dets[0].box), dets[0].frame
+        for det in dets[1:]:
+            for _ in range(det.frame - last_frame):
+                kf = kf_predict(kf)
+            kf = kf_update(kf, det.box)
+            feat, lstm_state = reference_integrate(
+                feat, lstm_state, det, frames.get(det.frame, []), integration, model.lstm, caches)
+            last_frame = det.frame
+        for _ in range(target_frame - last_frame):
+            kf = kf_predict(kf)
+        if integration == "lstm" and caches:
+            h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
+            chains[len(trajectories)] = (caches, h_norm, feat)
+        trajectories.append(Trajectory(gid, feat, dets[-1].box, last_frame, kf,
+                                       frames_lost=target_frame - last_frame - 1))
+    traj_boxes = np.array([state_to_box(t.motion).as_xywh() for t in trajectories])
+    graph = build_graph(trajectories, detections, traj_boxes=traj_boxes, **graph_kw)
+    if graph is None or graph.n_edges == 0:
+        return None
+    labels = np.array([1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
+                       for i, j in zip(graph.edge_traj, graph.edge_det)])
+    return graph, labels, chains
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_training_graph(got, want):
+    if want is None:
+        assert got is None
+        return
+    graph, labels, chains = want
+    assert got is not None
+    assert_same_bits(got.labels, labels)
+    for name in ("traj_boxes", "edge_traj", "edge_det", "edge_features"):
+        assert_same_bits(getattr(got.graph, name), getattr(graph, name))
+    assert got.graph.detections == graph.detections
+    assert len(got.graph.trajectories) == len(graph.trajectories)
+    for t_got, t_want in zip(got.graph.trajectories, graph.trajectories):
+        assert (t_got.id, t_got.last_box, t_got.last_seen_frame, t_got.frames_lost) == (
+            t_want.id, t_want.last_box, t_want.last_seen_frame, t_want.frames_lost)
+        assert_same_bits(t_got.integrated_feature, t_want.integrated_feature)
+        assert_same_bits(t_got.motion.mean, t_want.motion.mean)
+        assert_same_bits(t_got.motion.cov, t_want.motion.cov)
+    assert got.lstm_chains.keys() == chains.keys()
+    for row, (caches, h_norm, feature) in chains.items():
+        chain = got.lstm_chains[row]
+        assert chain.h_norm == h_norm
+        assert_same_bits(chain.feature, feature)
+        assert len(chain.caches) == len(caches)
+        for c_got, c_want in zip(chain.caches, caches):
+            for name in ("x", "h_prev", "c_prev", "i", "f", "o", "g", "c_new", "c_tanh"):
+                assert_same_bits(getattr(c_got, name), getattr(c_want, name))
+
+
+@pytest.fixture(scope="module")
+def teacher_scene():
+    """Missed detections (frame gaps), clutter, and one identity detected
+    twice in frame 9 and in frame 14."""
+    scene = generate(preset("crowded", seed=8, n_targets=10, n_frames=30,
+                            dropout=0.25, clutter_rate=0.5))
+    frames = {f: list(dets) for f, dets in scene.frames.items()}
+    for f in (9, 14):
+        det = next(d for d in frames[f] if d.gt_id is not None)
+        b = det.box
+        frames[f].append(Detection(f, BoundingBox(b.x + 3.0, b.y - 2.0, b.w, b.h * 1.1),
+                                   det.confidence, det.feature, det.gt_id))
+    # Frame 20 is missing altogether.
+    frames.pop(20, None)
+    return frames, scene.config.feature_dim
+
+
+def sample_windows(frames, stride, per_graph=6):
+    # Targets 14 and 19 open their stride-1 windows on a frame with a
+    # duplicate; 21 and 22 reach across the missing frame 20.
+    numbers = sorted(frames)
+    for t in sorted(set(numbers[3::4]) | {14, 19, 21, 22}):
+        yield t, [f for f in numbers
+                  if t - (per_graph - 1) * stride <= f < t and (t - f) % stride == 0]
+
+
+GRAPH_KW = dict(k_neighbors=5, ratio_variant="app", alpha=0.6, fps=30.0)
+
+
+class TestTeacherForcing:
+    @pytest.mark.parametrize("integration", ["none", "average", "iou", "lstm"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_sequential_reference(self, teacher_scene, integration, stride):
+        frames, dim = teacher_scene
+        model = create_model(dim, d_node=8, d_edge=8, seed=3)
+        checked = 0
+        for t, window in sample_windows(frames, stride):
+            want = reference_training_graph(frames, t, window, model,
+                                            integration=integration, **GRAPH_KW)
+            got = build_training_graph(frames, t, window, model,
+                                       integration=integration, **GRAPH_KW)
+            assert_same_training_graph(got, want)
+            checked += want is not None
+        assert checked >= 4
+
+    @pytest.mark.parametrize("integration", ["none", "average", "iou", "lstm"])
+    def test_dropout_and_jitter_match_reference(self, teacher_scene, integration):
+        frames, dim = teacher_scene
+        model = create_model(dim, d_node=8, d_edge=8, seed=4)
+        aug = dict(node_dropout=0.3, box_jitter=0.05)
+        for t, window in sample_windows(frames, 1):
+            want = reference_training_graph(frames, t, window, model, integration=integration,
+                                            rng=np.random.default_rng(t), **aug, **GRAPH_KW)
+            got = build_training_graph(frames, t, window, model, integration=integration,
+                                       rng=np.random.default_rng(t), **aug, **GRAPH_KW)
+            assert_same_training_graph(got, want)
+
+    @pytest.mark.parametrize("integration", ["none", "average", "iou"])
+    def test_cached_teacher_matches_reference(self, teacher_scene, integration):
+        # One teacher-forced sample serves every draw of the augmentation.
+        frames, dim = teacher_scene
+        model = create_model(dim, d_node=8, d_edge=8, seed=5)
+        aug = dict(node_dropout=0.3, box_jitter=0.05)
+        for t, window in sample_windows(frames, 2):
+            teacher = mpn.teacher_force(frames, t, mpn._window_tracks(frames, t, window),
+                                        integration)
+            for draw in range(3):
+                want = reference_training_graph(
+                    frames, t, window, model, integration=integration,
+                    rng=np.random.default_rng(draw), **aug, **GRAPH_KW)
+                got = build_training_graph(
+                    frames, t, window, model, integration=integration, teacher=teacher,
+                    rng=np.random.default_rng(draw), **aug, **GRAPH_KW)
+                assert_same_training_graph(got, want)
+
+    def test_unsorted_window_draws_dropout_in_first_seen_order(self, teacher_scene):
+        frames, dim = teacher_scene
+        model = create_model(dim, d_node=8, d_edge=8, seed=6)
+        t = sorted(frames)[12]
+        window = [f for f in sorted(frames) if t - 8 <= f < t][::-1]
+        for seed in range(4):
+            want = reference_training_graph(frames, t, window, model, integration="average",
+                                            rng=np.random.default_rng(seed), node_dropout=0.4,
+                                            **GRAPH_KW)
+            got = build_training_graph(frames, t, window, model, integration="average",
+                                       rng=np.random.default_rng(seed), node_dropout=0.4,
+                                       **GRAPH_KW)
+            assert_same_training_graph(got, want)
+
+    def test_training_teacher_forces_each_sample_once(self, teacher_scene, monkeypatch):
+        frames, dim = teacher_scene
+        calls = []
+        original = mpn.teacher_force
+
+        def counting(frames_, target_frame, *args, **kwargs):
+            calls.append(target_frame)
+            return original(frames_, target_frame, *args, **kwargs)
+
+        monkeypatch.setattr(mpn, "teacher_force", counting)
+        model = create_model(dim, d_node=8, d_edge=8, seed=7)
+        train_model(model, [frames], TrainConfig(epochs=3, seed=1), integration="iou")
+        assert len(calls) == len(set(calls)) > 0
+
+
+def param_digest(model):
+    h = hashlib.sha256()
+    for p in model.param_arrays():
+        h.update(np.ascontiguousarray(p).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every parameter after two epochs, recorded with the
+# identity-by-identity teacher forcing this module keeps as its reference
+# (NumPy 2.4, OpenBLAS, x86-64); tests/test_golden.py covers "iou".
+TRAINED_WEIGHTS = {
+    "average": "0c1e588d1e027805326f1b94961ffa1583d9995648c705b172e1666d4db69e13",
+    "lstm": "b5f190fbf2dfd2b84bab9b4236c383751a58a287db8c9972ffaae7b9d2b97e50",
+}
+
+
+@pytest.mark.parametrize("integration", sorted(TRAINED_WEIGHTS))
+def test_trained_weights_pinned(integration):
+    scene = generate(preset("crossing", seed=101))
+    prefix = {f: dets for f, dets in scene.frames.items() if f <= 40}
+    model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
+    train_model(model, [prefix], TrainConfig(seed=11, epochs=2),
+                integration=integration, ratio_variant="app")
+    assert param_digest(model) == TRAINED_WEIGHTS[integration]
