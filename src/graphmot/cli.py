@@ -140,6 +140,19 @@ def _feature_dim(frames) -> int:
     raise ValueError("no detections in the data directory")
 
 
+def _load_checkpoint(path, frames):
+    """load_model(path), refused when its feature dimension is not the
+    detections' (frames without detections are not checked)."""
+    model = load_model(path)
+    dim = next((dets[0].feature.size for dets in frames.values() if dets), model.feature_dim)
+    if dim != model.feature_dim:
+        raise ValueError(
+            f"checkpoint {path} takes {model.feature_dim}-dim features, "
+            f"but the detections have {dim}"
+        )
+    return model
+
+
 def _load_labeled_data(data_dir: Path):
     det_path = data_dir / "det.txt"
     feat_path = data_dir / "features.txt"
@@ -159,7 +172,7 @@ def cmd_train(args) -> int:
     frames, _ = _load_labeled_data(Path(args.data))
     feature_dim = _feature_dim(frames)
     if args.resume:
-        model = load_model(args.resume)
+        model = _load_checkpoint(args.resume, frames)
     else:
         model = create_model(
             feature_dim,
@@ -213,10 +226,10 @@ def cmd_track(args) -> int:
     if args.unconstrained:
         overrides["forecast_constraints"] = False
     config = _build_section("tracker", file_config, overrides)
-    model = load_model(args.checkpoint)
+    frames = read_detections(args.detections, args.features)
+    model = _load_checkpoint(args.checkpoint, frames)
     if args.layers is not None:
         model.rounds = args.layers
-    frames = read_detections(args.detections, args.features)
     rows, _ = run_sequence(frames, model, config)
     out = Path(args.out)
     text = "".join(format_track_row(r) + "\n" for r in rows)
@@ -286,7 +299,7 @@ def cmd_sparsity(args) -> int:
     frames, _ = _load_labeled_data(Path(args.data))
     feature_dim = _feature_dim(frames)
     if args.checkpoint:
-        model = load_model(args.checkpoint)
+        model = _load_checkpoint(args.checkpoint, frames)
     else:
         if args.seed is None:
             return _fail("--seed is required when no --checkpoint is given")

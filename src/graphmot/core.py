@@ -150,6 +150,16 @@ def frame_overlaps(detections: list[Detection]) -> np.ndarray:
     return overlap.max(axis=1, initial=0.0)
 
 
+def row_norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a (K, d) array, bit for bit the value
+    np.linalg.norm gives each row alone.
+
+    Row by row, (1, d) @ (d, 1) is the same dot product np.linalg.norm
+    takes of one vector; an axis=1 norm sums in another order.
+    """
+    return np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+
+
 def feature_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     """Euclidean distance between two appearance features.
 

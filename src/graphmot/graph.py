@@ -33,6 +33,9 @@ class AssocGraph:
     traj_boxes are the (M, 4) xywh boxes used for all geometry (the
     tracker passes motion-predicted boxes; lost targets are represented
     by their forecast position, not the stale last observation).
+    traj_features (M, d) and det_features (N, d) stack the trajectories'
+    integrated features and the detections' features once, for the
+    distances, the edge features and the network's node encoder.
     """
 
     trajectories: list[Trajectory]
@@ -43,6 +46,14 @@ class AssocGraph:
     edge_dist: np.ndarray | None = None
     edge_features: np.ndarray | None = None
     n_candidates: int = 0
+    traj_features: np.ndarray | None = None
+    det_features: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.traj_features is None:
+            self.traj_features = np.array([t.integrated_feature for t in self.trajectories])
+        if self.det_features is None:
+            self.det_features = np.array([d.feature for d in self.detections])
 
     @property
     def n_edges(self) -> int:
@@ -82,9 +93,7 @@ def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
         overlap = kernels.iou_matrix(graph.traj_boxes, box_array(graph.detections))
         return 1.0 - overlap[graph.edge_traj, graph.edge_det]
     if variant == "app":
-        traj_feats = np.array([t.integrated_feature for t in graph.trajectories])
-        det_feats = np.array([d.feature for d in graph.detections])
-        dist = kernels.feature_dist_matrix(traj_feats, det_feats)
+        dist = kernels.feature_dist_matrix(graph.traj_features, graph.det_features)
         return dist[graph.edge_traj, graph.edge_det]
     raise ValueError(f"no distances for variant {variant!r}")
 
@@ -165,9 +174,7 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
     gaps = (det_frames[ed] - last_seen[et]).astype(np.float64)
     if np.any(gaps < 1):
         raise ValueError("edge with non-positive frame gap; frames out of order?")
-    traj_feats = np.array([t.integrated_feature for t in graph.trajectories])[et]
-    det_feats = np.array([d.feature for d in graph.detections])[ed]
-    app = np.linalg.norm(traj_feats - det_feats, axis=1)
+    app = np.linalg.norm(graph.traj_features[et] - graph.det_features[ed], axis=1)
     features = np.column_stack(
         [
             2.0 * (dcx - tcx) / h_sum,

@@ -9,29 +9,64 @@ All outputs are renormalized to unit length: downstream distances assume
 unit vectors, and repeated un-normalized averaging would shrink norms and
 silently distort them.
 
-integrate() is the one rule that picks a mode: the tracker (through
-update_trajectory_feature), the trainer's teacher forcing and the ratio
-analysis all call it.
+integrate_rows() is the one rule of "none", "average" and "iou": it
+integrates many trajectories at once, and integrate() is one row of it.
+The tracker integrates all matches of a frame with one integrate_rows
+call, and "lstm" match by match through update_trajectory_feature; the
+trainer's teacher forcing and the ratio analysis use the same functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Detection, Trajectory, max_overlap
+from .core import Detection, Trajectory, max_overlap, row_norms
 from .nn import LstmCache, LstmCell, LstmState
 
 INTEGRATION_MODES = ("none", "lstm", "average", "iou")
+BATCHED_MODES = ("none", "average", "iou")  # the modes integrate_rows takes
 
 _ZERO_NORM = 1e-12
 
 
-def _renormalized(vec: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Unit-length copy of vec; degenerate (near-zero) vectors fall back."""
-    norm = float(np.linalg.norm(vec))
-    if norm < _ZERO_NORM:
-        return fallback.copy()
-    return vec / norm
+def _renormalized_rows(vecs: np.ndarray, fallbacks: np.ndarray) -> np.ndarray:
+    """Unit-length rows of vecs; a degenerate (near-zero) row falls back to
+    the same row of fallbacks."""
+    norms = row_norms(vecs)
+    degenerate = norms < _ZERO_NORM
+    out = vecs / np.where(degenerate, 1.0, norms)[:, None]
+    np.copyto(out, fallbacks, where=degenerate[:, None])
+    return out
+
+
+def integrate_rows(
+    mode: str, f_prev: np.ndarray, f_new: np.ndarray, overlaps: np.ndarray | None = None
+) -> np.ndarray:
+    """One "none", "average" or "iou" step for K trajectories at once.
+
+    f_prev and f_new are (K, d); "iou" needs the (K,) overlaps. Row k of
+    the result has the bits integrate() gives row k on its own: the blend
+    is elementwise and the row norms are row_norms, which equal
+    np.linalg.norm of each row.
+    """
+    if mode == "none":
+        return np.array(f_new, dtype=np.float64)
+    if mode == "average":
+        return _renormalized_rows(0.5 * (f_prev + f_new), f_new)
+    if mode == "iou":
+        if overlaps is None:
+            raise ValueError("iou integration requires the detection's overlap")
+        overlaps = np.asarray(overlaps, dtype=np.float64)
+        bad = ~((overlaps >= 0.0) & (overlaps <= 1.0))
+        if bad.any():
+            raise ValueError(f"overlap must be in [0, 1], got {overlaps[bad][0]}")
+        weight = overlaps[:, None]
+        blended = 0.5 * (f_prev * (1.0 + weight) + f_new * (1.0 - weight))
+        out = _renormalized_rows(blended, f_new)
+        # At overlap 1 the new feature has weight zero: keep f_prev exactly.
+        np.copyto(out, f_prev, where=weight == 1.0)
+        return out
+    raise ValueError(f"mode {mode!r} does not integrate in batches; expected one of {BATCHED_MODES}")
 
 
 def integrate_average(f_prev: np.ndarray, f_new: np.ndarray) -> np.ndarray:
@@ -39,7 +74,7 @@ def integrate_average(f_prev: np.ndarray, f_new: np.ndarray) -> np.ndarray:
 
     Antipodal inputs cancel to zero; the result then falls back to f_new.
     """
-    return _renormalized(0.5 * (f_prev + f_new), f_new)
+    return integrate_rows("average", f_prev[None], f_new[None])[0]
 
 
 def integrate_iou_guided(f_prev: np.ndarray, f_new: np.ndarray, overlap: float) -> np.ndarray:
@@ -50,12 +85,7 @@ def integrate_iou_guided(f_prev: np.ndarray, f_new: np.ndarray, overlap: float) 
     integrate_average; at overlap 1 the new feature has weight exactly
     zero and f_prev is returned unchanged.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-    if overlap == 1.0:
-        return f_prev.copy()
-    blended = 0.5 * (f_prev * (1.0 + overlap) + f_new * (1.0 - overlap))
-    return _renormalized(blended, f_new)
+    return integrate_rows("iou", f_prev[None], f_new[None], np.array([overlap]))[0]
 
 
 def _lstm_step(
@@ -63,7 +93,7 @@ def _lstm_step(
 ) -> tuple[np.ndarray, LstmState, LstmCache]:
     state = cell.init_state() if state is None else state
     h, new_state, cache = cell.step(state, f_new)
-    return _renormalized(h, f_new), new_state, cache
+    return _renormalized_rows(h[None], f_new[None])[0], new_state, cache
 
 
 def integrate_lstm(
@@ -116,18 +146,17 @@ def update_trajectory_feature(
     frame_dets: list[Detection],
     mode: str,
     lstm_cell: LstmCell | None = None,
-    overlap: float | None = None,
 ) -> Trajectory:
     """Refresh traj.integrated_feature from its matched detection.
 
     frame_dets are all detections of the current frame; the matched one is
     excluded when computing the overlap for "iou" mode. A caller that
-    updates many trajectories per frame passes the matched detection's
-    entry of core.frame_overlaps(frame_dets) as `overlap` instead.
-    Unmatched trajectories are simply never passed here, which leaves
-    their feature untouched.
+    updates many trajectories per frame uses integrate_rows with
+    core.frame_overlaps instead. Unmatched trajectories are simply never
+    passed here, which leaves their feature untouched.
     """
-    if mode == "iou" and overlap is None:
+    overlap = None
+    if mode == "iou":
         overlap = max_overlap(matched, [d for d in frame_dets if d is not matched])
     traj.integrated_feature, traj.lstm_state, _ = integrate(
         mode, traj.integrated_feature, matched.feature,

@@ -16,6 +16,7 @@ at or above the threshold (IDTP); IDF1 = 2 IDTP / (2 IDTP + IDFP + IDFN).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,15 +131,19 @@ def idf1(
     hyp_ids = sorted({r.track_id for r in hyp_rows})
     gt_index = {g: i for i, g in enumerate(gt_ids)}
     hyp_index = {h: i for i, h in enumerate(hyp_ids)}
+    # co_frames[g, h]: frames where gt identity g and hypothesis h overlap
+    # at or above the threshold, counted from each frame's thresholded pairs.
     co_frames = np.zeros((len(gt_ids), len(hyp_ids)))
+    pair_g, pair_h = [], []
     for frame in set(gt_frames) & set(hyp_frames):
         gts = gt_frames[frame]
         hyps = hyp_frames[frame]
         overlap = kernels.iou_matrix(_boxes(gts), _boxes(hyps))
-        for gi, grow in enumerate(gts):
-            for hi, hrow in enumerate(hyps):
-                if overlap[gi, hi] >= iou_threshold:
-                    co_frames[gt_index[grow.track_id], hyp_index[hrow.track_id]] += 1
+        gi, hi = np.nonzero(overlap >= iou_threshold)
+        pair_g.append(np.array([gt_index[r.track_id] for r in gts])[gi])
+        pair_h.append(np.array([hyp_index[r.track_id] for r in hyps])[hi])
+    if pair_g:
+        np.add.at(co_frames, (np.concatenate(pair_g), np.concatenate(pair_h)), 1.0)
     idtp = 0.0
     if co_frames.size:
         rows_idx, cols_idx = linear_sum_assignment(co_frames, maximize=True)
@@ -170,6 +175,24 @@ class RatioAnalysisReport:
     n_decisions: int
 
 
+def _frames_to_walk(seq: dict, tracks: dict[int, dict], lost_frame_limit: int):
+    """Every frame number from the first to the last of seq, so that the
+    Kalman states predict through frames without detections, like the
+    tracker's; frames where no identity is live (tracks, read as the walk
+    goes) change nothing and are skipped."""
+    numbers = sorted(seq)
+    frame = numbers[0] if numbers else None
+    while frame is not None:
+        yield frame
+        newest = max((st["last_frame"] for st in tracks.values()), default=None)
+        if frame >= numbers[-1]:
+            frame = None
+        elif newest is not None and frame + 1 - newest <= lost_frame_limit:
+            frame += 1
+        else:
+            frame = numbers[bisect.bisect_right(numbers, frame)]
+
+
 def ratio_analysis(
     sequences: list[dict[int, list[Detection]]],
     variant: str,
@@ -182,7 +205,8 @@ def ratio_analysis(
     """Replay the ratio test over teacher-forced ground-truth trajectories.
 
     Trajectories follow their labeled detections (features integrated per
-    `integration`, motion via the Kalman filter); at each frame, every
+    `integration`, motion via the Kalman filter, predicted through every
+    frame number, with or without detections); at each frame, every
     live trajectory with >= 2 candidate edges is ratio-tested at each
     alpha and scored true/false by whether the kept edge connects its own
     identity.
@@ -198,8 +222,8 @@ def ratio_analysis(
     n_decisions = 0
     for seq in sequences:
         tracks: dict[int, dict] = {}  # identity -> state
-        for frame in sorted(seq):
-            detections = seq[frame]
+        for frame in _frames_to_walk(seq, tracks, lost_frame_limit):
+            detections = seq.get(frame, [])
             live = {
                 gid: st
                 for gid, st in tracks.items()

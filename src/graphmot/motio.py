@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import BoundingBox, Detection
+from .core import BoundingBox, Detection, row_norms
 
 
 class TrackRow(NamedTuple):
@@ -157,9 +157,7 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
     if bad.any():
         raise ValueError(f"{path}:{lines[np.argmax(bad)][0]}: non-finite value")
     vecs = table[:, 2:]
-    # Row by row, (1, d) @ (d, 1) is the same dot product np.linalg.norm
-    # takes of one vector; an axis=1 norm sums in another order.
-    norms = np.sqrt((vecs[:, None, :] @ vecs[:, :, None])[:, 0, 0])
+    norms = row_norms(vecs)
     if (norms <= 0).any():
         raise ValueError(f"{path}:{lines[np.argmax(norms <= 0)][0]}: zero feature vector")
     keys = zip(table[:, 0].astype(int).tolist(), table[:, 1].astype(int).tolist())

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps
 from .graph import AssocGraph, build_graph
-from .integration import integrate
+from .integration import BATCHED_MODES, integrate, integrate_rows
 from .motion import (
     KalmanState,
     boxes_from_means,
@@ -115,87 +115,134 @@ class _RoundCache:
     det_cache: object
 
 
+@dataclass(frozen=True)
+class ScatterPlan:
+    """How one side's per-edge messages sum into its (n, width) nodes.
+
+    Computed once per graph and used by every round: `flat` indexes the
+    flattened node array with every entry of the (E, width) messages,
+    `denominators` is the (n, 1) column max(count, 1) of each node's
+    edges, and `empty` the (n, 1) mask of nodes without edges.
+    """
+
+    flat: np.ndarray
+    denominators: np.ndarray
+    empty: np.ndarray
+
+    @classmethod
+    def of(cls, index: np.ndarray, n: int, width: int) -> "ScatterPlan":
+        flat = (index[:, None] * width + np.arange(width)).ravel()
+        counts = np.bincount(index, minlength=n)[:, None]
+        return cls(flat, np.maximum(counts, 1).astype(np.float64), counts == 0)
+
+
 @dataclass
 class MpnState:
-    """Per-layer embeddings plus the caches the backward pass needs."""
+    """Per-layer embeddings plus the caches the backward pass needs.
+
+    Without caches (keep_caches False, as score_graph runs) no backward
+    cache is kept and the layer lists hold only the latest layer.
+    """
 
     graph: AssocGraph
     traj_layers: list[np.ndarray]
     det_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
-    traj_counts: np.ndarray
-    det_counts: np.ndarray
+    traj_plan: ScatterPlan
+    det_plan: ScatterPlan
+    keep_caches: bool = True
     encoder_caches: tuple | None = None
     round_caches: list[_RoundCache] = field(default_factory=list)
     classifier_cache: object = None
     logits: np.ndarray | None = None
 
 
-def encode(model: MpnModel, graph: AssocGraph) -> MpnState:
+def _run(mlp: Mlp, x: np.ndarray, caches: bool):
+    """(output, cache) of mlp on x; the cache is None with caches off."""
+    if caches:
+        return mlp.forward(x)
+    return mlp.apply(x), None
+
+
+def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnState:
     """Layer-0 embeddings from the node and edge encoders."""
     if graph.edge_features is None:
         raise ValueError("graph has no edge features; run init_edge_features first")
-    traj_feats = np.array([t.integrated_feature for t in graph.trajectories])
-    det_feats = np.array([d.feature for d in graph.detections])
-    t0, t_cache = model.node_encoder.forward(traj_feats)
-    d0, d_cache = model.node_encoder.forward(det_feats)
-    h0, h_cache = model.edge_encoder.forward(graph.edge_features)
+    t0, t_cache = _run(model.node_encoder, graph.traj_features, caches)
+    d0, d_cache = _run(model.node_encoder, graph.det_features, caches)
+    h0, h_cache = _run(model.edge_encoder, graph.edge_features, caches)
+    width = t0.shape[1]
     return MpnState(
         graph=graph,
         traj_layers=[t0],
         det_layers=[d0],
         edge_layers=[h0],
-        traj_counts=np.bincount(graph.edge_traj, minlength=len(graph.trajectories)),
-        det_counts=np.bincount(graph.edge_det, minlength=len(graph.detections)),
-        encoder_caches=(t_cache, d_cache, h_cache),
+        traj_plan=ScatterPlan.of(graph.edge_traj, len(graph.trajectories), width),
+        det_plan=ScatterPlan.of(graph.edge_det, len(graph.detections), width),
+        keep_caches=caches,
+        encoder_caches=(t_cache, d_cache, h_cache) if caches else None,
     )
 
 
-def _aggregate(messages, index, counts, previous, aggregation):
+def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
     # One flat bincount sums each node's messages in edge order from zero,
     # exactly as np.add.at would, at a fraction of its cost. (Without edges
-    # bincount returns integers.)
-    n, width = previous.shape
-    flat = (index[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(flat, weights=messages.ravel(), minlength=n * width)
-    out = out.astype(previous.dtype, copy=False).reshape(n, width)
-    occupied = counts > 0
+    # bincount returns integers.) Dividing by max(count, 1) leaves an empty
+    # node's zero sum at zero; the copy then restores its previous value.
+    out = np.bincount(plan.flat, weights=messages.ravel(), minlength=previous.size)
+    out = out.astype(previous.dtype, copy=False).reshape(previous.shape)
     if aggregation == "mean":
-        out[occupied] /= counts[occupied, None]
-    out[~occupied] = previous[~occupied]
+        out /= plan.denominators
+    np.copyto(out, previous, where=plan.empty)
     return out
 
 
 def propagate(model: MpnModel, state: MpnState) -> MpnState:
-    """Run the model's propagation rounds, extending the layer lists."""
+    """Run the model's propagation rounds, extending the layer lists
+    (replacing their one layer when the state keeps no caches)."""
     ti, dj = state.graph.edge_traj, state.graph.edge_det
+    caches = state.keep_caches
+    t_prev, d_prev, h_prev = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
+    n_edges, dn = ti.size, t_prev.shape[1]
+    e_in = None
     for _ in range(model.rounds):
-        t_prev, d_prev, h_prev = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
-        t_rows, d_rows = t_prev[ti], d_prev[dj]
-        e_in = np.concatenate([t_rows, d_rows, h_prev], axis=1)
-        h_new, e_cache = model.edge_update.forward(e_in)
-        x_in = np.concatenate([t_rows, h_new], axis=1)
-        x_msg, x_cache = model.node_update.forward(x_in)
-        t_new = _aggregate(x_msg, ti, state.traj_counts, t_prev, model.aggregation)
-        y_in = np.concatenate([d_rows, h_new], axis=1)
-        y_msg, y_cache = model.node_update.forward(y_in)
-        d_new = _aggregate(y_msg, dj, state.det_counts, d_prev, model.aggregation)
-        state.traj_layers.append(t_new)
-        state.det_layers.append(d_new)
-        state.edge_layers.append(h_new)
-        state.round_caches.append(_RoundCache(e_cache, x_cache, y_cache))
+        # The MLP inputs [t, d, h], [t, h'] and [d, h'] are filled in place;
+        # the backward pass keeps them, so with caches every round has its own.
+        if caches or e_in is None:
+            e_in = np.empty((n_edges, 2 * dn + h_prev.shape[1]))
+            x_in = np.empty((n_edges, dn + h_prev.shape[1]))
+            y_in = np.empty_like(x_in)
+        np.take(t_prev, ti, axis=0, out=x_in[:, :dn], mode="clip")
+        np.take(d_prev, dj, axis=0, out=y_in[:, :dn], mode="clip")
+        e_in[:, :dn] = x_in[:, :dn]
+        e_in[:, dn : 2 * dn] = y_in[:, :dn]
+        e_in[:, 2 * dn :] = h_prev
+        h_prev, e_cache = _run(model.edge_update, e_in, caches)
+        x_in[:, dn:] = h_prev
+        y_in[:, dn:] = h_prev
+        x_msg, x_cache = _run(model.node_update, x_in, caches)
+        t_prev = _aggregate(x_msg, state.traj_plan, t_prev, model.aggregation)
+        y_msg, y_cache = _run(model.node_update, y_in, caches)
+        d_prev = _aggregate(y_msg, state.det_plan, d_prev, model.aggregation)
+        if caches:
+            state.traj_layers.append(t_prev)
+            state.det_layers.append(d_prev)
+            state.edge_layers.append(h_prev)
+            state.round_caches.append(_RoundCache(e_cache, x_cache, y_cache))
+    if not caches:
+        state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = t_prev, d_prev, h_prev
     return state
 
 
 def classify_edges(model: MpnModel, state: MpnState) -> np.ndarray:
     """Match probability per edge from the final edge embeddings."""
-    logits, cache = model.classifier.forward(state.edge_layers[-1])
-    state.classifier_cache = cache
+    logits, state.classifier_cache = _run(model.classifier, state.edge_layers[-1], state.keep_caches)
     state.logits = logits[:, 0]
     return sigmoid(state.logits)
 
 
 def mpn_forward(model: MpnModel, graph: AssocGraph) -> tuple[np.ndarray, MpnState]:
+    """Edge probabilities plus the state mpn_backward needs."""
     state = encode(model, graph)
     propagate(model, state)
     probs = classify_edges(model, state)
@@ -203,8 +250,11 @@ def mpn_forward(model: MpnModel, graph: AssocGraph) -> tuple[np.ndarray, MpnStat
 
 
 def score_graph(model: MpnModel, graph: AssocGraph) -> np.ndarray:
-    """Inference-only edge scores."""
-    return mpn_forward(model, graph)[0]
+    """Edge probabilities for inference: mpn_forward's encode, propagate and
+    classify_edges with the backward caches off, giving the same bits."""
+    state = encode(model, graph, caches=False)
+    propagate(model, state)
+    return classify_edges(model, state)
 
 
 def _scatter_rows(target, index, rows):
@@ -219,6 +269,8 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     gradient w.r.t. the trajectories' input appearance features (used to
     continue backprop into the recurrent integrator).
     """
+    if not state.keep_caches:
+        raise ValueError("state was computed without caches (score_graph)")
     graph = state.graph
     ti, dj = graph.edge_traj, graph.edge_det
     dn = model.node_encoder.out_dim
@@ -238,16 +290,15 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
         d_det_prev = np.zeros_like(d_prev)
 
         # Aggregation adjoints; empty-neighborhood nodes pass straight through.
-        t_occ = state.traj_counts > 0
-        d_occ = state.det_counts > 0
+        t_empty, d_empty = state.traj_plan.empty, state.det_plan.empty
         if model.aggregation == "mean":
-            t_scale = np.where(t_occ, d_traj.T / np.maximum(state.traj_counts, 1), 0.0).T
-            d_scale = np.where(d_occ, d_det.T / np.maximum(state.det_counts, 1), 0.0).T
+            t_scale = np.where(t_empty, 0.0, d_traj / state.traj_plan.denominators)
+            d_scale = np.where(d_empty, 0.0, d_det / state.det_plan.denominators)
         else:
-            t_scale = np.where(t_occ[:, None], d_traj, 0.0)
-            d_scale = np.where(d_occ[:, None], d_det, 0.0)
-        d_traj_prev[~t_occ] = d_traj[~t_occ]
-        d_det_prev[~d_occ] = d_det[~d_occ]
+            t_scale = np.where(t_empty, 0.0, d_traj)
+            d_scale = np.where(d_empty, 0.0, d_det)
+        np.copyto(d_traj_prev, d_traj, where=t_empty)
+        np.copyto(d_det_prev, d_det, where=d_empty)
 
         gx_in, vx_grads = model.node_update.backward(caches.traj_cache, t_scale[ti])
         _acc(grads["node_update"], vx_grads)
@@ -369,10 +420,12 @@ def teacher_force(
     One frame-synchronous walk from the earliest detection to the target
     frame: every frame predicts all started identities in one batch,
     starts the identities first seen there and updates the observed ones
-    in one batch. A second detection of an identity in the same frame is
-    a further update without a predict. Every identity thus gets the
-    same sequence of predicts, updates and integration steps it would get
-    on its own, and the batched filter gives it the same bits.
+    in one batch, integrating their features in one batch too ("lstm"
+    steps them one by one). A second detection of an identity in the same
+    frame is a further update without a predict. Every identity thus gets
+    the same sequence of predicts, updates and integration steps it would
+    get on its own, and the batched filter and integration give it the
+    same bits.
     """
     events: dict[int, list[tuple[int, int, Detection]]] = {}
     for gid, observations in tracks.items():
@@ -415,14 +468,23 @@ def teacher_force(
             means[rows], covs[rows] = kf_update_batch(
                 means[rows], covs[rows], box_array([det for _, _, det in batch])
             )
-            for r, j, det in batch:
-                features[r], lstm_states[r], cache = integrate(
-                    integration, features[r], det.feature,
-                    overlap=None if overlaps is None else float(overlaps[j]),
-                    lstm_cell=lstm_cell, lstm_state=lstm_states[r],
+            if integration in BATCHED_MODES:
+                fresh = integrate_rows(
+                    integration,
+                    np.array([features[r] for r in rows]),
+                    np.array([det.feature for _, _, det in batch]),
+                    None if overlaps is None else overlaps[[j for _, j, _ in batch]],
                 )
-                if cache is not None:
+                for r, feature in zip(rows, fresh):
+                    features[r] = feature
+            else:
+                for r, _, det in batch:
+                    features[r], lstm_states[r], cache = integrate(
+                        integration, features[r], det.feature,
+                        lstm_cell=lstm_cell, lstm_state=lstm_states[r],
+                    )
                     lstm_caches[r].append(cache)
+            for r, _, det in batch:
                 last[r] = det
 
     ids = sorted(row)

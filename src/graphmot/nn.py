@@ -4,8 +4,9 @@ finite-difference gradient checker.
 Everything is plain float64 NumPy with hand-derived reverse-mode gradients;
 there is no autodiff graph. Each forward pass returns a cache that the
 matching backward pass consumes, and backward passes reject caches that do
-not belong to them. Weight initialization is uniform in
-+-sqrt(6 / (fan_in + fan_out)) from a caller-supplied generator.
+not belong to them; Mlp.apply is the same forward pass without the cache.
+Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)) from a
+caller-supplied generator.
 """
 
 from __future__ import annotations
@@ -80,22 +81,40 @@ class Mlp:
     def zero_grads(self) -> list[np.ndarray]:
         return [np.zeros_like(p) for p in self.params()]
 
-    def forward(self, x) -> tuple[np.ndarray, MlpCache]:
+    def _input(self, x) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (*, {self.in_dim}) input, got {x.shape}")
-        activations = [x]
-        h = x
+        return x, squeeze
+
+    def _layers(self, h: np.ndarray, activations: list | None) -> np.ndarray:
+        # Bias and ReLU act in place on each layer's fresh product, which
+        # gives the same bits as `h @ w.T + b` and `np.maximum(z, 0.0)`.
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            h = z if k == last else np.maximum(z, 0.0)
-            activations.append(h)
+            h = h @ w.T
+            h += b
+            if k != last:
+                np.maximum(h, 0.0, out=h)
+            if activations is not None:
+                activations.append(h)
+        return h
+
+    def forward(self, x) -> tuple[np.ndarray, MlpCache]:
+        x, squeeze = self._input(x)
+        activations = [x]
+        h = self._layers(x, activations)
         cache = MlpCache(self, activations, squeeze)
         return (h[0] if squeeze else h), cache
+
+    def apply(self, x) -> np.ndarray:
+        """forward() without the cache: the same output, for inference."""
+        x, squeeze = self._input(x)
+        h = self._layers(x, None)
+        return h[0] if squeeze else h
 
     def backward(self, cache: MlpCache, grad_out) -> tuple[np.ndarray, list[np.ndarray]]:
         """Reverse-mode pass; returns (input gradient, parameter gradients).

@@ -24,7 +24,12 @@ from scipy.optimize import linear_sum_assignment
 
 from .core import Detection, Trajectory, box_array, frame_overlaps
 from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, build_graph
-from .integration import INTEGRATION_MODES, update_trajectory_feature
+from .integration import (
+    BATCHED_MODES,
+    INTEGRATION_MODES,
+    integrate_rows,
+    update_trajectory_feature,
+)
 from .motion import (
     ForecastDecision,
     FrameContext,
@@ -38,7 +43,7 @@ from .motion import (
     state_to_box,
 )
 from .motio import TrackRow
-from .mpn import MpnModel, mpn_forward
+from .mpn import MpnModel, score_graph
 
 logger = logging.getLogger(__name__)
 
@@ -180,27 +185,33 @@ class Tracker:
         if self.trajectories:
             self._means, self._covs = kf_predict_batch(self._means, self._covs)
 
-        matches, unmatched_t, unmatched_d = self._associate(frame, detections)
+        graph, (matches, unmatched_t, unmatched_d) = self._associate(frame, detections)
 
         det_boxes = box_array(detections)
-        overlaps = None
+        features = None
         if matches:
             matched_t, matched_d = np.array(matches).T
             self._means[matched_t], self._covs[matched_t] = kf_update_batch(
                 self._means[matched_t], self._covs[matched_t], det_boxes[matched_d]
             )
-            if cfg.integration == "iou":
-                overlaps = frame_overlaps(detections)
+            if cfg.integration in BATCHED_MODES:
+                overlaps = None
+                if cfg.integration == "iou":
+                    overlaps = frame_overlaps(detections)[matched_d]
+                features = integrate_rows(
+                    cfg.integration, graph.traj_features[matched_t],
+                    graph.det_features[matched_d], overlaps,
+                )
         for traj, mean, cov in zip(self.trajectories, self._means, self._covs):
             traj.motion = KalmanState(mean, cov)
 
         rows: list[TrackRow] = []
-        for ti, dj in matches:
+        for k, (ti, dj) in enumerate(matches):
             traj, det = self.trajectories[ti], detections[dj]
-            update_trajectory_feature(
-                traj, det, detections, cfg.integration, self.model.lstm,
-                overlap=None if overlaps is None else float(overlaps[dj]),
-            )
+            if features is None:
+                update_trajectory_feature(traj, det, detections, cfg.integration, self.model.lstm)
+            else:
+                traj.integrated_feature = features[k]
             traj.last_box = det.box
             traj.last_seen_frame = frame
             traj.frames_lost = 0
@@ -261,7 +272,11 @@ class Tracker:
         return rows
 
     def _associate(self, frame, detections):
-        """Build, score and resolve the frame's graph; records step stats."""
+        """Build, score and resolve the frame's graph; records step stats.
+
+        Returns the graph (None when one side is empty) and
+        (matches, unmatched trajectories, unmatched detections).
+        """
         cfg = self.config
         t_start = time.perf_counter()
         graph = None
@@ -277,8 +292,8 @@ class Tracker:
             )
         if graph is None:
             self.stats.append(StepStats(frame, 0, 0, time.perf_counter() - t_start))
-            return [], list(range(len(self.trajectories))), list(range(len(detections)))
-        scores = mpn_forward(self.model, graph)[0]
+            return None, ([], list(range(len(self.trajectories))), list(range(len(detections))))
+        scores = score_graph(self.model, graph)
         if cfg.matching == "hungarian":
             result = hungarian_match(
                 graph.edge_traj, graph.edge_det, scores, cfg.tau,
@@ -293,7 +308,7 @@ class Tracker:
         self.stats.append(
             StepStats(frame, graph.n_candidates, graph.n_edges, time.perf_counter() - t_start)
         )
-        return result
+        return graph, result
 
 
 def run_sequence(

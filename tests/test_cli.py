@@ -3,7 +3,7 @@ import json
 import pytest
 
 from graphmot.cli import main
-from graphmot.mpn import load_model
+from graphmot.mpn import create_model, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,26 @@ class TestRatioAndSparsity:
         rc = main(["sparsity", "--data", str(small_scene_dir), "--out", str(tmp_path / "s")])
         assert rc == 1
         assert "--seed" in capsys.readouterr().err
+
+
+class TestFeatureDimension:
+    def test_mismatched_checkpoint_fails_before_work(self, tmp_path, small_scene_dir, capsys):
+        # The easy preset's features have 32 dimensions; this checkpoint takes 5.
+        ckpt = tmp_path / "five.npz"
+        save_model(ckpt, create_model(5, seed=0))
+        d = small_scene_dir
+        commands = [
+            ["track", "--detections", str(d / "det.txt"), "--features", str(d / "features.txt"),
+             "--checkpoint", str(ckpt), "--out", str(tmp_path / "hyp.txt")],
+            ["sparsity", "--data", str(d), "--checkpoint", str(ckpt), "--out", str(tmp_path / "sp")],
+            ["train", "--data", str(d), "--out", str(tmp_path / "resumed.npz"), "--seed", "1",
+             "--epochs", "1", "--resume", str(ckpt)],
+        ]
+        for argv in commands:
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert str(ckpt) in err and "5-dim" in err and "have 32" in err, err
+        assert not any(tmp_path.joinpath(name).exists() for name in ("hyp.txt", "sp", "resumed.npz"))
 
 
 class TestConfigFile:

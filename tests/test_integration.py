@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphmot.core import BoundingBox, Detection, Trajectory
 from graphmot.integration import (
@@ -11,6 +12,7 @@ from graphmot.integration import (
     integrate_average,
     integrate_iou_guided,
     integrate_lstm,
+    integrate_rows,
     update_trajectory_feature,
 )
 from graphmot.motion import kf_init
@@ -206,3 +208,65 @@ class TestUpdateTrajectoryFeature:
         d = det(0, 0, 10, 20, unit(0, 1, 0))
         with pytest.raises(ValueError):
             update_trajectory_feature(traj, d, [d], "best")
+
+
+def reference_integrate(mode, f_prev, f_new, overlap):
+    """One row as integration computed it before the batched rule, with
+    np.linalg.norm of the single vector."""
+    if mode == "none":
+        return f_new.copy()
+    if mode == "iou" and overlap == 1.0:
+        return f_prev.copy()
+    if mode == "average":
+        blended = 0.5 * (f_prev + f_new)
+    else:
+        blended = 0.5 * (f_prev * (1.0 + overlap) + f_new * (1.0 - overlap))
+    norm = float(np.linalg.norm(blended))
+    if norm < 1e-12:
+        return f_new.copy()
+    return blended / norm
+
+
+@st.composite
+def integration_batches(draw):
+    """(f_prev, f_new, overlaps): unit rows, some f_new antipodal to f_prev,
+    overlaps of exactly 0 and 1 among arbitrary ones."""
+    k = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 40))
+    floats = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64)
+    raw = draw(hnp.arrays(np.float64, (2, k, dim), elements=floats))
+    raw[:, :, 0] += 1e-3  # keep every row away from zero before normalising
+    f_prev, f_new = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+    antipodal = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    f_new[antipodal] = -f_prev[antipodal]
+    overlaps = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=k, max_size=k)))
+    return f_prev, f_new, overlaps
+
+
+class TestIntegrateRows:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=integration_batches(), mode=st.sampled_from(["none", "average", "iou"]))
+    def test_equals_per_row_reference_bytes(self, batch, mode):
+        f_prev, f_new, overlaps = batch
+        got = integrate_rows(mode, f_prev, f_new, overlaps if mode == "iou" else None)
+        for k in range(len(f_prev)):
+            want = reference_integrate(mode, f_prev[k], f_new[k], overlaps[k])
+            assert got[k].tobytes() == want.tobytes(), k
+            single, _, _ = integrate(mode, f_prev[k], f_new[k], overlap=overlaps[k])
+            assert single.tobytes() == want.tobytes(), k
+
+    def test_antipodal_blend_falls_back_to_new_feature(self):
+        f = np.array([[0.6, 0.8], [1.0, 0.0]])
+        got = integrate_rows("iou", f, -f, np.array([0.0, 0.5]))
+        assert np.array_equal(got[0], -f[0])  # the blend cancels to zero
+        assert np.isclose(np.linalg.norm(got[1]), 1.0)
+
+    def test_rejects_out_of_range_overlap_and_lstm(self):
+        f = np.eye(2)
+        with pytest.raises(ValueError, match="overlap"):
+            integrate_rows("iou", f, f[::-1], np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="overlap"):
+            integrate_rows("iou", f, f[::-1])
+        with pytest.raises(ValueError, match="batches"):
+            integrate_rows("lstm", f, f)

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from graphmot import kernels
 from graphmot.core import BoundingBox, Detection
 from graphmot.metrics import (
     RatioAnalysisReport,
@@ -9,7 +13,7 @@ from graphmot.metrics import (
     ratio_analysis,
     render_ratio_report,
 )
-from graphmot.motio import TrackRow
+from graphmot.motio import TrackRow, rows_by_frame
 from graphmot.synth import generate, preset
 
 
@@ -110,6 +114,44 @@ class TestIdf1:
         assert idf1(gt, shuffled) == pytest.approx(idf1(gt, hyp))
 
 
+def reference_idf1(gt_rows, hyp_rows, iou_threshold=0.5):
+    """idf1 with the co-occurrences counted pair by pair in a double loop."""
+    gt_frames, hyp_frames = rows_by_frame(gt_rows), rows_by_frame(hyp_rows)
+    gt_index = {g: i for i, g in enumerate(sorted({r.track_id for r in gt_rows}))}
+    hyp_index = {h: i for i, h in enumerate(sorted({r.track_id for r in hyp_rows}))}
+    co_frames = np.zeros((len(gt_index), len(hyp_index)))
+    for frame in set(gt_frames) & set(hyp_frames):
+        gts, hyps = gt_frames[frame], hyp_frames[frame]
+        boxes = [np.array([[r.x, r.y, r.w, r.h] for r in rows]) for rows in (gts, hyps)]
+        overlap = kernels.iou_matrix(*boxes)
+        for gi, grow in enumerate(gts):
+            for hi, hrow in enumerate(hyps):
+                if overlap[gi, hi] >= iou_threshold:
+                    co_frames[gt_index[grow.track_id], hyp_index[hrow.track_id]] += 1
+    idtp = 0.0
+    if co_frames.size:
+        rows_idx, cols_idx = linear_sum_assignment(co_frames, maximize=True)
+        idtp = float(co_frames[rows_idx, cols_idx].sum())
+    denom = 2 * idtp + (len(hyp_rows) - idtp) + (len(gt_rows) - idtp)
+    return 2 * idtp / denom if denom else 0.0
+
+
+# Boxes on a coarse grid, so that overlaps of exactly the threshold and
+# repeated (frame, id) rows both occur.
+track_rows = st.lists(
+    st.builds(row, st.integers(1, 6), st.integers(1, 5), st.integers(0, 4).map(lambda k: 10.0 * k),
+              w=st.sampled_from([20.0, 30.0])),
+    max_size=40,
+)
+
+
+class TestIdf1Counting:
+    @settings(max_examples=300, deadline=None)
+    @given(gt=track_rows, hyp=track_rows, threshold=st.sampled_from([0.2, 1 / 3, 0.5]))
+    def test_equals_double_loop(self, gt, hyp, threshold):
+        assert idf1(gt, hyp, threshold) == reference_idf1(gt, hyp, threshold)
+
+
 def orthogonal_sequence(n_ids=4, n_frames=12, noise=0.0, seed=0):
     """Labeled detections with exactly orthogonal identity features."""
     rng = np.random.default_rng(seed)
@@ -172,3 +214,15 @@ class TestRatioAnalysis:
         assert ">= 2 candidate edges" in text
         assert "a=0.3" in text
         assert isinstance(rep, RatioAnalysisReport)
+
+    def test_absent_frames_predict_like_empty_ones(self):
+        # Frames missing from the dict advance the Kalman states exactly as
+        # frames present without detections do.
+        scene = generate(preset("crossing", seed=3))
+        absent = {f: dets for f, dets in scene.frames.items() if f % 10 != 5}
+        empty = {f: dets if f % 10 != 5 else [] for f, dets in scene.frames.items()}
+        reports = [ratio_analysis([frames], "iou", [0.6], integration="average")
+                   for frames in (absent, empty)]
+        for rep in reports:
+            assert (rep.false_counts[0.6], rep.inconclusive_counts[0.6]) == (13, 70)
+        assert reports[0].true_counts == reports[1].true_counts

@@ -23,6 +23,7 @@ from graphmot.mpn import (
     mpn_forward,
     propagate,
     save_model,
+    score_graph,
     train_model,
 )
 from graphmot.nn import Mlp, grad_check, weighted_bce
@@ -215,9 +216,89 @@ class TestAggregate:
     def test_equals_add_at_exactly(self, case, aggregation):
         messages, index, previous = case
         counts = np.bincount(index, minlength=len(previous))
-        got = mpn._aggregate(messages, index, counts, previous, aggregation)
+        plan = mpn.ScatterPlan.of(index, *previous.shape)
+        got = mpn._aggregate(messages, plan, previous, aggregation)
         want = add_at_aggregate(messages, index, counts, previous, aggregation)
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def random_scoring_cases(draw):
+    """A perturbed untrained model and a random graph for it: 1 to 400
+    edges (OpenBLAS takes other kernels for few rows than for many), any
+    number of nodes left without edges, and duplicate edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 3, 8, 17, 33]))
+    model = create_model(
+        dim,
+        d_node=draw(st.sampled_from([2, 8, 32])),
+        d_edge=draw(st.sampled_from([3, 32])),
+        rounds=draw(st.integers(0, 4)),
+        aggregation=draw(st.sampled_from(mpn.AGGREGATIONS)),
+        seed=int(rng.integers(1000)),
+    )
+    for p in model.param_arrays():  # non-zero biases too
+        p += rng.normal(scale=0.2, size=p.shape)
+    n_traj, n_det = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    n_edges = draw(st.integers(1, 400))
+    trajs = [make_traj(i + 1, BoundingBox(0, 0, 10, 20), f)
+             for i, f in enumerate(rng.normal(size=(n_traj, dim)))]
+    dets = [Detection(2, BoundingBox(0, 0, 10, 20), 0.9, unit_vec(dim, 0))] * n_det
+    graph = AssocGraph(
+        trajs, dets, np.zeros((n_traj, 4)),
+        rng.integers(0, max(1, n_traj // draw(st.integers(1, 4))), n_edges),
+        rng.integers(0, n_det, n_edges),
+        edge_features=rng.normal(size=(n_edges, 6)),
+        det_features=rng.normal(size=(n_det, dim)),
+    )
+    return model, graph
+
+
+def reference_mlp(mlp, x):
+    """Mlp.forward as plain expressions: a fresh array for every bias and ReLU."""
+    last = len(mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = x @ w.T + b
+        x = z if k == last else np.maximum(z, 0.0)
+    return x
+
+
+def reference_scores(model, graph):
+    """The forward pass with concatenated MLP inputs and np.add.at sums."""
+    ti, dj = graph.edge_traj, graph.edge_det
+    t = reference_mlp(model.node_encoder, np.array([x.integrated_feature for x in graph.trajectories]))
+    d = reference_mlp(model.node_encoder, graph.det_features)
+    h = reference_mlp(model.edge_encoder, graph.edge_features)
+    t_counts = np.bincount(ti, minlength=len(t))
+    d_counts = np.bincount(dj, minlength=len(d))
+    for _ in range(model.rounds):
+        h = reference_mlp(model.edge_update, np.concatenate([t[ti], d[dj], h], axis=1))
+        x_msg = reference_mlp(model.node_update, np.concatenate([t[ti], h], axis=1))
+        y_msg = reference_mlp(model.node_update, np.concatenate([d[dj], h], axis=1))
+        t = add_at_aggregate(x_msg, ti, t_counts, t, model.aggregation)
+        d = add_at_aggregate(y_msg, dj, d_counts, d, model.aggregation)
+    return mpn.sigmoid(reference_mlp(model.classifier, h)[:, 0])
+
+
+class TestScoreGraph:
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_scoring_cases())
+    def test_equals_cached_forward_bytes(self, case):
+        model, graph = case
+        want = reference_scores(model, graph)
+        assert mpn_forward(model, graph)[0].tobytes() == want.tobytes()
+        assert score_graph(model, graph).tobytes() == want.tobytes()
+
+    def test_keeps_no_caches(self):
+        model = create_model(6, rounds=3, seed=2)
+        g = grid_graph(3, 4)
+        state = propagate(model, encode(model, g, caches=False))
+        assert state.round_caches == [] and state.encoder_caches is None
+        assert len(state.traj_layers) == len(state.edge_layers) == 1
+        classify_edges(model, state)
+        assert state.classifier_cache is None
+        with pytest.raises(ValueError, match="without caches"):
+            mpn_backward(model, state, np.zeros(g.n_edges))
 
 
 class TestClassify:
@@ -269,8 +350,9 @@ class TestClassify:
         model.edge_update.biases[-1][...] = 0.0
         g1 = grid_graph(3, 3, dim=4, seed=11)
         state1 = propagate(model, encode(model, g1))
-        g1.trajectories[2].integrated_feature = unit_vec(4, 3)
+        g1.traj_features[2] = unit_vec(4, 3)  # the node encoder reads the graph's matrix
         state2 = propagate(model, encode(model, g1))
+        assert not np.allclose(state1.traj_layers[-1][2], state2.traj_layers[-1][2])
         assert np.allclose(state1.traj_layers[-1][0], state2.traj_layers[-1][0], atol=1e-12)
         assert np.allclose(state1.traj_layers[-1][1], state2.traj_layers[-1][1], atol=1e-12)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmot.nn import (
     AdamOptimizer,
@@ -61,6 +63,26 @@ class TestMlpForward:
         batch, _ = mlp.forward(x)
         rows = np.stack([mlp.forward(row)[0] for row in x])
         assert np.allclose(batch, rows)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 400),
+           sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4))
+    def test_in_place_layers_equal_plain_expressions(self, seed, rows, sizes):
+        rng = np.random.default_rng(seed)
+        mlp = Mlp(sizes, rng)
+        for b in mlp.biases:
+            b[...] = rng.normal(size=b.shape)
+        x = rng.normal(size=(rows, sizes[0]))
+        want = x
+        for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            z = want @ w.T + b
+            want = z if k == len(mlp.weights) - 1 else np.maximum(z, 0.0)
+        out, cache = mlp.forward(x)
+        assert out.tobytes() == want.tobytes()
+        assert mlp.apply(x).tobytes() == want.tobytes()
+        if rows:  # a 1-D input comes back 1-D from both
+            assert mlp.apply(x[0]).tobytes() == mlp.forward(x[0])[0].tobytes()
 
 
 class TestMlpBackward:

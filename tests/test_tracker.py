@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmot.core import BoundingBox, Detection
 from graphmot.mpn import create_model
@@ -244,3 +246,61 @@ class TestRunSequence:
         cfg = TrackerConfig(image_size=scene.config.image_size, matching="hungarian")
         rows, _ = run_sequence(scene.frames, model, cfg)
         assert rows
+
+
+@st.composite
+def detection_streams(draw):
+    """Random frames (with gaps) of random boxes, some partly outside the
+    image, with random unit features and confidences."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 4]))
+    numbers = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=25)))
+    frames = {}
+    for f in numbers:
+        frames[f] = [
+            Detection(
+                f,
+                BoundingBox(*rng.uniform(-50, 600, 2), *rng.uniform(5, 120, 2)),
+                float(rng.uniform(0, 1)),
+                unit(rng, dim),
+            )
+            for _ in range(draw(st.integers(0, 7)))
+        ]
+    config = TrackerConfig(
+        image_size=(600, 400),
+        tau=draw(st.sampled_from([0.05, 0.5, 0.9])),
+        ratio_variant=draw(st.sampled_from(["none", "iou", "app"])),
+        integration=draw(st.sampled_from(["none", "lstm", "average", "iou"])),
+        lost_frame_limit=draw(st.integers(0, 4)),
+        emit_forecasts=draw(st.booleans()),
+        forecast_constraints=draw(st.booleans()),
+        matching=draw(st.sampled_from(["greedy", "hungarian"])),
+    )
+    return frames, create_model(dim, d_node=4, d_edge=4, rounds=2, seed=int(rng.integers(100))), config
+
+
+class TestRandomDetectionStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(case=detection_streams())
+    def test_tracker_invariants(self, case):
+        frames, model, cfg = case
+        tracker = Tracker(model, cfg)
+        every_frame, retired, newest = [], set(), 0
+        for f in range(min(frames), max(frames) + 1):
+            before = {t.id for t in tracker.trajectories}
+            rows = tracker.step(f, frames.get(f, []))
+            every_frame += rows
+            alive = {t.id for t in tracker.trajectories}
+            assert not alive & retired, "an id came back after its trajectory was pruned"
+            assert all(i > newest for i in alive - before), "a new trajectory reused an id"
+            retired |= before - alive
+            newest = max(alive | {newest})
+            ids = [r.track_id for r in rows]
+            assert len(ids) == len(set(ids)) and set(ids) <= alive
+            assert all(np.isfinite([r.x, r.y, r.w, r.h]).all() and r.w > 0 and r.h > 0
+                       for r in rows)
+            for t in tracker.trajectories:  # lost ones are pruned within the limit
+                assert t.frames_lost == f - t.last_seen_frame <= cfg.lost_frame_limit
+        rows_a, _ = run_sequence(frames, model, cfg)
+        rows_b, _ = run_sequence(frames, model, cfg)
+        assert rows_a == rows_b == every_frame
