@@ -7,11 +7,22 @@ resolves them into one-to-one matches. Lost targets are forecast with a
 gated constant-velocity Kalman filter until re-associated or pruned.
 """
 
-from .core import BoundingBox, Detection, Trajectory, feature_distance, iou, max_overlap
+from .core import (
+    BoundingBox,
+    Detection,
+    Detections,
+    Trajectories,
+    Trajectory,
+    feature_distance,
+    iou,
+    max_overlap,
+)
 
 __all__ = [
     "BoundingBox",
     "Detection",
+    "Detections",
+    "Trajectories",
     "Trajectory",
     "feature_distance",
     "iou",

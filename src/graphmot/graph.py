@@ -9,6 +9,10 @@ becomes the trajectory's only connection and the rest are dropped.
 Trajectories with a single candidate, or with an indecisive margin, keep
 all their edges. Distances come in two flavors: "iou" (1 - IoU against the
 trajectory's motion-predicted box) and "app" (appearance feature distance).
+
+Every stage reads columns: the trajectories as a core.Trajectories block and
+the detections as a core.Detections block (lists of records are turned into
+blocks once, on the way in), so the tracker and the trainer share one builder.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import Detection, Trajectory, box_array
+from .core import Detections, Trajectories, as_detections, as_trajectories
 
 RATIO_VARIANTS = ("none", "iou", "app")
 DEFAULT_ALPHA = {"iou": 0.1, "app": 0.3}
@@ -29,17 +33,18 @@ EDGE_FEATURE_DIM = 6
 class AssocGraph:
     """Bipartite trajectory/detection graph with per-edge data.
 
-    edge_traj / edge_det are parallel index arrays into the node lists.
-    traj_boxes are the (M, 4) xywh boxes used for all geometry (the
-    tracker passes motion-predicted boxes; lost targets are represented
-    by their forecast position, not the stale last observation).
-    traj_features (M, d) and det_features (N, d) stack the trajectories'
-    integrated features and the detections' features once, for the
-    distances, the edge features and the network's node encoder.
+    trajectories (M rows) and detections (N rows) are column blocks; lists
+    of records are turned into blocks. edge_traj / edge_det are parallel
+    index arrays into their rows. traj_boxes are the (M, 4) xywh boxes
+    used for all geometry (the tracker passes motion-predicted boxes; lost
+    targets are represented by their forecast position, not the stale
+    last observation). traj_features (M, d) and det_features (N, d) are
+    the blocks' features unless given, for the distances, the edge
+    features and the network's node encoder.
     """
 
-    trajectories: list[Trajectory]
-    detections: list[Detection]
+    trajectories: Trajectories
+    detections: Detections
     traj_boxes: np.ndarray
     edge_traj: np.ndarray
     edge_det: np.ndarray
@@ -50,10 +55,12 @@ class AssocGraph:
     det_features: np.ndarray | None = None
 
     def __post_init__(self):
+        self.trajectories = as_trajectories(self.trajectories)
+        self.detections = as_detections(self.detections)
         if self.traj_features is None:
-            self.traj_features = np.array([t.integrated_feature for t in self.trajectories])
+            self.traj_features = self.trajectories.features
         if self.det_features is None:
-            self.det_features = np.array([d.feature for d in self.detections])
+            self.det_features = self.detections.features
 
     @property
     def n_edges(self) -> int:
@@ -61,28 +68,38 @@ class AssocGraph:
 
 
 def candidate_edges(
-    trajectories: list[Trajectory],
-    detections: list[Detection],
+    trajectories: Trajectories,
+    detections: Detections,
     k: int,
     traj_boxes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K nearest trajectories per detection, by center distance.
 
-    Ties are broken toward the lower trajectory id. Returns
+    Ties are broken toward the lower trajectory id, then the lower row.
+    traj_boxes default to the trajectories' last boxes. Returns
     (edge_traj, edge_det, traj_boxes); both index arrays are empty when
     either side is empty.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    trajectories, detections = as_trajectories(trajectories), as_detections(detections)
     if traj_boxes is None:
-        traj_boxes = np.array([t.last_box.as_xywh() for t in trajectories]).reshape(-1, 4)
+        traj_boxes = trajectories.last_boxes
     if not trajectories or not detections:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty.copy(), traj_boxes
-    dist = kernels.center_dist_matrix(traj_boxes, box_array(detections))  # (M, N)
-    ids = np.broadcast_to(np.array([t.id for t in trajectories])[:, None], dist.shape)
+    dist = kernels.center_dist_matrix(traj_boxes, detections.boxes)  # (M, N)
+    # One stable sort by distance breaks ties by row, which is id order for
+    # rows sorted by id (the tracker's and the trainer's); other callers'
+    # rows are put in id order first.
+    ids = trajectories.ids
+    rank = np.argsort(ids, kind="stable") if (ids[1:] < ids[:-1]).any() else None
+    if rank is not None:
+        dist = dist[rank]
     take = min(k, len(trajectories))
-    nearest = np.lexsort((ids, dist), axis=0)[:take]  # (take, N), one column per detection
+    nearest = np.argsort(dist, axis=0, kind="stable")[:take]  # (take, N), one column per detection
+    if rank is not None:
+        nearest = rank[nearest]
     edge_det = np.repeat(np.arange(len(detections), dtype=np.intp), take)
     return nearest.T.ravel(), edge_det, traj_boxes
 
@@ -90,7 +107,7 @@ def candidate_edges(
 def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
     """Per-edge distance under the chosen ratio-test variant."""
     if variant == "iou":
-        overlap = kernels.iou_matrix(graph.traj_boxes, box_array(graph.detections))
+        overlap = kernels.iou_matrix(graph.traj_boxes, graph.detections.boxes)
         return 1.0 - overlap[graph.edge_traj, graph.edge_det]
     if variant == "app":
         dist = kernels.feature_dist_matrix(graph.traj_features, graph.det_features)
@@ -165,13 +182,11 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
         return replace(graph, edge_features=np.zeros((0, EDGE_FEATURE_DIM)))
     et, ed = graph.edge_traj, graph.edge_det
     tb = graph.traj_boxes[et]
-    db = box_array(graph.detections)[ed]
+    db = graph.detections.boxes[ed]
     tcx, tcy = tb[:, 0] + 0.5 * tb[:, 2], tb[:, 1] + 0.5 * tb[:, 3]
     dcx, dcy = db[:, 0] + 0.5 * db[:, 2], db[:, 1] + 0.5 * db[:, 3]
     h_sum = tb[:, 3] + db[:, 3]
-    det_frames = np.array([d.frame for d in graph.detections])
-    last_seen = np.array([t.last_seen_frame for t in graph.trajectories])
-    gaps = (det_frames[ed] - last_seen[et]).astype(np.float64)
+    gaps = (graph.detections.frame - graph.trajectories.last_seen[et]).astype(np.float64)
     if np.any(gaps < 1):
         raise ValueError("edge with non-positive frame gap; frames out of order?")
     app = np.linalg.norm(graph.traj_features[et] - graph.det_features[ed], axis=1)
@@ -189,8 +204,8 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
 
 
 def build_graph(
-    trajectories: list[Trajectory],
-    detections: list[Detection],
+    trajectories: Trajectories,
+    detections: Detections,
     *,
     k_neighbors: int = 20,
     ratio_variant: str = "none",
@@ -198,11 +213,16 @@ def build_graph(
     fps: float = 30.0,
     traj_boxes: np.ndarray | None = None,
 ) -> AssocGraph | None:
-    """Candidate edges -> ratio filter -> edge features; None if one side is empty."""
+    """Candidate edges -> ratio filter -> edge features; None if one side is empty.
+
+    trajectories (M rows) and detections (N rows) are blocks or lists of
+    records; traj_boxes default to the trajectories' last boxes.
+    """
     if ratio_variant not in RATIO_VARIANTS:
         raise ValueError(f"unknown ratio variant {ratio_variant!r}")
     if not trajectories or not detections:
         return None
+    trajectories, detections = as_trajectories(trajectories), as_detections(detections)
     edge_traj, edge_det, traj_boxes = candidate_edges(
         trajectories, detections, k_neighbors, traj_boxes
     )

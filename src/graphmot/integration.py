@@ -12,8 +12,9 @@ silently distort them.
 integrate_rows() is the one rule of "none", "average" and "iou": it
 integrates many trajectories at once, and integrate() is one row of it.
 The tracker integrates all matches of a frame with one integrate_rows
-call, and "lstm" match by match through update_trajectory_feature; the
-trainer's teacher forcing and the ratio analysis use the same functions.
+call, and "lstm" match by match through integrate_lstm; the trainer's
+teacher forcing and the ratio analysis use the same functions, and
+update_trajectory_feature applies them to one Trajectory record.
 """
 
 from __future__ import annotations

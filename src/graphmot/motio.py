@@ -14,7 +14,10 @@ Per-detection appearance features live in a companion file:
 
 det_index is the 0-based position of the detection within its frame, in
 detection-file order. Features are written with eight decimals and
-renormalized to unit length on read.
+renormalized to unit length on read. Every detection needs exactly one
+feature line, and every feature line must name a detection.
+
+read_detections returns one core.Detections block of columns per frame.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import BoundingBox, Detection, row_norms
+from .core import Detection, Detections, as_detections, check_detection_rows, row_norms
 
 
 class TrackRow(NamedTuple):
@@ -39,8 +42,9 @@ class TrackRow(NamedTuple):
     conf: float
 
 
-def _parse_track_line(source: str, lineno: int, line: str) -> TrackRow:
-    """One track-format line, checked; malformed input reports source:line."""
+def _parse_track_line(source: str, lineno: int, line: str) -> tuple:
+    """One track-format line as (frame, id, x, y, w, h, conf), checked;
+    malformed input reports source:line."""
     parts = line.strip().split(",")
     if len(parts) < 7:
         raise ValueError(f"{source}:{lineno}: expected at least 7 fields, got {len(parts)}")
@@ -56,7 +60,27 @@ def _parse_track_line(source: str, lineno: int, line: str) -> TrackRow:
         raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
     if w <= 0 or h <= 0:
         raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
-    return TrackRow(frame, track_id, x, y, w, h, conf)
+    return frame, track_id, x, y, w, h, conf
+
+
+def _checked_table(lines: list[str]) -> np.ndarray | None:
+    """The first seven fields of the lines as one (K, 7) np.loadtxt table,
+    or None when np.loadtxt rejects them or any value fails a check."""
+    # No per-line containers outlive the parse: in a process holding many
+    # objects they would trigger garbage collections that cost more than
+    # the parse.
+    try:
+        table = np.loadtxt(lines, delimiter=",", usecols=range(7), ndmin=2, comments=None)
+    except ValueError:  # a bad value, fewer than seven fields, a whitespace-only line
+        return None
+    if (
+        not np.isfinite(table).all()
+        or not (np.abs(table[:, :2]) < 2.0**63).all()  # frame and id fit int64
+        or not (table[:, 0] >= 1).all()
+        or not (table[:, 4:6] > 0).all()
+    ):
+        return None
+    return table
 
 
 def parse_track_rows(lines, source: str = "<input>") -> list[TrackRow]:
@@ -69,22 +93,10 @@ def parse_track_rows(lines, source: str = "<input>") -> list[TrackRow]:
     lines = list(lines)
     if not any(line.strip() for line in lines):
         return []
-    # No per-line containers outlive the parse: in a process holding many
-    # objects they would trigger garbage collections that cost more than
-    # the parse.
-    try:
-        table = np.loadtxt(lines, delimiter=",", usecols=range(7), ndmin=2, comments=None)
-    except ValueError:  # a bad value, fewer than seven fields, a whitespace-only line
-        table = None
-    if (
-        table is None
-        or not np.isfinite(table).all()
-        or not (np.abs(table[:, :2]) < 2.0**63).all()  # frame and id fit int64
-        or not (table[:, 0] >= 1).all()
-        or not (table[:, 4:6] > 0).all()
-    ):
+    table = _checked_table(lines)
+    if table is None:
         return [
-            _parse_track_line(source, lineno, line)
+            TrackRow(*_parse_track_line(source, lineno, line))
             for lineno, line in enumerate(lines, start=1)
             if line.strip()
         ]
@@ -130,56 +142,150 @@ def _parse_feature_line(path, lineno: int, line: str) -> np.ndarray:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def read_features(path) -> dict[tuple[int, int], np.ndarray]:
-    """Returns {(frame, det_index): unit feature vector}.
+def _line_number(lines: list[str], r: int) -> int:
+    """File line number of row r of a table of the lines with content."""
+    return [n for n, line in enumerate(lines, start=1) if line.strip()][r]
+
+
+def _feature_table(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(keys (F, 2) of frame and det_index, unit vectors (F, d), lines) of
+    a features file: one row per line with content, and the file's lines.
 
     The whole file is parsed by one np.loadtxt call. When it rejects the
     file, each line is parsed on its own, which names the line at fault;
-    every other error names its line too.
+    every other error, a repeated key included, names its line too.
     """
     with open(path) as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        return {}
+        lines = fh.readlines()
+    if not any(line.strip() for line in lines):
+        return np.zeros((0, 2), dtype=np.int64), np.zeros((0, 0)), lines
     try:
-        table = np.loadtxt([line for _, line in lines], delimiter=",", ndmin=2, comments=None)
-    except ValueError:  # an unparsable value, or rows of different lengths
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # an unparsable value, rows of different lengths, a whitespace-only line
         table = None
     if table is None or table.shape[1] < 3:
-        rows = [_parse_feature_line(path, lineno, line) for lineno, line in lines]
-        for (lineno, _), row in zip(lines, rows):
+        numbered = [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+        rows = [_parse_feature_line(path, n, line) for n, line in numbered]
+        for (n, _), row in zip(numbered, rows):
             if row.size != rows[0].size:
                 raise ValueError(
-                    f"{path}:{lineno}: feature dimension {row.size - 2} != {rows[0].size - 2}"
+                    f"{path}:{n}: feature dimension {row.size - 2} != {rows[0].size - 2}"
                 )
         table = np.array(rows)
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
-        raise ValueError(f"{path}:{lines[np.argmax(bad)][0]}: non-finite value")
+        raise ValueError(f"{path}:{_line_number(lines, np.argmax(bad))}: non-finite value")
     vecs = table[:, 2:]
     norms = row_norms(vecs)
     if (norms <= 0).any():
-        raise ValueError(f"{path}:{lines[np.argmax(norms <= 0)][0]}: zero feature vector")
-    keys = zip(table[:, 0].astype(int).tolist(), table[:, 1].astype(int).tolist())
-    return dict(zip(keys, vecs / norms[:, None]))
+        zero = np.argmax(norms <= 0)
+        raise ValueError(f"{path}:{_line_number(lines, zero)}: zero feature vector")
+    keys = table[:, :2].astype(np.int64)
+    # A stable sort by key puts every repeat right after the line it repeats.
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    repeats = order[1:][(np.diff(keys[order], axis=0) == 0).all(axis=1)]
+    if repeats.size:
+        r = repeats.min()
+        raise ValueError(
+            f"{path}:{_line_number(lines, r)}: second feature for frame {keys[r, 0]} "
+            f"detection {keys[r, 1]}"
+        )
+    return keys, vecs / norms[:, None], lines
 
 
-def read_detections(det_path, feature_path) -> dict[int, list[Detection]]:
-    """Join a detection file with its feature file into per-frame Detections."""
-    rows = read_track_rows(det_path)
-    feats = read_features(feature_path)
-    frames: dict[int, list[Detection]] = {}
-    indices: dict[int, int] = {}
-    for row in rows:
-        det_index = indices.get(row.frame, 0)
-        indices[row.frame] = det_index + 1
-        key = (row.frame, det_index)
-        if key not in feats:
-            raise ValueError(f"missing feature for frame {row.frame} detection {det_index}")
-        conf = min(max(row.conf, 0.0), 1.0)
-        det = Detection(row.frame, BoundingBox(row.x, row.y, row.w, row.h), conf, feats[key])
-        frames.setdefault(row.frame, []).append(det)
-    return frames
+def read_features(path) -> dict[tuple[int, int], np.ndarray]:
+    """Returns {(frame, det_index): unit feature vector}; malformed input,
+    a repeated (frame, det_index) included, reports path:line."""
+    keys, vecs, _ = _feature_table(path)
+    return dict(zip(map(tuple, keys.tolist()), vecs))
+
+
+def _detection_table(path) -> np.ndarray:
+    """The checked (K, 7) track-format table of a detection file, one row
+    per line with content; malformed input reports path:line."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    table = _checked_table(lines) if any(line.strip() for line in lines) else np.zeros((0, 7))
+    if table is None:  # one line at a time, which names the line at fault
+        numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+        table = np.array(
+            [_parse_track_line(str(path), lineno, line) for lineno, line in numbered],
+            dtype=np.float64,
+        )
+        too_big = np.flatnonzero(table[:, 0] >= 2.0**63)
+        if too_big.size:
+            raise ValueError(f"{path}:{numbered[too_big[0]][0]}: frame number out of range")
+    return table
+
+
+def _join(det_keys: np.ndarray, feature_keys: np.ndarray) -> np.ndarray:
+    """Row of feature_keys holding each row of det_keys, -1 where none does.
+
+    Both are (K, 2) integer keys, each without repeats. One stable sort of
+    both puts every matched detection key right before its feature key.
+    """
+    both = np.concatenate([det_keys, feature_keys])
+    order = np.lexsort((both[:, 1], both[:, 0]))
+    pairs = np.flatnonzero((np.diff(both[order], axis=0) == 0).all(axis=1))
+    rows = np.full(len(det_keys), -1, dtype=np.intp)
+    rows[order[pairs]] = order[pairs + 1] - len(det_keys)
+    return rows
+
+
+def read_detections(det_path, feature_path) -> dict[int, Detections]:
+    """Join a detection file with its feature file into one Detections
+    block per frame, frames in the order the detection file first shows
+    them and detections in file order.
+
+    Both files are read as arrays; no per-row record is built. Errors, in
+    order: the detection file's (as read_track_rows reports them), the
+    feature file's (as read_features reports them), then the first
+    detection, in file order, without a feature or failing a Detection
+    check, then the first feature line that names no detection.
+    Confidences are clamped to [0, 1].
+    """
+    table = _detection_table(det_path)
+    keys, vecs, feature_lines = _feature_table(feature_path)
+    frames = table[:, 0].astype(np.int64)
+    boxes = table[:, 2:6]
+    conf = table[:, 6]
+    conf = np.where(conf > 1.0, 1.0, np.where(conf < 0.0, 0.0, conf))  # as min(max(c, 0), 1)
+    # det_index: the row's position among the rows of its frame.
+    order = np.argsort(frames, kind="stable")
+    first = np.ones(frames.size, dtype=bool)
+    first[1:] = frames[order][1:] != frames[order][:-1]
+    starts = np.flatnonzero(first)
+    bounds = np.append(starts, frames.size)
+    det_index = np.empty_like(frames)
+    det_index[order] = np.arange(frames.size) - np.repeat(starts, np.diff(bounds))
+
+    rows = _join(np.column_stack([frames, det_index]), keys)
+    missing = rows < 0
+    checked = int(np.argmax(missing)) if missing.any() else frames.size
+    features = vecs[rows[:checked]] if checked else np.zeros((0, vecs.shape[1]))
+    check_detection_rows(frames[:checked], boxes[:checked], conf[:checked], features)
+    if checked < frames.size:
+        raise ValueError(
+            f"missing feature for frame {frames[checked]} detection {det_index[checked]}"
+        )
+    used = np.zeros(len(keys), dtype=bool)
+    used[rows] = True
+    if not used.all():
+        r = int(np.argmin(used))
+        raise ValueError(
+            f"{feature_path}:{_line_number(feature_lines, r)}: feature for frame {keys[r, 0]} "
+            f"detection {keys[r, 1]} names no detection in {det_path}"
+        )
+
+    # One copy of each column in frame order; every block is a slice of it.
+    boxes, conf, features = boxes[order], conf[order], features[order]
+    blocks = {}
+    for s in sorted(range(starts.size), key=lambda s: order[starts[s]]):
+        lo, hi = bounds[s], bounds[s + 1]
+        blocks[int(frames[order[lo]])] = Detections.trusted(
+            frames[order[lo]], boxes[lo:hi], conf[lo:hi], features[lo:hi]
+        )
+    return blocks
 
 
 def rows_by_frame(rows: list[TrackRow]) -> dict[int, list[TrackRow]]:
@@ -190,35 +296,31 @@ def rows_by_frame(rows: list[TrackRow]) -> dict[int, list[TrackRow]]:
 
 
 def label_detections(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Detections | list[Detection]],
     gt_rows: list[TrackRow],
     iou_threshold: float = 0.5,
 ) -> dict[int, list[Detection]]:
     """Attach ground-truth identities to detections by per-frame IoU matching.
 
     Uses optimal assignment on IoU; detections without a counterpart at or
-    above the threshold keep gt_id None (clutter). Returns new Detection
-    instances; the input is not modified.
+    above the threshold keep gt_id None (clutter). frames hold Detections
+    blocks or lists; the boxes are read from their columns. Returns new
+    Detection lists, as training takes them; the input is not modified.
     """
     gt_frames = rows_by_frame(gt_rows)
     labeled: dict[int, list[Detection]] = {}
     for frame, dets in frames.items():
+        dets = as_detections(dets, frame)
         gts = gt_frames.get(frame, [])
-        out = [None] * len(dets)
+        gt_ids = [None] * len(dets)
         if gts and dets:
-            det_boxes = np.array([d.box.as_xywh() for d in dets])
             gt_boxes = np.array([[g.x, g.y, g.w, g.h] for g in gts])
-            overlap = kernels.iou_matrix(det_boxes, gt_boxes)
+            overlap = kernels.iou_matrix(dets.boxes, gt_boxes)
             di, gi = linear_sum_assignment(overlap, maximize=True)
-            assigned = {
-                int(d): gts[int(g)].track_id
-                for d, g in zip(di, gi)
-                if overlap[d, g] >= iou_threshold
-            }
-        else:
-            assigned = {}
-        for idx, det in enumerate(dets):
-            gt_id = assigned.get(idx)
-            out[idx] = Detection(det.frame, det.box, det.confidence, det.feature, gt_id)
-        labeled[frame] = out
+            for d, g in zip(di.tolist(), gi.tolist()):
+                if overlap[d, g] >= iou_threshold:
+                    gt_ids[d] = gts[g].track_id
+        labeled[frame] = list(
+            Detections.trusted(dets.frame, dets.boxes, dets.confidences, dets.features, gt_ids)
+        )
     return labeled

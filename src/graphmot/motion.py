@@ -21,6 +21,8 @@ is emitted as a tracked position:
      can be dropped in through the same callable interface),
   3. if an appearance source is available, the feature at the predicted
      box must stay within a distance threshold of the trajectory feature.
+forecast_gates runs them over many lost trajectories at once, the first
+two on arrays; forecast_lost gates one Trajectory record.
 """
 
 from __future__ import annotations
@@ -225,6 +227,34 @@ def make_verifier(name: str):
     raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
 
 
+def visible_fractions(boxes: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
+    """visible_fraction of every row of (L, 4) xywh boxes."""
+    corner, size = boxes[:, :2], boxes[:, 2:]
+    ix, iy = (np.minimum(corner + size, image_size) - np.maximum(corner, 0.0)).T
+    return np.where((ix <= 0.0) | (iy <= 0.0), 0.0, ix * iy / (size[:, 0] * size[:, 1]))
+
+
+def default_verifier_rows(boxes: np.ndarray, last_boxes: np.ndarray, image_size) -> np.ndarray:
+    """default_verifier of every row of (L, 4) xywh boxes against its last box."""
+    width, height = image_size
+    band = 0.02 * min(width, height)
+    x, y, w, h = boxes.T
+    in_band = (x < band) | (y < band) | (x + w > width - band) | (y + h > height - band)
+    last_area = last_boxes[:, 2] * last_boxes[:, 3]
+    return ~in_band & (np.abs(w * h - last_area) <= 0.5 * last_area)
+
+
+def make_row_verifier(name: str):
+    """make_verifier's verifier over rows: (boxes, last_boxes, image_size) -> (L,) bool."""
+    if name == "default":
+        return default_verifier_rows
+    if name == "always_keep":
+        return lambda boxes, last_boxes, image_size: np.ones(len(boxes), dtype=bool)
+    if name == "always_stop":
+        return lambda boxes, last_boxes, image_size: np.zeros(len(boxes), dtype=bool)
+    raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
+
+
 def forecast_lost(
     traj: Trajectory,
     ctx: FrameContext,
@@ -252,3 +282,34 @@ def forecast_lost(
             if feature_distance(traj.integrated_feature, feature) > theta_app:
                 return ForecastDecision(False, None, STOP_APPEARANCE)
     return ForecastDecision(True, box, None, appearance_checked=checked)
+
+
+def forecast_gates(
+    boxes: np.ndarray,
+    last_boxes: np.ndarray,
+    features: np.ndarray,
+    ctx: FrameContext,
+    theta_app: float = 0.6,
+    verifier=default_verifier_rows,
+) -> tuple[np.ndarray, np.ndarray]:
+    """forecast_lost for L lost trajectories at once.
+
+    boxes (L, 4) are their predicted xywh boxes at the context frame,
+    last_boxes (L, 4) their last observations and features (L, d) their
+    integrated features; verifier works on rows (make_row_verifier).
+    The first two gates run on the arrays; the appearance source is asked
+    once per row that passes them, in row order. Returns (keep,
+    appearance_checked), each (L,) bool, row k as forecast_lost decides
+    it for trajectory k.
+    """
+    keep = ~(visible_fractions(boxes, ctx.image_size) < 0.5)
+    rows = np.flatnonzero(keep)
+    keep[rows] = verifier(boxes[rows], last_boxes[rows], ctx.image_size)
+    checked = np.zeros(len(boxes), dtype=bool)
+    if ctx.feature_at is not None:
+        for r in np.flatnonzero(keep):
+            feature = ctx.feature_at(ctx.frame, BoundingBox(*boxes[r].tolist()))
+            if feature is not None:
+                checked[r] = True
+                keep[r] = not feature_distance(features[r], feature) > theta_app
+    return keep, checked

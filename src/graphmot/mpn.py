@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps
+from .core import BoundingBox, Detection, Trajectories, box_array, frame_overlaps
 from .graph import AssocGraph, build_graph
 from .integration import BATCHED_MODES, integrate, integrate_rows
 from .motion import (
-    KalmanState,
     boxes_from_means,
     kf_init_batch,
     kf_predict_batch,
@@ -375,24 +374,24 @@ class _TrainGraph:
 class TeacherForced:
     """Teacher-forced trajectories of one training sample.
 
-    trajectories are sorted by identity and boxes (K, 4) are their
-    predicted xywh boxes at the target frame; identities lists the same
-    ids in the order the window first shows them, which node dropout draws
-    in. Training reuses one instance across epochs, so everything in it is
-    read-only.
+    trajectories are columns with rows sorted by identity, and boxes
+    (K, 4) are their predicted xywh boxes at the target frame; identities
+    lists the same ids in the order the window first shows them, which
+    node dropout draws in. Training reuses one instance across epochs, so
+    every array in it is read-only.
     """
 
     identities: list[int]
-    trajectories: list[Trajectory]
+    trajectories: Trajectories
     boxes: np.ndarray
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain, "lstm" only
 
-    def select(self, identities) -> tuple[list[Trajectory], np.ndarray, dict[int, _LstmChain]]:
+    def select(self, identities) -> tuple[Trajectories, np.ndarray, dict[int, _LstmChain]]:
         """Trajectories, boxes and chains of a subset of the identities, by identity."""
-        row = {t.id: r for r, t in enumerate(self.trajectories)}
+        row = {g: r for r, g in enumerate(self.trajectories.ids.tolist())}
         rows = sorted(row[g] for g in identities)
         chains = {k: self.lstm_chains[r] for k, r in enumerate(rows) if r in self.lstm_chains}
-        return [self.trajectories[r] for r in rows], self.boxes[rows], chains
+        return self.trajectories.take(rows), self.boxes[rows], chains
 
 
 def _window_tracks(frames, target_frame, window_frames):
@@ -462,18 +461,20 @@ def teacher_force(
             passes[k].append((r, j, det))
         if started:
             means[n : len(row)], covs[n : len(row)] = kf_init_batch(box_array(started))
-        overlaps = frame_overlaps(frames[f]) if passes and integration == "iou" else None
         for batch in passes:
             rows = np.array([r for r, _, _ in batch])
             means[rows], covs[rows] = kf_update_batch(
                 means[rows], covs[rows], box_array([det for _, _, det in batch])
             )
             if integration in BATCHED_MODES:
+                overlaps = None
+                if integration == "iou":
+                    overlaps = frame_overlaps(frames[f], [j for _, j, _ in batch])
                 fresh = integrate_rows(
                     integration,
                     np.array([features[r] for r in rows]),
                     np.array([det.feature for _, _, det in batch]),
-                    None if overlaps is None else overlaps[[j for _, j, _ in batch]],
+                    overlaps,
                 )
                 for r, feature in zip(rows, fresh):
                     features[r] = feature
@@ -489,23 +490,21 @@ def teacher_force(
 
     ids = sorted(row)
     order = [row[g] for g in ids]
-    means, covs = means[order], covs[order]
-    boxes = boxes_from_means(means)
-    for array in (means, covs, boxes, *features):
+    last_seen = [last[r].frame for r in order]
+    trajectories = Trajectories(
+        ids,
+        np.array([features[r] for r in order]),
+        box_array([last[r] for r in order]),
+        last_seen,
+        means[order],
+        covs[order],
+        frames_lost=[target_frame - f - 1 for f in last_seen],
+    )
+    boxes = boxes_from_means(trajectories.means)
+    for array in (boxes, trajectories.features, trajectories.means, trajectories.covs):
         array.flags.writeable = False
-    trajectories = []
     chains: dict[int, _LstmChain] = {}
-    for k, (gid, r) in enumerate(zip(ids, order)):
-        trajectories.append(
-            Trajectory(
-                id=gid,
-                integrated_feature=features[r],
-                last_box=last[r].box,
-                last_seen_frame=last[r].frame,
-                motion=KalmanState(means[k], covs[k]),
-                frames_lost=target_frame - last[r].frame - 1,
-            )
-        )
+    for k, r in enumerate(order):
         caches = lstm_caches[r]
         if caches:
             h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
@@ -580,10 +579,12 @@ def build_training_graph(
     )
     if graph is None or graph.n_edges == 0:
         return None
+    det_ids = graph.detections.gt_ids or (None,) * len(graph.detections)
+    traj_ids = graph.trajectories.ids.tolist()
     labels = np.array(
         [
-            1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
-            for i, j in zip(graph.edge_traj, graph.edge_det)
+            1.0 if det_ids[j] == traj_ids[i] else 0.0
+            for i, j in zip(graph.edge_traj.tolist(), graph.edge_det.tolist())
         ]
     )
     return _TrainGraph(graph, labels, chains)

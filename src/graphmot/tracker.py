@@ -10,6 +10,11 @@ detections above a confidence floor spawn new identities; unmatched
 trajectories turn lost and, while within the lost-frame limit, emit gated
 forecast boxes and keep participating in future graphs at their predicted
 position.
+
+The tracker keeps its trajectories, Kalman means and covariances included,
+as one core.Trajectories block of columns with rows in id order, and takes
+a frame's detections as one core.Detections block: every stage of a step
+works on arrays.
 """
 
 from __future__ import annotations
@@ -18,29 +23,23 @@ import bisect
 import logging
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Detection, Trajectory, box_array, frame_overlaps
+from .core import Detection, Detections, Trajectories, frame_overlaps
 from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, build_graph
-from .integration import (
-    BATCHED_MODES,
-    INTEGRATION_MODES,
-    integrate_rows,
-    update_trajectory_feature,
-)
+from .integration import BATCHED_MODES, INTEGRATION_MODES, integrate_lstm, integrate_rows
 from .motion import (
-    ForecastDecision,
     FrameContext,
-    KalmanState,
     boxes_from_means,
-    forecast_lost,
+    forecast_gates,
     kf_init_batch,
     kf_predict_batch,
     kf_update_batch,
-    make_verifier,
-    state_to_box,
+    make_row_verifier,
 )
 from .motio import TrackRow
 from .mpn import MpnModel, score_graph
@@ -159,117 +158,129 @@ class Tracker:
         self.model = model
         self.config = config
         self.feature_source = feature_source
-        self.trajectories: list[Trajectory] = []
-        # Kalman means (M, 8) and covariances (M, 8, 8) of self.trajectories,
-        # row for row, filtered for all of them at once; every step then
-        # points each trajectory's `motion` at its rows.
-        self._means = np.zeros((0, 8))
-        self._covs = np.zeros((0, 8, 8))
+        # No trajectories yet; LSTM states are kept in "lstm" integration only.
+        self._tracks = Trajectories(
+            [], [], [], [], [], [], lstm_states=[] if config.integration == "lstm" else None
+        )
         self.next_id = 1
         self.last_frame: int | None = None
         self.stats: list[StepStats] = []
-        self._verifier = make_verifier(config.verifier)
+        self._verifier = make_row_verifier(config.verifier)
         self._appearance_gate_noted = False
 
-    def step(self, frame: int, detections: list[Detection]) -> list[TrackRow]:
-        """Advance one frame; returns this frame's output rows."""
+    @property
+    def trajectories(self) -> Trajectories:
+        """The live trajectories, one row each in id order. Read-only: an
+        item is a Trajectory snapshot of its row."""
+        return self._tracks
+
+    def step(self, frame: int, detections) -> list[TrackRow]:
+        """Advance one frame; returns this frame's output rows, by track id.
+
+        detections is the frame's Detections block or a list of Detection.
+        """
         cfg = self.config
         if self.last_frame is not None and frame <= self.last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: {frame} after {self.last_frame}"
             )
-        if any(d.frame != frame for d in detections):
+        if not isinstance(detections, Detections):
+            if any(d.frame != frame for d in detections):
+                raise ValueError("detections from a different frame passed to step")
+            detections = Detections.of(detections, frame)
+        elif detections and detections.frame != frame:
             raise ValueError("detections from a different frame passed to step")
         self.last_frame = frame
-
-        if self.trajectories:
-            self._means, self._covs = kf_predict_batch(self._means, self._covs)
+        tracks = self._tracks
+        if tracks:
+            tracks.means, tracks.covs = kf_predict_batch(tracks.means, tracks.covs)
 
         graph, (matches, unmatched_t, unmatched_d) = self._associate(frame, detections)
-
-        det_boxes = box_array(detections)
-        features = None
-        if matches:
-            matched_t, matched_d = np.array(matches).T
-            self._means[matched_t], self._covs[matched_t] = kf_update_batch(
-                self._means[matched_t], self._covs[matched_t], det_boxes[matched_d]
-            )
-            if cfg.integration in BATCHED_MODES:
-                overlaps = None
-                if cfg.integration == "iou":
-                    overlaps = frame_overlaps(detections)[matched_d]
-                features = integrate_rows(
-                    cfg.integration, graph.traj_features[matched_t],
-                    graph.det_features[matched_d], overlaps,
-                )
-        for traj, mean, cov in zip(self.trajectories, self._means, self._covs):
-            traj.motion = KalmanState(mean, cov)
-
         rows: list[TrackRow] = []
-        for k, (ti, dj) in enumerate(matches):
-            traj, det = self.trajectories[ti], detections[dj]
-            if features is None:
-                update_trajectory_feature(traj, det, detections, cfg.integration, self.model.lstm)
-            else:
-                traj.integrated_feature = features[k]
-            traj.last_box = det.box
-            traj.last_seen_frame = frame
-            traj.frames_lost = 0
-            traj.forecast_stopped = False
-            traj.history.append((frame, det.box))
-            b = det.box
-            rows.append(TrackRow(frame, traj.id, b.x, b.y, b.w, b.h, det.confidence))
-
-        spawn = [dj for dj in unmatched_d if detections[dj].confidence >= cfg.spawn_confidence]
-        spawn_means, spawn_covs = kf_init_batch(det_boxes[spawn])
-        spawned: list[Trajectory] = []
-        for dj, mean, cov in zip(spawn, spawn_means, spawn_covs):
-            det = detections[dj]
-            traj = Trajectory(
-                id=self.next_id,
-                integrated_feature=det.feature.copy(),
-                last_box=det.box,
-                last_seen_frame=frame,
-                motion=KalmanState(mean, cov),
-                history=[(frame, det.box)],
+        if matches:
+            matched_t, matched_d = np.array(matches, dtype=np.intp).T
+            self._absorb(graph, detections, matched_t, matched_d, frame)
+            rows += _track_rows(
+                frame, tracks.ids[matched_t], detections.boxes[matched_d],
+                detections.confidences[matched_d].tolist(),
             )
-            self.next_id += 1
-            spawned.append(traj)
-            b = det.box
-            rows.append(TrackRow(frame, traj.id, b.x, b.y, b.w, b.h, det.confidence))
+        expired = np.zeros(0, dtype=np.intp)
+        if unmatched_t:
+            expired, forecast_rows = self._lose(frame, np.array(unmatched_t, dtype=np.intp))
+            rows += forecast_rows
+        rows.sort(key=itemgetter(1))  # by id; spawned ids come after every live one
 
-        ctx = FrameContext(cfg.image_size, frame, getattr(self.feature_source, "feature_at", None))
-        pruned: set[int] = set()
-        for ti in unmatched_t:
-            traj = self.trajectories[ti]
-            traj.frames_lost += 1
-            if traj.frames_lost > cfg.lost_frame_limit:
-                pruned.add(ti)
-                continue
-            if not cfg.emit_forecasts or traj.forecast_stopped:
-                continue
-            if cfg.forecast_constraints:
-                decision = forecast_lost(traj, ctx, cfg.theta_app, self._verifier)
-                if (decision.keep and not decision.appearance_checked
-                        and not self._appearance_gate_noted):
-                    logger.info("no appearance source: forecast appearance gate skipped")
-                    self._appearance_gate_noted = True
-            else:
-                decision = ForecastDecision(True, state_to_box(traj.motion))
-            if decision.keep:
-                b = decision.box
-                rows.append(TrackRow(frame, traj.id, b.x, b.y, b.w, b.h, 1.0))
-            else:
-                traj.forecast_stopped = True
-
-        if pruned or spawned:
-            keep = np.ones(len(self.trajectories), dtype=bool)
-            keep[list(pruned)] = False
-            self.trajectories = [t for t, kept in zip(self.trajectories, keep) if kept] + spawned
-            self._means = np.concatenate([self._means[keep], spawn_means])
-            self._covs = np.concatenate([self._covs[keep], spawn_covs])
-        rows.sort(key=lambda r: r.track_id)
+        unmatched_d = np.array(unmatched_d, dtype=np.intp)
+        spawn = unmatched_d[detections.confidences[unmatched_d] >= cfg.spawn_confidence]
+        if spawn.size:
+            spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
+            self.next_id += spawn.size
+            boxes = detections.boxes[spawn]
+            rows += _track_rows(frame, spawn_ids, boxes, detections.confidences[spawn].tolist())
+        if expired.size or spawn.size:
+            survivors = tracks
+            if expired.size:
+                alive = np.ones(len(tracks), dtype=bool)
+                alive[expired] = False
+                survivors = tracks.take(np.flatnonzero(alive))
+            if spawn.size:
+                means, covs = kf_init_batch(boxes)
+                survivors = survivors.concat(Trajectories(
+                    spawn_ids, detections.features[spawn], boxes, np.full(spawn.size, frame),
+                    means, covs,
+                    lstm_states=None if tracks.lstm_states is None else [None] * spawn.size,
+                ))
+            self._tracks = survivors
         return rows
+
+    def _absorb(self, graph, detections, matched_t, matched_d, frame):
+        """Matched trajectories take their detections: Kalman update,
+        integrated feature, last box and frame, lost counter and stop flag."""
+        cfg, tracks = self.config, self._tracks
+        tracks.means[matched_t], tracks.covs[matched_t] = kf_update_batch(
+            tracks.means[matched_t], tracks.covs[matched_t], detections.boxes[matched_d]
+        )
+        if cfg.integration in BATCHED_MODES:
+            overlaps = frame_overlaps(detections, matched_d) if cfg.integration == "iou" else None
+            tracks.features[matched_t] = integrate_rows(
+                cfg.integration, graph.traj_features[matched_t],
+                graph.det_features[matched_d], overlaps,
+            )
+        else:
+            for ti, dj in zip(matched_t, matched_d):
+                tracks.features[ti], tracks.lstm_states[ti] = integrate_lstm(
+                    self.model.lstm, tracks.lstm_states[ti], detections.features[dj]
+                )
+        tracks.last_boxes[matched_t] = detections.boxes[matched_d]
+        tracks.last_seen[matched_t] = frame
+        tracks.frames_lost[matched_t] = 0
+        tracks.forecast_stopped[matched_t] = False
+
+    def _lose(self, frame, lost):
+        """Unmatched rows lose one more frame. Returns the rows past the
+        lost-frame limit, to prune, and the forecast rows of the others
+        whose predicted boxes pass the gates (all of them without
+        constraints); a row whose forecast is rejected stops forecasting."""
+        cfg, tracks = self.config, self._tracks
+        tracks.frames_lost[lost] += 1
+        expired = tracks.frames_lost[lost] > cfg.lost_frame_limit
+        forecast = lost[~expired & ~tracks.forecast_stopped[lost]]
+        if not cfg.emit_forecasts or not forecast.size:
+            return lost[expired], []
+        boxes = boxes_from_means(tracks.means[forecast])
+        if cfg.forecast_constraints:
+            feature_at = getattr(self.feature_source, "feature_at", None)
+            ctx = FrameContext(cfg.image_size, frame, feature_at)
+            keep, checked = forecast_gates(
+                boxes, tracks.last_boxes[forecast], tracks.features[forecast], ctx,
+                cfg.theta_app, self._verifier,
+            )
+            if not self._appearance_gate_noted and (keep & ~checked).any():
+                logger.info("no appearance source: forecast appearance gate skipped")
+                self._appearance_gate_noted = True
+            tracks.forecast_stopped[forecast[~keep]] = True
+            forecast, boxes = forecast[keep], boxes[keep]
+        return lost[expired], _track_rows(frame, tracks.ids[forecast], boxes, repeat(1.0))
 
     def _associate(self, frame, detections):
         """Build, score and resolve the frame's graph; records step stats.
@@ -277,33 +288,32 @@ class Tracker:
         Returns the graph (None when one side is empty) and
         (matches, unmatched trajectories, unmatched detections).
         """
-        cfg = self.config
+        cfg, tracks = self.config, self._tracks
         t_start = time.perf_counter()
         graph = None
-        if self.trajectories and detections:
+        if tracks and detections:
             graph = build_graph(
-                self.trajectories,
+                tracks,
                 detections,
                 k_neighbors=cfg.k_neighbors,
                 ratio_variant=cfg.ratio_variant,
                 alpha=cfg.resolved_alpha(),
                 fps=cfg.fps,
-                traj_boxes=boxes_from_means(self._means),
+                traj_boxes=boxes_from_means(tracks.means),
             )
         if graph is None:
             self.stats.append(StepStats(frame, 0, 0, time.perf_counter() - t_start))
-            return None, ([], list(range(len(self.trajectories))), list(range(len(detections))))
+            return None, ([], list(range(len(tracks))), list(range(len(detections))))
         scores = score_graph(self.model, graph)
         if cfg.matching == "hungarian":
             result = hungarian_match(
-                graph.edge_traj, graph.edge_det, scores, cfg.tau,
-                len(self.trajectories), len(detections),
+                graph.edge_traj, graph.edge_det, scores, cfg.tau, len(tracks), len(detections),
             )
         else:
+            # Rows are in id order, so row order breaks ties like id order.
             result = greedy_match(
                 graph.edge_traj, graph.edge_det, scores, cfg.tau,
-                traj_ids=[t.id for t in self.trajectories],
-                n_traj=len(self.trajectories), n_det=len(detections),
+                n_traj=len(tracks), n_det=len(detections),
             )
         self.stats.append(
             StepStats(frame, graph.n_candidates, graph.n_edges, time.perf_counter() - t_start)
@@ -311,8 +321,13 @@ class Tracker:
         return graph, result
 
 
+def _track_rows(frame, ids, boxes, confidences) -> list[TrackRow]:
+    """One TrackRow per id with its (K, 4) xywh box and confidence."""
+    return list(map(TrackRow, repeat(frame), ids.tolist(), *boxes.T.tolist(), confidences))
+
+
 def run_sequence(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Detections | list[Detection]],
     model: MpnModel,
     config: TrackerConfig,
     feature_source=None,

@@ -183,6 +183,13 @@ class TestFeatures:
         path.write_text("\n")
         assert read_features(path) == {}
 
+    def test_repeated_key_reports_the_second_line(self, tmp_path):
+        # The last of two lines for one detection used to win silently.
+        path = tmp_path / "features.txt"
+        path.write_text("1,0,0.6,0.8\n1,1,1.0,0.0\n\n1.0,0,0.0,1.0\n1,1,0.0,1.0\n")
+        with pytest.raises(ValueError, match="features.txt:4: second feature for frame 1 detection 0"):
+            read_features(path)
+
 
 class TestReadDetections:
     def test_joins_by_frame_order(self, tmp_path):
@@ -203,6 +210,23 @@ class TestReadDetections:
         assert len(frames[1]) == 2
         assert np.allclose(frames[1][1].feature, f11, atol=1e-7)
         assert frames[2][0].confidence == pytest.approx(0.7)
+
+    def test_feature_naming_no_detection_errors(self, tmp_path):
+        # A feature line without its detection used to be ignored.
+        rng = np.random.default_rng(5)
+        det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.txt"
+        write_track_rows(det_path, [TrackRow(1, -1, 0, 0, 10, 20, 0.9), TrackRow(2, -1, 0, 0, 10, 20, 0.9)])
+        write_features(feat_path, [(1, 0, unit(rng)), (1, 1, unit(rng)), (2, 0, unit(rng))])
+        with pytest.raises(ValueError, match="features.txt:2: feature for frame 1 detection 1 names no detection"):
+            read_detections(det_path, feat_path)
+
+    def test_repeated_feature_errors(self, tmp_path):
+        rng = np.random.default_rng(6)
+        det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.txt"
+        write_track_rows(det_path, [TrackRow(1, -1, 0, 0, 10, 20, 0.9)])
+        write_features(feat_path, [(1, 0, unit(rng)), (1, 0, unit(rng))])
+        with pytest.raises(ValueError, match="features.txt:2: second feature"):
+            read_detections(det_path, feat_path)
 
     def test_missing_feature_errors(self, tmp_path):
         det_path, feat_path = tmp_path / "det.txt", tmp_path / "features.txt"
