@@ -15,7 +15,6 @@ from .core import (
     Trajectory,
     feature_distance,
     iou,
-    max_overlap,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "Trajectory",
     "feature_distance",
     "iou",
-    "max_overlap",
 ]
 
 __version__ = "0.1.0"

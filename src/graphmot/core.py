@@ -376,20 +376,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(1.0, inter / (a.area + b.area - inter))
 
 
-def max_overlap(target: Detection, others: list[Detection]) -> float:
-    """Largest IoU the target box has with any of the other detections.
-
-    Returns 0 for an empty list. The caller is responsible for excluding
-    the target itself from `others`.
-    """
-    best = 0.0
-    for other in others:
-        v = iou(target.box, other.box)
-        if v > best:
-            best = v
-    return best
-
-
 def box_array(detections: list[Detection]) -> np.ndarray:
     """(N, 4) xywh boxes of the detections."""
     boxes = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in detections]
@@ -397,13 +383,12 @@ def box_array(detections: list[Detection]) -> np.ndarray:
 
 
 def frame_overlaps(detections, rows=None) -> np.ndarray:
-    """max_overlap of detections[rows] (every detection when rows is None)
-    against the rest of their frame.
+    """Largest IoU of each of detections[rows] (every detection when rows
+    is None) with any other detection of their frame, 0 when it has none.
 
     detections is a Detections block or a list of Detection. One IoU
     matrix of the rows against the frame with each row's own entry
-    zeroed; entry k equals max_overlap(detections[rows[k]], detections
-    without rows[k]).
+    zeroed.
     """
     boxes = detections.boxes if isinstance(detections, Detections) else box_array(detections)
     rows = np.arange(len(boxes)) if rows is None else np.asarray(rows, dtype=np.intp)

@@ -120,20 +120,22 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def conclusive_pick(dists: np.ndarray, alpha: float) -> int | None:
-    """Ratio-test one trajectory's candidate distances.
+def candidate_runs(edge_traj: np.ndarray, edge_dist: np.ndarray):
+    """Each trajectory's candidate edges as one run, nearest first.
 
-    Returns the index of the winning candidate when the smallest distance
-    is strictly below alpha times the second smallest, None otherwise
-    (including the single-candidate case, where the ratio is undefined).
+    One stable sort by (trajectory, distance) lays the runs out, ties in
+    edge order. Returns (order, first, best): order sorts the edges into
+    runs, first marks the first sorted edge of each run, and best holds
+    the sorted positions of the first edges of the runs with a runner-up,
+    which sits at best + 1. A run is conclusive at alpha when its first
+    distance is strictly below alpha times its runner-up's.
     """
-    _check_alpha(alpha)
-    if dists.size < 2:
-        return None
-    order = np.argsort(dists, kind="stable")
-    if dists[order[0]] < alpha * dists[order[1]]:
-        return int(order[0])
-    return None
+    order = np.lexsort((edge_dist, edge_traj))
+    traj = edge_traj[order]
+    first = np.ones(traj.size, dtype=bool)
+    first[1:] = traj[1:] != traj[:-1]
+    best = np.flatnonzero(first[:-1] & ~first[1:])
+    return order, first, best
 
 
 def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
@@ -145,22 +147,14 @@ def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
     if graph.edge_dist is None:
         raise ValueError("graph has no edge distances; compute them first")
     _check_alpha(alpha)
-    # One stable sort by (trajectory, distance) lays each trajectory's
-    # candidates out as a run in conclusive_pick's order: nearest first,
-    # ties in edge order. A run is conclusive when its first distance is
-    # below alpha times its second; the rest of a conclusive run is dropped.
-    order = np.lexsort((graph.edge_dist, graph.edge_traj))
-    traj = graph.edge_traj[order]
+    order, first, best = candidate_runs(graph.edge_traj, graph.edge_dist)
     dist = graph.edge_dist[order]
-    first = np.ones(traj.size, dtype=bool)
-    first[1:] = traj[1:] != traj[:-1]
-    starts = np.flatnonzero(first)
-    paired = np.append(~first[1:], False)[starts]  # runs with a runner-up
-    best = starts[paired]
-    conclusive = np.zeros(starts.size, dtype=bool)
-    conclusive[paired] = dist[best] < alpha * dist[best + 1]
+    run = np.cumsum(first) - 1  # run of every sorted edge
+    conclusive = np.zeros(np.count_nonzero(first), dtype=bool)
+    conclusive[run[best]] = dist[best] < alpha * dist[best + 1]
+    # The rest of a conclusive run is dropped.
     keep = np.empty_like(first)
-    keep[order] = first | ~conclusive[np.cumsum(first) - 1]
+    keep[order] = first | ~conclusive[run]
     return replace(
         graph,
         edge_traj=graph.edge_traj[keep],

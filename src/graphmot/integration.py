@@ -12,16 +12,18 @@ silently distort them.
 integrate_rows() is the one rule of "none", "average" and "iou": it
 integrates many trajectories at once, and integrate() is one row of it.
 The tracker integrates all matches of a frame with one integrate_rows
-call, and "lstm" match by match through integrate_lstm; the trainer's
-teacher forcing and the ratio analysis use the same functions, and
-update_trajectory_feature applies them to one Trajectory record.
+call, and "lstm" match by match through integrate_lstm; the ground-truth
+walk (mpn.ground_truth_walk) that teacher-forces training and the ratio
+analysis uses the same functions. update_trajectory_feature applies them
+to one Trajectory record; no code of the package calls it, and it stays
+for perfbench/tracing.py and the tests' per-object tracker reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Detection, Trajectory, max_overlap, row_norms
+from .core import Detection, Trajectory, frame_overlaps, row_norms
 from .nn import LstmCache, LstmCell, LstmState
 
 INTEGRATION_MODES = ("none", "lstm", "average", "iou")
@@ -158,7 +160,8 @@ def update_trajectory_feature(
     """
     overlap = None
     if mode == "iou":
-        overlap = max_overlap(matched, [d for d in frame_dets if d is not matched])
+        others = [d for d in frame_dets if d is not matched]
+        overlap = float(frame_overlaps([matched, *others], [0])[0])
     traj.integrated_feature, traj.lstm_state, _ = integrate(
         mode, traj.integrated_feature, matched.feature,
         overlap=overlap, lstm_cell=lstm_cell, lstm_state=traj.lstm_state,

@@ -12,22 +12,27 @@ counts an identity switch. MOTA = 1 - (FP + FN + IDS) / total gt boxes.
 IDF1 maps ground-truth identities to hypothesis identities one-to-one,
 globally, maximizing the number of frames where the mapped pair overlaps
 at or above the threshold (IDTP); IDF1 = 2 IDTP / (2 IDTP + IDFP + IDFN).
+
+The ratio analysis walks the labeled detections with training's
+teacher-forcing walk (mpn.ground_truth_walk) and tests each frame's
+trajectories with the tracker's own candidate edges, distances and
+ratio-test runs (graph.candidate_runs), deciding every alpha at once.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import Detection, frame_overlaps
-from .graph import conclusive_pick
-from .integration import integrate
+from .core import Detection, as_detections
+from .graph import AssocGraph, _check_alpha, candidate_edges, candidate_runs, edge_distances
+from .integration import BATCHED_MODES
 from .motio import TrackRow, rows_by_frame
-from .motion import KalmanState, boxes_from_means, kf_init, kf_predict_batch, kf_update
+from .motion import boxes_from_means
+from .mpn import ground_truth_walk
 
 
 @dataclass
@@ -175,24 +180,6 @@ class RatioAnalysisReport:
     n_decisions: int
 
 
-def _frames_to_walk(seq: dict, tracks: dict[int, dict], lost_frame_limit: int):
-    """Every frame number from the first to the last of seq, so that the
-    Kalman states predict through frames without detections, like the
-    tracker's; frames where no identity is live (tracks, read as the walk
-    goes) change nothing and are skipped."""
-    numbers = sorted(seq)
-    frame = numbers[0] if numbers else None
-    while frame is not None:
-        yield frame
-        newest = max((st["last_frame"] for st in tracks.values()), default=None)
-        if frame >= numbers[-1]:
-            frame = None
-        elif newest is not None and frame + 1 - newest <= lost_frame_limit:
-            frame += 1
-        else:
-            frame = numbers[bisect.bisect_right(numbers, frame)]
-
-
 def ratio_analysis(
     sequences: list[dict[int, list[Detection]]],
     variant: str,
@@ -204,88 +191,71 @@ def ratio_analysis(
 ) -> RatioAnalysisReport:
     """Replay the ratio test over teacher-forced ground-truth trajectories.
 
-    Trajectories follow their labeled detections (features integrated per
-    `integration`, motion via the Kalman filter, predicted through every
-    frame number, with or without detections); at each frame, every
-    live trajectory with >= 2 candidate edges is ratio-tested at each
-    alpha and scored true/false by whether the kept edge connects its own
-    identity.
+    Trajectories follow their labeled detections along mpn.ground_truth_walk
+    (features integrated per `integration`, motion via the Kalman filter,
+    predicted through every frame number, with or without detections,
+    while last seen at most lost_frame_limit frames before); at each
+    frame, the live trajectories and the frame's detections get the
+    tracker's candidate edges and distances, and every trajectory with
+    >= 2 candidate edges is ratio-tested at each alpha and scored
+    true/false by whether the kept edge connects its own identity.
     """
     if variant not in ("iou", "app"):
         raise ValueError(f"ratio analysis needs variant 'iou' or 'app', got {variant!r}")
-    if integration not in ("none", "average", "iou"):
+    if integration not in BATCHED_MODES:
         raise ValueError(f"unsupported integration {integration!r} here")
     alphas = tuple(alphas)
-    true_c = {a: 0 for a in alphas}
-    false_c = {a: 0 for a in alphas}
-    inconclusive_c = {a: 0 for a in alphas}
+    for a in alphas:
+        _check_alpha(a)
+    repeated = next((a for k, a in enumerate(alphas) if a in alphas[:k]), None)
+    if repeated is not None:
+        raise ValueError(f"alpha {repeated} is given more than once")
+    grid = np.array(alphas, dtype=np.float64)
+    true_c = np.zeros(grid.size, dtype=np.int64)
+    false_c = np.zeros_like(true_c)
+    inconclusive_c = np.zeros_like(true_c)
     n_decisions = 0
     for seq in sequences:
-        tracks: dict[int, dict] = {}  # identity -> state
-        for frame in _frames_to_walk(seq, tracks, lost_frame_limit):
-            detections = seq.get(frame, [])
-            live = {
-                gid: st
-                for gid, st in tracks.items()
-                if frame - st["last_frame"] <= lost_frame_limit
-            }
-            order = sorted(live)
-            if order:
-                means, covs = kf_predict_batch(
-                    np.array([live[g]["kf"].mean for g in order]),
-                    np.array([live[g]["kf"].cov for g in order]),
-                )
-                for g, mean, cov in zip(order, means, covs):
-                    live[g]["kf"] = KalmanState(mean, cov)
-            if detections and live:
-                boxes = boxes_from_means(means)
-                det_boxes = np.array([d.box.as_xywh() for d in detections])
-                centers = kernels.center_dist_matrix(boxes, det_boxes)
-                if variant == "iou":
-                    dist_all = 1.0 - kernels.iou_matrix(boxes, det_boxes)
-                else:
-                    feats = np.array([live[g]["feature"] for g in order])
-                    det_feats = np.array([d.feature for d in detections])
-                    dist_all = kernels.feature_dist_matrix(feats, det_feats)
-                take = min(k_neighbors, len(order))
-                incident: dict[int, list[int]] = {g: [] for g in order}
-                for j in range(len(detections)):
-                    nearest = np.argsort(centers[:, j], kind="stable")[:take]
-                    for ti in nearest:
-                        incident[order[int(ti)]].append(j)
-                for ti, gid in enumerate(order):
-                    dets_j = incident[gid]
-                    if len(dets_j) < 2:
-                        continue
-                    n_decisions += 1
-                    dists = dist_all[ti, dets_j]
-                    for a in alphas:
-                        pick = conclusive_pick(dists, a)
-                        if pick is None:
-                            inconclusive_c[a] += 1
-                        elif detections[dets_j[pick]].gt_id == gid:
-                            true_c[a] += 1
-                        else:
-                            false_c[a] += 1
-            overlaps = frame_overlaps(detections) if integration == "iou" else None
-            for j, det in enumerate(detections):
-                if det.gt_id is None:
-                    continue
-                st = tracks.get(det.gt_id)
-                if st is None:
-                    tracks[det.gt_id] = {
-                        "feature": det.feature.copy(),
-                        "kf": kf_init(det.box),
-                        "last_frame": frame,
-                    }
-                    continue
-                st["kf"] = kf_update(st["kf"], det.box)
-                st["feature"], _, _ = integrate(
-                    integration, st["feature"], det.feature,
-                    overlap=None if overlaps is None else float(overlaps[j]),
-                )
-                st["last_frame"] = frame
-    return RatioAnalysisReport(variant, alphas, true_c, false_c, inconclusive_c, n_decisions)
+        events = {}
+        for frame, detections in seq.items():
+            labeled = [(d.gt_id, j, d) for j, d in enumerate(detections) if d.gt_id is not None]
+            if labeled:
+                events[frame] = labeled
+        walk = ground_truth_walk(
+            seq, events, max(seq, default=0), integration, lost_frame_limit=lost_frame_limit
+        )
+        for frame, live, state, _ in walk:
+            if not live.size or not seq.get(frame):
+                continue
+            trajectories = state.take(live)
+            detections = as_detections(seq[frame])
+            edge_traj, edge_det, boxes = candidate_edges(
+                trajectories, detections, k_neighbors, boxes_from_means(trajectories.means)
+            )
+            graph = AssocGraph(trajectories, detections, boxes, edge_traj, edge_det)
+            dist = edge_distances(graph, variant)
+            order, _, best = candidate_runs(edge_traj, dist)
+            dist = dist[order]
+            conclusive = dist[best, None] < grid * dist[best + 1, None]  # (decisions, alphas)
+            winner = order[best]
+            gt_ids = detections.gt_ids or (None,) * len(detections)
+            own = np.array(
+                [gt_ids[j] == g for j, g in zip(edge_det[winner].tolist(),
+                                                trajectories.ids[edge_traj[winner]].tolist())],
+                dtype=bool,
+            )
+            n_decisions += best.size
+            true_c += (conclusive & own[:, None]).sum(axis=0)
+            false_c += (conclusive & ~own[:, None]).sum(axis=0)
+            inconclusive_c += (~conclusive).sum(axis=0)
+    return RatioAnalysisReport(
+        variant,
+        alphas,
+        dict(zip(alphas, true_c.tolist())),
+        dict(zip(alphas, false_c.tolist())),
+        dict(zip(alphas, inconclusive_c.tolist())),
+        n_decisions,
+    )
 
 
 def render_ratio_report(reports: list[RatioAnalysisReport]) -> str:

@@ -8,9 +8,11 @@ noise weights: with zero noise the filter then locks onto the exact
 velocity after the second observation.
 
 The kf_*_batch functions filter M stacked states, (M, 8) means and
-(M, 8, 8) covariances, in one call; the tracker and teacher-forced
-training use them. The single-state kf_init / kf_predict / kf_update are
-batches of one, for callers that hold one KalmanState at a time.
+(M, 8, 8) covariances, in one call; the tracker and the ground-truth walk
+of training and the ratio analysis use them. The single-state kf_init /
+kf_predict / kf_update are batches of one that no code of the package
+calls: they stay for perfbench/tracing.py, which rebinds them, and for
+the tests' one-identity-at-a-time references.
 
 A lost trajectory's predicted box passes three gates, in order, before it
 is emitted as a tracked position:

@@ -16,6 +16,7 @@ edges with teacher-forced trajectory features.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -407,52 +408,62 @@ def _window_tracks(frames, target_frame, window_frames):
     return tracks
 
 
-def teacher_force(
+def ground_truth_walk(
     frames: dict[int, list[Detection]],
-    target_frame: int,
-    tracks: dict[int, list[tuple[int, Detection]]],
+    events: dict[int, list[tuple[int, int, Detection]]],
+    last_frame: int,
     integration: str,
+    *,
     lstm_cell: LstmCell | None = None,
-) -> TeacherForced:
+    lost_frame_limit: int | None = None,
+):
     """Filter and integrate each identity along its own labeled detections.
 
-    One frame-synchronous walk from the earliest detection to the target
-    frame: every frame predicts all started identities in one batch,
-    starts the identities first seen there and updates the observed ones
-    in one batch, integrating their features in one batch too ("lstm"
-    steps them one by one). A second detection of an identity in the same
+    events maps a frame number to its labeled detections as (identity,
+    index in the frame, detection); "iou" integration reads the whole
+    frame from frames. One walk from the first event to last_frame: each
+    frame predicts the live rows in one batch and yields (frame, live,
+    trajectories, lstm_caches), every identity started so far as one row
+    of trajectories in start order, live indexing the predicted rows (a
+    slice without a limit) and lstm_caches holding each row's "lstm" step
+    caches. Before last_frame, the walk then starts the identities first
+    seen in the frame and updates the observed ones in one batch ("lstm"
+    steps them one by one); a second detection of an identity in the
     frame is a further update without a predict. Every identity thus gets
-    the same sequence of predicts, updates and integration steps it would
-    get on its own, and the batched filter and integration give it the
-    same bits.
+    the predicts, updates and integration steps it would get on its own,
+    with the same bits.
+
+    A row is live while its last observation is at most lost_frame_limit
+    frames old (always, when None); the rest are neither predicted nor
+    yielded, and an update resumes from their last state. While nothing
+    is live the walk jumps to the next frame with events.
     """
-    events: dict[int, list[tuple[int, int, Detection]]] = {}
-    for gid, observations in tracks.items():
-        for j, det in observations:
-            events.setdefault(det.frame, []).append((gid, j, det))
-    n_ids = len(tracks)
-    means, covs = np.zeros((n_ids, 8)), np.zeros((n_ids, 8, 8))
-    row: dict[int, int] = {}  # identity -> row, in the order the walk starts them
-    features: list[np.ndarray] = []
-    last: list[Detection] = []
+    state = Trajectories([], [], [], [], [], [])
+    row: dict[int, int] = {}  # identity -> row
     lstm_states: list = []
     lstm_caches: list[list] = []
-    for f in range(min(events, default=target_frame), target_frame + 1):
-        n = len(row)
-        if n:
-            means[:n], covs[:n] = kf_predict_batch(means[:n], covs[:n])
-        started: list[Detection] = []
+    numbers = sorted(f for f in events if f <= last_frame)
+    frame = numbers[0] if numbers else last_frame
+    while True:
+        if lost_frame_limit is None:
+            live = slice(0, len(state))
+        else:
+            live = np.flatnonzero(frame - state.last_seen <= lost_frame_limit)
+        means, covs = state.means[live], state.covs[live]
+        if len(means):
+            state.means[live], state.covs[live] = kf_predict_batch(means, covs)
+        yield frame, live, state, lstm_caches
+        if frame >= last_frame:
+            return
+
+        started: list[tuple[int, Detection]] = []
         passes: list[list[tuple[int, int, Detection]]] = []  # k-th update of an identity here
         updates_here: dict[int, int] = {}
-        for gid, j, det in events.get(f, []):
+        for gid, j, det in events.get(frame, ()):
             r = row.get(gid)
             if r is None:
                 row[gid] = len(row)
-                started.append(det)
-                features.append(det.feature.copy())
-                last.append(det)
-                lstm_states.append(None)
-                lstm_caches.append([])
+                started.append((gid, det))
                 continue
             k = updates_here.get(r, 0)
             updates_here[r] = k + 1
@@ -460,55 +471,77 @@ def teacher_force(
                 passes.append([])
             passes[k].append((r, j, det))
         if started:
-            means[n : len(row)], covs[n : len(row)] = kf_init_batch(box_array(started))
+            boxes = box_array([det for _, det in started])
+            means, covs = kf_init_batch(boxes)
+            state = state.concat(Trajectories(
+                [gid for gid, _ in started], [det.feature for _, det in started], boxes,
+                [frame] * len(started), means, covs,
+            ))
+            lstm_states += [None] * len(started)
+            lstm_caches += [[] for _ in started]
         for batch in passes:
             rows = np.array([r for r, _, _ in batch])
-            means[rows], covs[rows] = kf_update_batch(
-                means[rows], covs[rows], box_array([det for _, _, det in batch])
+            boxes = box_array([det for _, _, det in batch])
+            state.means[rows], state.covs[rows] = kf_update_batch(
+                state.means[rows], state.covs[rows], boxes
             )
             if integration in BATCHED_MODES:
                 overlaps = None
                 if integration == "iou":
-                    overlaps = frame_overlaps(frames[f], [j for _, j, _ in batch])
-                fresh = integrate_rows(
-                    integration,
-                    np.array([features[r] for r in rows]),
-                    np.array([det.feature for _, _, det in batch]),
-                    overlaps,
+                    overlaps = frame_overlaps(frames[frame], [j for _, j, _ in batch])
+                fresh = np.array([det.feature for _, _, det in batch])
+                state.features[rows] = integrate_rows(
+                    integration, state.features[rows], fresh, overlaps
                 )
-                for r, feature in zip(rows, fresh):
-                    features[r] = feature
             else:
                 for r, _, det in batch:
-                    features[r], lstm_states[r], cache = integrate(
-                        integration, features[r], det.feature,
+                    state.features[r], lstm_states[r], cache = integrate(
+                        integration, state.features[r], det.feature,
                         lstm_cell=lstm_cell, lstm_state=lstm_states[r],
                     )
                     lstm_caches[r].append(cache)
-            for r, _, det in batch:
-                last[r] = det
+            state.last_boxes[rows] = boxes
+            state.last_seen[rows] = frame
 
-    ids = sorted(row)
-    order = [row[g] for g in ids]
-    last_seen = [last[r].frame for r in order]
-    trajectories = Trajectories(
-        ids,
-        np.array([features[r] for r in order]),
-        box_array([last[r] for r in order]),
-        last_seen,
-        means[order],
-        covs[order],
-        frames_lost=[target_frame - f - 1 for f in last_seen],
-    )
+        if len(state) and (
+            lost_frame_limit is None or frame + 1 - state.last_seen.max() <= lost_frame_limit
+        ):
+            frame += 1
+        else:
+            later = bisect.bisect_right(numbers, frame)
+            if later == len(numbers):
+                return
+            frame = numbers[later]
+
+
+def teacher_force(
+    frames: dict[int, list[Detection]],
+    target_frame: int,
+    tracks: dict[int, list[tuple[int, Detection]]],
+    integration: str,
+    lstm_cell: LstmCell | None = None,
+) -> TeacherForced:
+    """ground_truth_walk of the identities of tracks (identity -> (index in
+    frame, detection) list), run to the target frame."""
+    events: dict[int, list[tuple[int, int, Detection]]] = {}
+    for gid, observations in tracks.items():
+        for j, det in observations:
+            events.setdefault(det.frame, []).append((gid, j, det))
+    walk = ground_truth_walk(frames, events, target_frame, integration, lstm_cell=lstm_cell)
+    for _, _, state, lstm_caches in walk:
+        pass
+    order = np.argsort(state.ids, kind="stable")
+    trajectories = state.take(order)
+    trajectories.frames_lost = target_frame - trajectories.last_seen - 1
     boxes = boxes_from_means(trajectories.means)
     for array in (boxes, trajectories.features, trajectories.means, trajectories.covs):
         array.flags.writeable = False
     chains: dict[int, _LstmChain] = {}
-    for k, r in enumerate(order):
+    for k, r in enumerate(order.tolist()):
         caches = lstm_caches[r]
         if caches:
             h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
-            chains[k] = _LstmChain(caches, h_norm, features[r])
+            chains[k] = _LstmChain(caches, h_norm, trajectories.features[k])
     return TeacherForced(list(tracks), trajectories, boxes, chains)
 
 

@@ -1,12 +1,16 @@
-"""Per-object reference implementations of the columnar tracker and reader.
+"""Per-object reference implementations of the columnar tracker, the reader
+and the ratio-test analysis.
 
 ReferenceTracker is the tracker step as it was written before the tracker
 kept its trajectories as columns: one Trajectory record and one
 KalmanState per live track, forecast gates through motion.forecast_lost
 one trajectory at a time, and features integrated through
 integration.update_trajectory_feature in "lstm" mode. reference_read_detections
-joins the two files row by row into Detection records. The tests require
-the columnar code to agree with them byte for byte.
+joins the two files row by row into Detection records.
+reference_ratio_analysis walks a dict of live identities, each filtered
+by the single-state Kalman functions, and ratio-tests every trajectory at
+every alpha through conclusive_pick. The tests require the columnar code
+to agree with them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ import bisect
 
 import numpy as np
 
-from graphmot.core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps
-from graphmot.graph import build_graph
-from graphmot.integration import BATCHED_MODES, integrate_rows, update_trajectory_feature
+from graphmot import kernels
+from graphmot.core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps, iou
+from graphmot.graph import _check_alpha, build_graph
+from graphmot.integration import BATCHED_MODES, integrate, integrate_rows, update_trajectory_feature
+from graphmot.metrics import RatioAnalysisReport
 from graphmot.motio import TrackRow, read_features, read_track_rows
 from graphmot.motion import (
     ForecastDecision,
@@ -25,8 +31,10 @@ from graphmot.motion import (
     KalmanState,
     boxes_from_means,
     forecast_lost,
+    kf_init,
     kf_init_batch,
     kf_predict_batch,
+    kf_update,
     kf_update_batch,
     make_verifier,
     state_to_box,
@@ -220,3 +228,141 @@ def reference_read_detections(det_path, feature_path):
                     f"{det_index} names no detection in {det_path}"
                 )
     return frames
+
+
+def max_overlap(target: Detection, others: list[Detection]) -> float:
+    """Largest IoU the target box has with any of the other detections.
+
+    Returns 0 for an empty list. The caller is responsible for excluding
+    the target itself from `others`.
+    """
+    best = 0.0
+    for other in others:
+        v = iou(target.box, other.box)
+        if v > best:
+            best = v
+    return best
+
+
+def conclusive_pick(dists: np.ndarray, alpha: float) -> int | None:
+    """Ratio-test one trajectory's candidate distances.
+
+    Returns the index of the winning candidate when the smallest distance
+    is strictly below alpha times the second smallest, None otherwise
+    (including the single-candidate case, where the ratio is undefined).
+    """
+    _check_alpha(alpha)
+    if dists.size < 2:
+        return None
+    order = np.argsort(dists, kind="stable")
+    if dists[order[0]] < alpha * dists[order[1]]:
+        return int(order[0])
+    return None
+
+
+def _frames_to_walk(seq: dict, tracks: dict[int, dict], lost_frame_limit: int):
+    """Every frame number from the first to the last of seq, so that the
+    Kalman states predict through frames without detections, like the
+    tracker's; frames where no identity is live (tracks, read as the walk
+    goes) change nothing and are skipped."""
+    numbers = sorted(seq)
+    frame = numbers[0] if numbers else None
+    while frame is not None:
+        yield frame
+        newest = max((st["last_frame"] for st in tracks.values()), default=None)
+        if frame >= numbers[-1]:
+            frame = None
+        elif newest is not None and frame + 1 - newest <= lost_frame_limit:
+            frame += 1
+        else:
+            frame = numbers[bisect.bisect_right(numbers, frame)]
+
+
+def reference_ratio_analysis(
+    sequences: list[dict[int, list[Detection]]],
+    variant: str,
+    alphas,
+    *,
+    k_neighbors: int = 20,
+    integration: str = "average",
+    lost_frame_limit: int = 80,
+) -> RatioAnalysisReport:
+    """metrics.ratio_analysis with a dict of live identities, its own
+    per-column candidate sort and one conclusive_pick per trajectory and
+    alpha."""
+    if variant not in ("iou", "app"):
+        raise ValueError(f"ratio analysis needs variant 'iou' or 'app', got {variant!r}")
+    if integration not in ("none", "average", "iou"):
+        raise ValueError(f"unsupported integration {integration!r} here")
+    alphas = tuple(alphas)
+    true_c = {a: 0 for a in alphas}
+    false_c = {a: 0 for a in alphas}
+    inconclusive_c = {a: 0 for a in alphas}
+    n_decisions = 0
+    for seq in sequences:
+        tracks: dict[int, dict] = {}  # identity -> state
+        for frame in _frames_to_walk(seq, tracks, lost_frame_limit):
+            detections = seq.get(frame, [])
+            live = {
+                gid: st
+                for gid, st in tracks.items()
+                if frame - st["last_frame"] <= lost_frame_limit
+            }
+            order = sorted(live)
+            if order:
+                means, covs = kf_predict_batch(
+                    np.array([live[g]["kf"].mean for g in order]),
+                    np.array([live[g]["kf"].cov for g in order]),
+                )
+                for g, mean, cov in zip(order, means, covs):
+                    live[g]["kf"] = KalmanState(mean, cov)
+            if detections and live:
+                boxes = boxes_from_means(means)
+                det_boxes = np.array([d.box.as_xywh() for d in detections])
+                centers = kernels.center_dist_matrix(boxes, det_boxes)
+                if variant == "iou":
+                    dist_all = 1.0 - kernels.iou_matrix(boxes, det_boxes)
+                else:
+                    feats = np.array([live[g]["feature"] for g in order])
+                    det_feats = np.array([d.feature for d in detections])
+                    dist_all = kernels.feature_dist_matrix(feats, det_feats)
+                take = min(k_neighbors, len(order))
+                incident: dict[int, list[int]] = {g: [] for g in order}
+                for j in range(len(detections)):
+                    nearest = np.argsort(centers[:, j], kind="stable")[:take]
+                    for ti in nearest:
+                        incident[order[int(ti)]].append(j)
+                for ti, gid in enumerate(order):
+                    dets_j = incident[gid]
+                    if len(dets_j) < 2:
+                        continue
+                    n_decisions += 1
+                    dists = dist_all[ti, dets_j]
+                    for a in alphas:
+                        pick = conclusive_pick(dists, a)
+                        if pick is None:
+                            inconclusive_c[a] += 1
+                        elif detections[dets_j[pick]].gt_id == gid:
+                            true_c[a] += 1
+                        else:
+                            false_c[a] += 1
+            overlaps = frame_overlaps(detections) if integration == "iou" else None
+            for j, det in enumerate(detections):
+                if det.gt_id is None:
+                    continue
+                st = tracks.get(det.gt_id)
+                if st is None:
+                    tracks[det.gt_id] = {
+                        "feature": det.feature.copy(),
+                        "kf": kf_init(det.box),
+                        "last_frame": frame,
+                    }
+                    continue
+                st["kf"] = kf_update(st["kf"], det.box)
+                st["feature"], _, _ = integrate(
+                    integration, st["feature"], det.feature,
+                    overlap=None if overlaps is None else float(overlaps[j]),
+                )
+                st["last_frame"] = frame
+    return RatioAnalysisReport(variant, alphas, true_c, false_c, inconclusive_c, n_decisions)
+

@@ -193,6 +193,14 @@ class TestRatioAndSparsity:
             for stat in ("T", "F", "I"):
                 assert len(p[stat]) == 3
 
+    def test_ratio_rejects_repeated_alpha(self, tmp_path, small_scene_dir, capsys):
+        out_dir = tmp_path / "ratio"
+        rc = main(["ratio", "--data", str(small_scene_dir), "--alphas", "0.3,0.3",
+                   "--out", str(out_dir)])
+        assert rc != 0
+        assert "alpha 0.3 is given more than once" in capsys.readouterr().err
+        assert not (out_dir / "ratio.txt").exists()
+
     def test_sparsity_reports_three_variants(self, tmp_path, small_scene_dir,
                                              small_checkpoint, capsys):
         out_dir = tmp_path / "sparsity"

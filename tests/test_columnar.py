@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import reference_read_detections, reference_run_sequence
+from references import max_overlap, reference_read_detections, reference_run_sequence
 
 from graphmot import core
-from graphmot.core import BoundingBox, Detection, Detections, Trajectory, frame_overlaps, max_overlap
+from graphmot.core import BoundingBox, Detection, Detections, Trajectory, frame_overlaps
 from graphmot.motio import TrackRow, format_track_row, read_detections, write_features
 from graphmot.motion import (
     FrameContext,

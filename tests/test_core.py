@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import max_overlap
 
 from graphmot.core import (
     BoundingBox,
@@ -11,7 +12,6 @@ from graphmot.core import (
     feature_distance,
     frame_overlaps,
     iou,
-    max_overlap,
 )
 
 

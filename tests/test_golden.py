@@ -6,7 +6,8 @@ scene scaled to 25 targets in 1920x1080 (detections read back from
 files, no appearance source). The sha256 of the rows as
 motio.format_track_row writes them, MOTA and IDF1 are pinned. A
 refactor of the tracker must keep them; one that changes them on
-purpose updates them here and says why.
+purpose updates them here and says why. The ratio analysis's T/F/I
+counts over `graphmot ratio`'s default alpha grid are pinned the same way.
 
 The values were recorded with NumPy 2.4 and OpenBLAS on x86-64; a
 different BLAS may round the network's matrix products differently.
@@ -16,7 +17,7 @@ import hashlib
 
 import pytest
 
-from graphmot.metrics import clear_mot, idf1
+from graphmot.metrics import clear_mot, idf1, ratio_analysis
 from graphmot.motio import format_track_row, read_detections
 from graphmot.mpn import TrainConfig, create_model, train_model
 from graphmot.synth import SceneFeatureSource, generate, preset, write_scene
@@ -69,3 +70,36 @@ def test_crowded_output_pinned(model, tmp_path):
     write_scene(scene, tmp_path)
     frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
     assert track(model, scene, frames, None) == GOLDEN["crowded"]
+
+
+RATIO_ALPHAS = (0.2, 0.3, 0.4, 0.5, 0.6)  # graphmot ratio's default --alphas
+
+# (scene, seed, variant) -> (T, F, I per alpha, n_decisions)
+RATIO_GOLDEN = {
+    ("crossing", 3, "iou"): (
+        (1014, 1019, 1019, 1019, 1019), (2, 3, 6, 6, 16), (96, 90, 87, 87, 77), 1112
+    ),
+    ("crossing", 3, "app"): (
+        (119, 819, 918, 961, 994), (0, 0, 0, 14, 24), (993, 293, 194, 137, 94), 1112
+    ),
+    ("crowded", 1, "iou"): (
+        (5179, 5233, 5261, 5265, 5265), (6, 23, 57, 85, 113), (789, 718, 656, 624, 596), 5974
+    ),
+    ("crowded", 1, "app"): (
+        (642, 4842, 5196, 5255, 5264), (0, 0, 0, 0, 0), (5332, 1132, 778, 719, 710), 5974
+    ),
+}
+
+
+@pytest.mark.parametrize("name,seed", [("crossing", 3), ("crowded", 1)])
+def test_ratio_counts_pinned(name, seed):
+    scene = generate(preset(name, seed=seed))
+    for variant in ("iou", "app"):
+        rep = ratio_analysis([scene.frames], variant, RATIO_ALPHAS)
+        got = (
+            tuple(rep.true_counts[a] for a in RATIO_ALPHAS),
+            tuple(rep.false_counts[a] for a in RATIO_ALPHAS),
+            tuple(rep.inconclusive_counts[a] for a in RATIO_ALPHAS),
+            rep.n_decisions,
+        )
+        assert got == RATIO_GOLDEN[(name, seed, variant)], variant

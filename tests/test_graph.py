@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import conclusive_pick
 
 from graphmot.core import BoundingBox, Detection, Trajectory
 from graphmot.graph import (
     AssocGraph,
     build_graph,
     candidate_edges,
-    conclusive_pick,
     edge_distances,
     init_edge_features,
     ratio_test_filter,

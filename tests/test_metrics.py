@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import reference_ratio_analysis
 from scipy.optimize import linear_sum_assignment
 
 from graphmot import kernels
-from graphmot.core import BoundingBox, Detection
+from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.metrics import (
     RatioAnalysisReport,
     clear_mot,
@@ -226,3 +227,79 @@ class TestRatioAnalysis:
         for rep in reports:
             assert (rep.false_counts[0.6], rep.inconclusive_counts[0.6]) == (13, 70)
         assert reports[0].true_counts == reports[1].true_counts
+
+    def test_repeated_alpha_rejected(self):
+        # A repeated alpha would count every decision twice, so that
+        # T + F + I no longer equals n_decisions.
+        frames = orthogonal_sequence()
+        with pytest.raises(ValueError, match="alpha 0.3 is given more than once"):
+            ratio_analysis([frames], "app", [0.2, 0.3, 0.3])
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.0, 1.0])
+    def test_alphas_checked_without_decisions(self, alpha):
+        # One detection per frame: no trajectory ever has two candidates.
+        frames = orthogonal_sequence(n_ids=1)
+        assert ratio_analysis([frames], "app", [0.5]).n_decisions == 0
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ratio_analysis([frames], "app", [0.5, alpha])
+
+    def test_identity_returning_after_the_limit_matches_reference(self):
+        # Identity 1 is missing for 16 frames: past a limit of 5 it is
+        # neither predicted nor tested, and its return updates its old state.
+        scene = generate(preset("crossing", seed=3, n_frames=80))
+        frames = {f: [d for d in dets if d.gt_id != 1 or not 30 <= f < 46]
+                  for f, dets in scene.frames.items()}
+        reports = {}
+        for limit in (5, 80):
+            for variant in ("iou", "app"):
+                got = ratio_analysis([frames], variant, [0.3, 0.6], lost_frame_limit=limit)
+                want = reference_ratio_analysis([frames], variant, [0.3, 0.6],
+                                                lost_frame_limit=limit)
+                assert got == want
+                reports[limit, variant] = got
+        assert reports[5, "iou"].n_decisions != reports[80, "iou"].n_decisions
+
+
+# Few features and coarse boxes, so that distances tie.
+STREAM_FEATURES = [np.array(v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                                          (0.6, 0.8, 0.0))]
+
+
+@st.composite
+def labeled_streams(draw):
+    """Frames 1..n, each absent, empty or holding detections of identities
+    1-4 (an identity may be detected twice) and clutter without gt_id; as
+    lists of Detection or as Detections blocks."""
+    blocks = draw(st.booleans())
+    frames = {}
+    for f in range(1, draw(st.integers(1, 14)) + 1):
+        kind = draw(st.sampled_from(["absent", "empty", "detections", "detections"]))
+        if kind == "absent":
+            continue
+        dets = []
+        for _ in range(0 if kind == "empty" else draw(st.integers(1, 6))):
+            box = BoundingBox(10.0 * draw(st.integers(0, 5)), 10.0 * draw(st.integers(0, 3)),
+                              draw(st.sampled_from([10.0, 20.0])),
+                              draw(st.sampled_from([20.0, 40.0])))
+            feature = STREAM_FEATURES[draw(st.integers(0, len(STREAM_FEATURES) - 1))]
+            gt_id = draw(st.one_of(st.none(), st.integers(1, 4)))
+            dets.append(Detection(f, box, 0.9, feature, gt_id))
+        frames[f] = Detections.of(dets, f) if blocks else dets
+    return frames
+
+
+class TestRatioAnalysisAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sequences=st.lists(labeled_streams(), min_size=1, max_size=2),
+        variant=st.sampled_from(["iou", "app"]),
+        integration=st.sampled_from(["none", "average", "iou"]),
+        k=st.sampled_from([1, 2, 3, 20]),
+        limit=st.integers(1, 4),
+        alphas=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 0.999]),
+                        min_size=1, max_size=4, unique=True),
+    )
+    def test_equals_reference(self, sequences, variant, integration, k, limit, alphas):
+        kw = dict(k_neighbors=k, integration=integration, lost_frame_limit=limit)
+        got = ratio_analysis(sequences, variant, alphas, **kw)
+        assert got == reference_ratio_analysis(sequences, variant, alphas, **kw)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from references import max_overlap
 
 from graphmot import mpn
-from graphmot.core import BoundingBox, Detection, Trajectory, max_overlap
+from graphmot.core import BoundingBox, Detection, Trajectory
 from graphmot.graph import AssocGraph, build_graph
 from graphmot.integration import integrate_average, integrate_iou_guided
 from graphmot.motion import kf_init, kf_predict, kf_update, state_to_box
