@@ -269,8 +269,9 @@ def cmd_ratio(args) -> int:
     frames, _ = _load_labeled_data(Path(args.data))
     alphas = [float(a) for a in args.alphas.split(",")]
     variants = ["iou", "app"] if args.variant == "both" else [args.variant]
+    k_neighbors = args.k if args.k is not None else 20
     reports = [
-        ratio_analysis([frames], variant, alphas, k_neighbors=args.k or 20)
+        ratio_analysis([frames], variant, alphas, k_neighbors=k_neighbors)
         for variant in variants
     ]
     text = render_ratio_report(reports)
@@ -290,7 +291,8 @@ def cmd_ratio(args) -> int:
     _atomic_write_text(out_dir / "ratio.txt", text)
     _atomic_write_text(out_dir / "ratio.json", json.dumps(payload, indent=2) + "\n")
     _echo_config(out_dir / "effective-config.json", "ratio",
-                 {"data": str(args.data), "variant": args.variant, "alphas": alphas}, {})
+                 {"data": str(args.data), "variant": args.variant, "alphas": alphas,
+                  "k_neighbors": k_neighbors}, {})
     return 0
 
 

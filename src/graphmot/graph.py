@@ -80,8 +80,7 @@ def candidate_edges(
     (edge_traj, edge_det, traj_boxes); both index arrays are empty when
     either side is empty.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     trajectories, detections = as_trajectories(trajectories), as_detections(detections)
     if traj_boxes is None:
         traj_boxes = trajectories.last_boxes
@@ -113,6 +112,11 @@ def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
         dist = kernels.feature_dist_matrix(graph.traj_features, graph.det_features)
         return dist[graph.edge_traj, graph.edge_det]
     raise ValueError(f"no distances for variant {variant!r}")
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _check_alpha(alpha: float) -> None:

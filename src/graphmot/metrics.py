@@ -28,7 +28,14 @@ from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .core import Detection, as_detections
-from .graph import AssocGraph, _check_alpha, candidate_edges, candidate_runs, edge_distances
+from .graph import (
+    AssocGraph,
+    _check_alpha,
+    _check_k,
+    candidate_edges,
+    candidate_runs,
+    edge_distances,
+)
 from .integration import BATCHED_MODES
 from .motio import TrackRow, rows_by_frame
 from .motion import boxes_from_means
@@ -204,6 +211,7 @@ def ratio_analysis(
         raise ValueError(f"ratio analysis needs variant 'iou' or 'app', got {variant!r}")
     if integration not in BATCHED_MODES:
         raise ValueError(f"unsupported integration {integration!r} here")
+    _check_k(k_neighbors)
     alphas = tuple(alphas)
     for a in alphas:
         _check_alpha(a)
@@ -216,15 +224,14 @@ def ratio_analysis(
     inconclusive_c = np.zeros_like(true_c)
     n_decisions = 0
     for seq in sequences:
+        last = max(seq, default=0)
         events = {}
         for frame, detections in seq.items():
-            labeled = [(d.gt_id, j, d) for j, d in enumerate(detections) if d.gt_id is not None]
+            labeled = tuple((d.gt_id, j) for j, d in enumerate(detections) if d.gt_id is not None)
             if labeled:
-                events[frame] = labeled
-        walk = ground_truth_walk(
-            seq, events, max(seq, default=0), integration, lost_frame_limit=lost_frame_limit
-        )
-        for frame, live, state, _ in walk:
+                events[frame] = {last: labeled}
+        walk = ground_truth_walk(seq, events, integration, lost_frame_limit=lost_frame_limit)
+        for frame, live, state, _, _ in walk:
             if not live.size or not seq.get(frame):
                 continue
             trajectories = state.take(live)

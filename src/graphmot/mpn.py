@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Trajectories, box_array, frame_overlaps
+from .core import BoundingBox, Detection, Trajectories, as_detections, frame_overlaps
 from .graph import AssocGraph, build_graph
-from .integration import BATCHED_MODES, integrate, integrate_rows
+from .integration import integrate, integrate_rows
 from .motion import (
     boxes_from_means,
     kf_init_batch,
@@ -410,28 +411,36 @@ def _window_tracks(frames, target_frame, window_frames):
 
 def ground_truth_walk(
     frames: dict[int, list[Detection]],
-    events: dict[int, list[tuple[int, int, Detection]]],
-    last_frame: int,
+    events: dict[int, dict[int, tuple[tuple[int, int], ...]]],
     integration: str,
     *,
     lstm_cell: LstmCell | None = None,
     lost_frame_limit: int | None = None,
 ):
-    """Filter and integrate each identity along its own labeled detections.
+    """Filter and integrate rows of ground truth along their labeled detections.
 
-    events maps a frame number to its labeled detections as (identity,
-    index in the frame, detection); "iou" integration reads the whole
-    frame from frames. One walk from the first event to last_frame: each
-    frame predicts the live rows in one batch and yields (frame, live,
-    trajectories, lstm_caches), every identity started so far as one row
-    of trajectories in start order, live indexing the predicted rows (a
-    slice without a limit) and lstm_caches holding each row's "lstm" step
-    caches. Before last_frame, the walk then starts the identities first
-    seen in the frame and updates the observed ones in one batch ("lstm"
-    steps them one by one); a second detection of an identity in the
-    frame is a further update without a predict. Every identity thus gets
-    the predicts, updates and integration steps it would get on its own,
-    with the same bits.
+    frames maps a frame number to its detections (a list or a Detections
+    block) and events a frame number to its labeled detections, as a dict
+    from end frame to (identity, index in the frame) pairs. A row is one
+    (end, identity) pair: it starts at its first event with that event's
+    box and feature, is updated at each later one and ends at frame
+    `end`; an event at or after its row's end is ignored. One walk from
+    the first event to the last end: each frame predicts the live rows in
+    one batch and yields (frame, live, trajectories, lstm_caches, ending),
+    trajectories holding every row started and not yet ended in start
+    order, live indexing the predicted rows (a slice without a limit),
+    ending the rows whose end is this frame, which retire after the
+    yield, and lstm_caches each row's "lstm" step caches (None in other
+    modes). The
+    walk then starts the rows first seen in the frame and updates the
+    observed ones in one batch ("lstm" steps them one by one), with one
+    frame_overlaps of the frame for "iou"; a second detection of a row's
+    identity in the frame is a further update without a predict.
+
+    Rows never interact, so every row gets the predicts, updates and
+    integration steps it would get in a walk of its own, with the same
+    bits: training teacher-forces all samples of a sequence in one walk,
+    a row per (sample, identity) that ends at the sample's target frame.
 
     A row is live while its last observation is at most lost_frame_limit
     frames old (always, when None); the rest are neither predicted nor
@@ -439,11 +448,17 @@ def ground_truth_walk(
     is live the walk jumps to the next frame with events.
     """
     state = Trajectories([], [], [], [], [], [])
-    row: dict[int, int] = {}  # identity -> row
-    lstm_states: list = []
-    lstm_caches: list[list] = []
-    numbers = sorted(f for f in events if f <= last_frame)
-    frame = numbers[0] if numbers else last_frame
+    ends = np.zeros(0, dtype=np.int64)  # per row
+    starts = np.zeros(0, dtype=np.int64)  # per row: its start number, ascending
+    start_of: dict[tuple[int, int], int] = {}  # (end, identity) of a row -> start number
+    n_started = 0
+    lstm = integration == "lstm"
+    lstm_states: list | None = [] if lstm else None
+    lstm_caches: list[list] | None = [] if lstm else None
+    numbers = sorted(events)
+    if not numbers:
+        return
+    frame = numbers[0]
     while True:
         if lost_frame_limit is None:
             live = slice(0, len(state))
@@ -452,51 +467,67 @@ def ground_truth_walk(
         means, covs = state.means[live], state.covs[live]
         if len(means):
             state.means[live], state.covs[live] = kf_predict_batch(means, covs)
-        yield frame, live, state, lstm_caches
-        if frame >= last_frame:
-            return
+        ending = np.flatnonzero(ends == frame)
+        yield frame, live, state, lstm_caches, ending
+        if ending.size:
+            for gid in state.ids[ending].tolist():
+                del start_of[frame, gid]
+            keep = np.flatnonzero(ends != frame)
+            state, ends, starts = state.take(keep), ends[keep], starts[keep]
+            if lstm:
+                lstm_states = [lstm_states[r] for r in keep.tolist()]
+                lstm_caches = [lstm_caches[r] for r in keep.tolist()]
 
-        started: list[tuple[int, Detection]] = []
-        passes: list[list[tuple[int, int, Detection]]] = []  # k-th update of an identity here
+        started: list[tuple[int, int, int]] = []
+        passes: list[tuple[list[int], list[int]]] = []  # k-th update of a row here
         updates_here: dict[int, int] = {}
-        for gid, j, det in events.get(frame, ()):
-            r = row.get(gid)
-            if r is None:
-                row[gid] = len(row)
-                started.append((gid, det))
+        for end, pairs in events.get(frame, {}).items():
+            if end <= frame:
                 continue
-            k = updates_here.get(r, 0)
-            updates_here[r] = k + 1
-            if k == len(passes):
-                passes.append([])
-            passes[k].append((r, j, det))
+            for gid, j in pairs:
+                number = start_of.get((end, gid))
+                if number is None:
+                    start_of[end, gid] = n_started + len(started)
+                    started.append((end, gid, j))
+                    continue
+                k = updates_here.get(number, 0)
+                updates_here[number] = k + 1
+                if k == len(passes):
+                    passes.append(([], []))
+                passes[k][0].append(number)
+                passes[k][1].append(j)
+        if started or passes:
+            detections = as_detections(frames[frame])
         if started:
-            boxes = box_array([det for _, det in started])
+            index = [j for _, _, j in started]
+            boxes = detections.boxes[index]
             means, covs = kf_init_batch(boxes)
             state = state.concat(Trajectories(
-                [gid for gid, _ in started], [det.feature for _, det in started], boxes,
+                [gid for _, gid, _ in started], detections.features[index], boxes,
                 [frame] * len(started), means, covs,
             ))
-            lstm_states += [None] * len(started)
-            lstm_caches += [[] for _ in started]
-        for batch in passes:
-            rows = np.array([r for r, _, _ in batch])
-            boxes = box_array([det for _, _, det in batch])
+            ends = np.concatenate([ends, [end for end, _, _ in started]])
+            starts = np.concatenate([starts, np.arange(n_started, n_started + len(started))])
+            n_started += len(started)
+            if lstm:
+                lstm_states += [None] * len(started)
+                lstm_caches += [[] for _ in started]
+        overlaps = frame_overlaps(detections) if passes and integration == "iou" else None
+        for batch, index in passes:
+            rows = np.searchsorted(starts, batch)
+            boxes = detections.boxes[index]
             state.means[rows], state.covs[rows] = kf_update_batch(
                 state.means[rows], state.covs[rows], boxes
             )
-            if integration in BATCHED_MODES:
-                overlaps = None
-                if integration == "iou":
-                    overlaps = frame_overlaps(frames[frame], [j for _, j, _ in batch])
-                fresh = np.array([det.feature for _, _, det in batch])
+            if not lstm:
                 state.features[rows] = integrate_rows(
-                    integration, state.features[rows], fresh, overlaps
+                    integration, state.features[rows], detections.features[index],
+                    None if overlaps is None else overlaps[index],
                 )
             else:
-                for r, _, det in batch:
+                for r, j in zip(rows.tolist(), index):
                     state.features[r], lstm_states[r], cache = integrate(
-                        integration, state.features[r], det.feature,
+                        integration, state.features[r], detections.features[j],
                         lstm_cell=lstm_cell, lstm_state=lstm_states[r],
                     )
                     lstm_caches[r].append(cache)
@@ -514,6 +545,68 @@ def ground_truth_walk(
             frame = numbers[later]
 
 
+def _teacher_forced(state, rows, lstm_caches, target_frame, identities) -> TeacherForced:
+    """The TeacherForced of the given rows of a walk at the target frame."""
+    rows = rows[np.argsort(state.ids[rows], kind="stable")]
+    trajectories = state.take(rows)
+    trajectories.frames_lost = target_frame - trajectories.last_seen - 1
+    boxes = boxes_from_means(trajectories.means)
+    for array in (boxes, trajectories.features, trajectories.means, trajectories.covs):
+        array.flags.writeable = False
+    chains: dict[int, _LstmChain] = {}
+    if lstm_caches is not None:
+        for k, r in enumerate(rows.tolist()):
+            caches = lstm_caches[r]
+            if caches:
+                h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
+                chains[k] = _LstmChain(caches, h_norm, trajectories.features[k])
+    return TeacherForced(identities, trajectories, boxes, chains)
+
+
+def teacher_force_samples(
+    frames: dict[int, list[Detection]],
+    samples,
+    integration: str,
+    lstm_cell: LstmCell | None = None,
+) -> list[TeacherForced]:
+    """Teacher-force the samples of one sequence in one ground_truth_walk.
+
+    samples is an iterable of (target frame, tracks) pairs with distinct
+    target frames, tracks mapping each identity to its (index in frame,
+    detection) list; it is read once, so a generator keeps only one
+    sample's tracks alive. Each (sample, identity) pair is one row of the
+    walk, from the identity's first detection to the sample's target
+    frame, so each sample gets the bits a walk of its own would give.
+    """
+    identities: dict[int, list[int]] = {}  # target frame -> identities
+    events: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+    # Samples whose windows share a frame mostly hold the same labeled
+    # detections of it; one tuple of them serves every such sample.
+    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    for t, tracks in samples:
+        if t in identities:
+            raise ValueError("samples of one walk need distinct target frames")
+        identities[t] = list(tracks)
+        by_frame: dict[int, list[tuple[int, int]]] = {}
+        for gid, observations in tracks.items():
+            for j, det in observations:
+                by_frame.setdefault(det.frame, []).append((gid, j))
+        for f, pairs in by_frame.items():
+            pairs = tuple(pairs)
+            events.setdefault(f, {})[t] = shared.setdefault(pairs, pairs)
+    forced: dict[int, TeacherForced] = {}
+    walk = ground_truth_walk(frames, events, integration, lstm_cell=lstm_cell)
+    for frame, _, state, lstm_caches, ending in walk:
+        if ending.size:
+            forced[frame] = _teacher_forced(state, ending, lstm_caches, frame, identities[frame])
+    # A sample without a detection before its target frame has no rows.
+    empty = Trajectories([], [], [], [], [], [])
+    return [
+        forced.get(t) or _teacher_forced(empty, np.zeros(0, np.intp), None, t, ids)
+        for t, ids in identities.items()
+    ]
+
+
 def teacher_force(
     frames: dict[int, list[Detection]],
     target_frame: int,
@@ -521,28 +614,10 @@ def teacher_force(
     integration: str,
     lstm_cell: LstmCell | None = None,
 ) -> TeacherForced:
-    """ground_truth_walk of the identities of tracks (identity -> (index in
-    frame, detection) list), run to the target frame."""
-    events: dict[int, list[tuple[int, int, Detection]]] = {}
-    for gid, observations in tracks.items():
-        for j, det in observations:
-            events.setdefault(det.frame, []).append((gid, j, det))
-    walk = ground_truth_walk(frames, events, target_frame, integration, lstm_cell=lstm_cell)
-    for _, _, state, lstm_caches in walk:
-        pass
-    order = np.argsort(state.ids, kind="stable")
-    trajectories = state.take(order)
-    trajectories.frames_lost = target_frame - trajectories.last_seen - 1
-    boxes = boxes_from_means(trajectories.means)
-    for array in (boxes, trajectories.features, trajectories.means, trajectories.covs):
-        array.flags.writeable = False
-    chains: dict[int, _LstmChain] = {}
-    for k, r in enumerate(order.tolist()):
-        caches = lstm_caches[r]
-        if caches:
-            h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
-            chains[k] = _LstmChain(caches, h_norm, trajectories.features[k])
-    return TeacherForced(list(tracks), trajectories, boxes, chains)
+    """teacher_force_samples of one sample: the identities of tracks
+    (identity -> (index in frame, detection) list) walked to the target
+    frame."""
+    return teacher_force_samples(frames, [(target_frame, tracks)], integration, lstm_cell)[0]
 
 
 def build_training_graph(
@@ -657,18 +732,27 @@ def train_model(
     """Train in place; returns one telemetry row per epoch.
 
     Each sample pairs one target frame with trajectories teacher-forced
-    from the preceding frames of its window, once per call except in
-    "lstm" mode. Batches average the weighted
-    BCE over all edges; the positive weight defaults to the batch's
-    negative/positive ratio.
+    from the preceding frames of its window. Except in "lstm" mode, every
+    sample of a sequence is teacher-forced once per call, all in one
+    teacher_force_samples walk. Batches average the weighted BCE over all
+    edges; the positive weight defaults to the batch's negative/positive
+    ratio.
+
+    A row holds the epoch, learning rate, mean batch loss and edge
+    accuracy, the seconds spent teacher-forcing (on the first epoch; 0
+    after), building graphs, in forward and backward passes and in
+    optimizer steps, and the positive and negative edges trained on.
     """
     if not any(
         det.gt_id is not None for seq in sequences for dets in seq.values() for det in dets
     ):
         raise ValueError("training requires ground-truth labels on the detections")
     samples = []
+    teachers: list[TeacherForced | None] = []
+    teacher_force_s = 0.0
     for si, seq in enumerate(sequences):
         frames_sorted = sorted(seq)
+        seq_samples = []
         for t in frames_sorted:
             window = [
                 f
@@ -679,17 +763,19 @@ def train_model(
             if seq.get(t) and any(
                 det.gt_id is not None for f in window for det in seq.get(f, [])
             ):
-                samples.append((si, t, window))
+                seq_samples.append((si, t, window))
+        samples += seq_samples
+        # Dropout and jitter leave the teacher-forced states alone, so every
+        # sample is teacher-forced once; "lstm" features move with the weights.
+        t0 = time.perf_counter()
+        if integration == "lstm":
+            teachers += [None] * len(seq_samples)
+        else:
+            windows = ((t, _window_tracks(seq, t, window)) for _, t, window in seq_samples)
+            teachers += teacher_force_samples(seq, windows, integration)
+        teacher_force_s += time.perf_counter() - t0
     if not samples:
         raise ValueError("no trainable samples in the given sequences")
-    # Dropout and jitter leave the teacher-forced states alone, so every
-    # sample is teacher-forced once; "lstm" features move with the weights.
-    teachers = [None] * len(samples)
-    if integration != "lstm":
-        teachers = [
-            teacher_force(sequences[si], t, _window_tracks(sequences[si], t, window), integration)
-            for si, t, window in samples
-        ]
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamOptimizer(model.param_arrays())
@@ -701,8 +787,11 @@ def train_model(
         losses = []
         correct = 0
         seen = 0
+        positive_edges = 0
+        spans = dict.fromkeys(("graph_s", "forward_s", "backward_s", "optimizer_s"), 0.0)
         for start in range(0, len(order), cfg.batch_graphs):
             batch = []
+            t0 = time.perf_counter()
             for oi in order[start : start + cfg.batch_graphs]:
                 si, t, window = samples[oi]
                 tg = build_training_graph(
@@ -714,6 +803,7 @@ def train_model(
                 )
                 if tg is not None:
                     batch.append(tg)
+            spans["graph_s"] += time.perf_counter() - t0
             if not batch:
                 continue
             total_edges = sum(tg.labels.size for tg in batch)
@@ -729,18 +819,25 @@ def train_model(
             grads_total = model.zero_grads()
             batch_loss = 0.0
             for tg in batch:
+                t0 = time.perf_counter()
                 probs, state = mpn_forward(model, tg.graph)
                 edge_losses, dp = weighted_bce(probs, tg.labels, omega)
+                t1 = time.perf_counter()
                 dlogits = dp * probs * (1.0 - probs) / total_edges
                 flat, d_traj_feats = mpn_backward(model, state, dlogits)
                 _backprop_lstm_chains(model, tg.lstm_chains, d_traj_feats, flat)
                 for g_total, g in zip(grads_total, flat):
                     g_total += g
+                spans["forward_s"] += t1 - t0
+                spans["backward_s"] += time.perf_counter() - t1
                 batch_loss += float(edge_losses.sum())
                 correct += int(((probs >= 0.5) == (tg.labels > 0.5)).sum())
                 seen += tg.labels.size
+            t0 = time.perf_counter()
             optimizer.step(grads_total, lr)
+            spans["optimizer_s"] += time.perf_counter() - t0
             losses.append(batch_loss / total_edges)
+            positive_edges += positives
         model.step_count = optimizer.step_count
         history.append(
             {
@@ -748,6 +845,10 @@ def train_model(
                 "lr": lr,
                 "loss": float(np.mean(losses)) if losses else math.nan,
                 "edge_accuracy": correct / seen if seen else math.nan,
+                "teacher_force_s": teacher_force_s if epoch == 0 else 0.0,
+                **spans,
+                "positive_edges": positive_edges,
+                "negative_edges": seen - positive_edges,
             }
         )
     return history

@@ -9,8 +9,10 @@ integration.update_trajectory_feature in "lstm" mode. reference_read_detections
 joins the two files row by row into Detection records.
 reference_ratio_analysis walks a dict of live identities, each filtered
 by the single-state Kalman functions, and ratio-tests every trajectory at
-every alpha through conclusive_pick. The tests require the columnar code
-to agree with them byte for byte.
+every alpha through conclusive_pick. reference_teacher_force teacher-forces
+one training sample with a frame walk of its own, as training did before
+one walk served every sample of a sequence. The tests require the
+columnar and batched code to agree with them byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import bisect
 import numpy as np
 
 from graphmot import kernels
-from graphmot.core import BoundingBox, Detection, Trajectory, box_array, frame_overlaps, iou
+from graphmot.core import (
+    BoundingBox,
+    Detection,
+    Trajectories,
+    Trajectory,
+    box_array,
+    frame_overlaps,
+    iou,
+)
 from graphmot.graph import _check_alpha, build_graph
 from graphmot.integration import BATCHED_MODES, integrate, integrate_rows, update_trajectory_feature
 from graphmot.metrics import RatioAnalysisReport
@@ -39,7 +49,7 @@ from graphmot.motion import (
     make_verifier,
     state_to_box,
 )
-from graphmot.mpn import score_graph
+from graphmot.mpn import TeacherForced, _LstmChain, score_graph
 from graphmot.tracker import StepStats, greedy_match, hungarian_match
 
 
@@ -366,3 +376,88 @@ def reference_ratio_analysis(
                 st["last_frame"] = frame
     return RatioAnalysisReport(variant, alphas, true_c, false_c, inconclusive_c, n_decisions)
 
+
+
+def _sample_walk(frames, events, last_frame, integration, lstm_cell=None):
+    """One sample's frame walk: every identity of events (frame -> (identity,
+    index in frame, detection) list) started at its first event, predicted
+    through every frame number and updated at each of its events, in one
+    batch per frame, up to and including the prediction to last_frame."""
+    state = Trajectories([], [], [], [], [], [])
+    row: dict[int, int] = {}
+    lstm_states: list = []
+    lstm_caches: list[list] = []
+    frame = min((f for f in events if f <= last_frame), default=last_frame)
+    while True:
+        if len(state):
+            state.means, state.covs = kf_predict_batch(state.means, state.covs)
+        if frame >= last_frame:
+            return state, lstm_caches
+        started: list[tuple[int, Detection]] = []
+        passes: list[list[tuple[int, int, Detection]]] = []
+        updates_here: dict[int, int] = {}
+        for gid, j, det in events.get(frame, ()):
+            r = row.get(gid)
+            if r is None:
+                row[gid] = len(row)
+                started.append((gid, det))
+                continue
+            k = updates_here.get(r, 0)
+            updates_here[r] = k + 1
+            if k == len(passes):
+                passes.append([])
+            passes[k].append((r, j, det))
+        if started:
+            boxes = box_array([det for _, det in started])
+            means, covs = kf_init_batch(boxes)
+            state = state.concat(Trajectories(
+                [gid for gid, _ in started], [det.feature for _, det in started], boxes,
+                [frame] * len(started), means, covs,
+            ))
+            lstm_states += [None] * len(started)
+            lstm_caches += [[] for _ in started]
+        for batch in passes:
+            rows = np.array([r for r, _, _ in batch])
+            boxes = box_array([det for _, _, det in batch])
+            state.means[rows], state.covs[rows] = kf_update_batch(
+                state.means[rows], state.covs[rows], boxes
+            )
+            if integration in BATCHED_MODES:
+                overlaps = None
+                if integration == "iou":
+                    overlaps = frame_overlaps(frames[frame], [j for _, j, _ in batch])
+                fresh = np.array([det.feature for _, _, det in batch])
+                state.features[rows] = integrate_rows(
+                    integration, state.features[rows], fresh, overlaps
+                )
+            else:
+                for r, _, det in batch:
+                    state.features[r], lstm_states[r], cache = integrate(
+                        integration, state.features[r], det.feature,
+                        lstm_cell=lstm_cell, lstm_state=lstm_states[r],
+                    )
+                    lstm_caches[r].append(cache)
+            state.last_boxes[rows] = boxes
+            state.last_seen[rows] = frame
+        frame += 1
+
+
+def reference_teacher_force(frames, target_frame, tracks, integration, lstm_cell=None):
+    """mpn.teacher_force with a walk of the sample's own: tracks maps each
+    identity to its (index in frame, detection) list."""
+    events: dict[int, list[tuple[int, int, Detection]]] = {}
+    for gid, observations in tracks.items():
+        for j, det in observations:
+            events.setdefault(det.frame, []).append((gid, j, det))
+    state, lstm_caches = _sample_walk(frames, events, target_frame, integration, lstm_cell)
+    order = np.argsort(state.ids, kind="stable")
+    trajectories = state.take(order)
+    trajectories.frames_lost = target_frame - trajectories.last_seen - 1
+    boxes = boxes_from_means(trajectories.means)
+    chains = {}
+    for k, r in enumerate(order.tolist()):
+        caches = lstm_caches[r]
+        if caches:
+            h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
+            chains[k] = _LstmChain(caches, h_norm, trajectories.features[k])
+    return TeacherForced(list(tracks), trajectories, boxes, chains)

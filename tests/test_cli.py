@@ -201,6 +201,24 @@ class TestRatioAndSparsity:
         assert "alpha 0.3 is given more than once" in capsys.readouterr().err
         assert not (out_dir / "ratio.txt").exists()
 
+    def test_ratio_refuses_k_zero(self, tmp_path, small_scene_dir, capsys):
+        out_dir = tmp_path / "ratio"
+        rc = main(["ratio", "--data", str(small_scene_dir), "--k", "0", "--variant", "iou",
+                   "--out", str(out_dir)])
+        assert rc == 1
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+        assert not (out_dir / "ratio.txt").exists()
+
+    @pytest.mark.parametrize("k, recorded", [(None, 20), (3, 3)])
+    def test_ratio_records_k(self, tmp_path, small_scene_dir, k, recorded):
+        out_dir = tmp_path / "ratio"
+        k_args = [] if k is None else ["--k", str(k)]
+        rc = main(["ratio", "--data", str(small_scene_dir), "--variant", "iou", *k_args,
+                   "--out", str(out_dir)])
+        assert rc == 0
+        config = json.loads((out_dir / "effective-config.json").read_text())
+        assert config["args"]["k_neighbors"] == recorded
+
     def test_sparsity_reports_three_variants(self, tmp_path, small_scene_dir,
                                              small_checkpoint, capsys):
         out_dir = tmp_path / "sparsity"

@@ -243,6 +243,11 @@ class TestRatioAnalysis:
         with pytest.raises(ValueError, match="alpha must be in"):
             ratio_analysis([frames], "app", [0.5, alpha])
 
+    def test_k_checked_without_decisions(self):
+        frames = orthogonal_sequence(n_ids=1)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            ratio_analysis([frames], "app", [0.5], k_neighbors=0)
+
     def test_identity_returning_after_the_limit_matches_reference(self):
         # Identity 1 is missing for 16 frames: past a limit of 5 it is
         # neither predicted nor tested, and its return updates its old state.

@@ -1,12 +1,13 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from references import max_overlap
+from references import max_overlap, reference_teacher_force
 
 from graphmot import mpn
 from graphmot.core import BoundingBox, Detection, Trajectory
@@ -702,19 +703,168 @@ class TestTeacherForcing:
                                        **GRAPH_KW)
             assert_same_training_graph(got, want)
 
-    def test_training_teacher_forces_each_sample_once(self, teacher_scene, monkeypatch):
+    def test_training_walks_each_sequence_once(self, teacher_scene, monkeypatch):
         frames, dim = teacher_scene
-        calls = []
-        original = mpn.teacher_force
+        second = {f: dets for f, dets in frames.items() if f > 5}
+        walks, teachers = [], {}
+        original_walk, original_graph = mpn.ground_truth_walk, mpn.build_training_graph
 
-        def counting(frames_, target_frame, *args, **kwargs):
-            calls.append(target_frame)
-            return original(frames_, target_frame, *args, **kwargs)
+        def counting_walk(frames_, *args, **kwargs):
+            walks.append(frames_)
+            return original_walk(frames_, *args, **kwargs)
 
-        monkeypatch.setattr(mpn, "teacher_force", counting)
+        def recording(frames_, target_frame, *args, teacher=None, **kwargs):
+            assert teacher is not None
+            teachers.setdefault((id(frames_), target_frame), set()).add(id(teacher))
+            return original_graph(frames_, target_frame, *args, teacher=teacher, **kwargs)
+
+        monkeypatch.setattr(mpn, "ground_truth_walk", counting_walk)
+        monkeypatch.setattr(mpn, "build_training_graph", recording)
         model = create_model(dim, d_node=8, d_edge=8, seed=7)
-        train_model(model, [frames], TrainConfig(epochs=3, seed=1), integration="iou")
-        assert len(calls) == len(set(calls)) > 0
+        train_model(model, [frames, second], TrainConfig(epochs=3, seed=1), integration="iou")
+        assert [id(w) for w in walks] == [id(frames), id(second)]
+        # Every sample kept one TeacherForced of its own through all epochs.
+        assert all(len(ids) == 1 for ids in teachers.values())
+        assert len({i for ids in teachers.values() for i in ids}) == len(teachers) > 0
+
+    def test_teacher_forcing_update_work_is_bounded_by_the_frames(self, teacher_scene,
+                                                                   monkeypatch):
+        # One walk updates each labeled frame at most once per pass, where a
+        # frame has as many passes as its most often detected identity has
+        # detections; a walk per sample would repeat every frame for each
+        # window holding it.
+        frames, dim = teacher_scene
+        labeled = [Counter(d.gt_id for d in dets if d.gt_id is not None)
+                   for dets in frames.values()]
+        bound = sum(1 for c in labeled if c) * max(max(c.values(), default=0) for c in labeled)
+        calls = []
+        original = mpn.kf_update_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mpn, "kf_update_batch", counting)
+        model = create_model(dim, d_node=8, d_edge=8, seed=7)
+        train_model(model, [frames], TrainConfig(epochs=1, seed=1), integration="average")
+        assert 0 < len(calls) <= bound
+        assert max(calls) > 1  # rows of several samples share the calls
+
+
+@st.composite
+def labeled_stream(draw, first_frame=1):
+    """Frames from first_frame on, each absent, empty or holding detections
+    of identities 1-4 (an identity may be detected twice, and identities
+    leave and return) and clutter without gt_id."""
+    frames = {}
+    for f in range(first_frame, first_frame + draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["absent", "empty", "detections", "detections", "detections"]))
+        if kind == "absent":
+            continue
+        dets = []
+        for _ in range(0 if kind == "empty" else draw(st.integers(1, 6))):
+            x, y = draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0))
+            w, h = draw(st.floats(5.0, 40.0)), draw(st.floats(10.0, 80.0))
+            feature = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3)))
+            dets.append(Detection(f, BoundingBox(x, y, w, h), 0.9,
+                                  feature / np.linalg.norm(feature),
+                                  draw(st.one_of(st.none(), st.integers(1, 4)))))
+        frames[f] = dets
+    return frames
+
+
+def training_samples(frames, per_graph, stride):
+    """(target frame, tracks) of every sample train_model draws from frames."""
+    numbers = sorted(frames)
+    for t in numbers:
+        window = [f for f in numbers
+                  if t - (per_graph - 1) * stride <= f < t and (t - f) % stride == 0]
+        tracks = mpn._window_tracks(frames, t, window)
+        if frames[t] and tracks:
+            yield t, tracks
+
+
+def assert_same_teacher(got, want):
+    assert got.identities == want.identities
+    for name in ("ids", "features", "last_boxes", "last_seen", "means", "covs", "frames_lost"):
+        assert_same_bits(getattr(got.trajectories, name), getattr(want.trajectories, name))
+    assert_same_bits(got.boxes, want.boxes)
+    assert got.lstm_chains.keys() == want.lstm_chains.keys()
+
+
+class TestBatchedTeacherForcing:
+    @settings(max_examples=150, deadline=None)
+    @given(frames=labeled_stream(), per_graph=st.integers(2, 6), stride=st.sampled_from([1, 2]),
+           integration=st.sampled_from(["none", "average", "iou"]))
+    def test_equals_one_walk_per_sample(self, frames, per_graph, stride, integration):
+        samples = list(training_samples(frames, per_graph, stride))
+        got = mpn.teacher_force_samples(frames, samples, integration)
+        assert len(got) == len(samples)
+        for teacher, (t, tracks) in zip(got, samples):
+            assert_same_teacher(teacher, reference_teacher_force(frames, t, tracks, integration))
+
+    @settings(max_examples=40, deadline=None)
+    @given(first=labeled_stream(), second=labeled_stream(first_frame=3),
+           stride=st.sampled_from([1, 2]), integration=st.sampled_from(["none", "average", "iou"]))
+    def test_training_keeps_sequences_apart(self, first, second, stride, integration):
+        # The two sequences share frame numbers and identities, so rows that
+        # leaked from one walk into the other would change some sample.
+        sequences = [first, second]
+        want = {(id(seq), t): reference_teacher_force(seq, t, tracks, integration)
+                for seq in sequences for t, tracks in training_samples(seq, 4, stride)}
+        assume(want)
+        got = {}
+
+        def recording(frames_, target_frame, window, model, *, teacher=None, **kwargs):
+            got[id(frames_), target_frame] = teacher
+            return None
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpn, "build_training_graph", recording)
+            train_model(create_model(3, d_node=4, d_edge=4), sequences,
+                        TrainConfig(epochs=1, frames_per_graph=4, frame_stride=stride),
+                        integration=integration)
+        assert got.keys() == want.keys()
+        for key, teacher in want.items():
+            assert_same_teacher(got[key], teacher)
+
+    def test_sample_without_earlier_detections_has_no_rows(self, teacher_scene):
+        frames, _ = teacher_scene
+        t = sorted(frames)[5]
+        later = mpn._window_tracks(frames, t + 3, [t, t + 1, t + 2])
+        got = mpn.teacher_force(frames, t, later, "average")
+        assert len(got.trajectories) == 0 and got.identities == list(later)
+        assert_same_teacher(got, reference_teacher_force(frames, t, later, "average"))
+
+    def test_repeated_target_frame_is_refused(self, teacher_scene):
+        frames, _ = teacher_scene
+        (t, tracks), *_ = training_samples(frames, 4, 1)
+        with pytest.raises(ValueError, match="distinct target frames"):
+            mpn.teacher_force_samples(frames, [(t, tracks), (t, tracks)], "average")
+
+
+def test_training_history_reports_stage_times_and_edges(monkeypatch):
+    scene = generate(preset("crossing", seed=101))
+    prefix = {f: dets for f, dets in scene.frames.items() if f <= 25}
+    edges = []
+    original = mpn.build_training_graph
+
+    def counting(*args, **kwargs):
+        tg = original(*args, **kwargs)
+        if tg is not None:
+            edges.append((tg.labels.size, int(tg.labels.sum())))
+        return tg
+
+    monkeypatch.setattr(mpn, "build_training_graph", counting)
+    model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
+    history = train_model(model, [prefix], TrainConfig(seed=11, epochs=2), ratio_variant="app")
+    per_epoch = len(edges) // 2
+    for row, epoch_edges in zip(history, (edges[:per_epoch], edges[per_epoch:])):
+        assert row["positive_edges"] == sum(p for _, p in epoch_edges) > 0
+        assert row["negative_edges"] == sum(n - p for n, p in epoch_edges) > 0
+        for key in ("graph_s", "forward_s", "backward_s", "optimizer_s"):
+            assert row[key] > 0.0
+    assert history[0]["teacher_force_s"] > 0.0 and history[1]["teacher_force_s"] == 0.0
 
 
 def param_digest(model):
