@@ -133,18 +133,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _feature_dim(frames) -> int:
-    for dets in frames.values():
-        if dets:
-            return dets[0].feature.size
-    raise ValueError("no detections in the data directory")
+def _feature_dim(frames, default: int | None = None) -> int:
+    """Feature size of the first frame with detections; without any, the
+    default, or a ValueError when it is None."""
+    dim = next((dets.features.shape[1] for dets in frames.values() if dets), default)
+    if dim is None:
+        raise ValueError("no detections in the data directory")
+    return dim
 
 
 def _load_checkpoint(path, frames):
     """load_model(path), refused when its feature dimension is not the
     detections' (frames without detections are not checked)."""
     model = load_model(path)
-    dim = next((dets[0].feature.size for dets in frames.values() if dets), model.feature_dim)
+    dim = _feature_dim(frames, model.feature_dim)
     if dim != model.feature_dim:
         raise ValueError(
             f"checkpoint {path} takes {model.feature_dim}-dim features, "

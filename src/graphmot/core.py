@@ -212,11 +212,17 @@ class Detections(Sequence[Detection]):
         gt_ids = [d.gt_id for d in detections]
         return cls.trusted(
             frames.pop(),
-            box_array(detections),
+            np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in detections], dtype=np.float64),
             np.array([d.confidence for d in detections], dtype=np.float64),
             np.array([d.feature for d in detections]),
             None if all(g is None for g in gt_ids) else gt_ids,
         )
+
+    def labelled_as(self, rows, identities) -> np.ndarray:
+        """Whether row rows[k] is labelled with identities[k], for each k."""
+        gt_ids = self.gt_ids or (None,) * len(self)
+        return np.array([gt_ids[j] == g for j, g in zip(rows.tolist(), identities.tolist())],
+                        dtype=bool)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -246,13 +252,6 @@ class Detections(Sequence[Detection]):
                 for name in ("boxes", "confidences", "features")
             )
         )
-
-
-def as_detections(detections, frame=None) -> Detections:
-    """detections as a block: a Detections as is, a list through Detections.of."""
-    if isinstance(detections, Detections):
-        return detections
-    return Detections.of(detections, frame)
 
 
 class Trajectories(Sequence[Trajectory]):
@@ -356,13 +355,6 @@ class Trajectories(Sequence[Trajectory]):
         return NotImplemented
 
 
-def as_trajectories(trajectories) -> Trajectories:
-    """trajectories as columns: a Trajectories as is, a list through Trajectories.of."""
-    if isinstance(trajectories, Trajectories):
-        return trajectories
-    return Trajectories.of(trajectories)
-
-
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes; 0 when disjoint, 1 when equal."""
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
@@ -376,21 +368,14 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(1.0, inter / (a.area + b.area - inter))
 
 
-def box_array(detections: list[Detection]) -> np.ndarray:
-    """(N, 4) xywh boxes of the detections."""
-    boxes = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in detections]
-    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
-
-
-def frame_overlaps(detections, rows=None) -> np.ndarray:
+def frame_overlaps(detections: Detections, rows=None) -> np.ndarray:
     """Largest IoU of each of detections[rows] (every detection when rows
     is None) with any other detection of their frame, 0 when it has none.
 
-    detections is a Detections block or a list of Detection. One IoU
-    matrix of the rows against the frame with each row's own entry
-    zeroed.
+    One IoU matrix of the rows against the frame's boxes with each row's
+    own entry zeroed.
     """
-    boxes = detections.boxes if isinstance(detections, Detections) else box_array(detections)
+    boxes = detections.boxes
     rows = np.arange(len(boxes)) if rows is None else np.asarray(rows, dtype=np.intp)
     overlap = kernels.iou_matrix(boxes[rows], boxes)
     overlap[np.arange(len(rows)), rows] = 0.0

@@ -11,8 +11,8 @@ all their edges. Distances come in two flavors: "iou" (1 - IoU against the
 trajectory's motion-predicted box) and "app" (appearance feature distance).
 
 Every stage reads columns: the trajectories as a core.Trajectories block and
-the detections as a core.Detections block (lists of records are turned into
-blocks once, on the way in), so the tracker and the trainer share one builder.
+the detections as a core.Detections block, so the tracker and the trainer
+share one builder.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .core import Detections, Trajectories, as_detections, as_trajectories
+from .core import Detections, Trajectories
 
 RATIO_VARIANTS = ("none", "iou", "app")
 DEFAULT_ALPHA = {"iou": 0.1, "app": 0.3}
@@ -33,14 +33,14 @@ EDGE_FEATURE_DIM = 6
 class AssocGraph:
     """Bipartite trajectory/detection graph with per-edge data.
 
-    trajectories (M rows) and detections (N rows) are column blocks; lists
-    of records are turned into blocks. edge_traj / edge_det are parallel
-    index arrays into their rows. traj_boxes are the (M, 4) xywh boxes
-    used for all geometry (the tracker passes motion-predicted boxes; lost
-    targets are represented by their forecast position, not the stale
-    last observation). traj_features (M, d) and det_features (N, d) are
-    the blocks' features unless given, for the distances, the edge
-    features and the network's node encoder.
+    trajectories (M rows) and detections (N rows) are column blocks.
+    edge_traj / edge_det are parallel index arrays into their rows.
+    traj_boxes are the (M, 4) xywh boxes used for all geometry (the
+    tracker passes motion-predicted boxes; lost targets are represented
+    by their forecast position, not the stale last observation).
+    traj_features (M, d) and det_features (N, d) are the blocks' features
+    unless given, for the distances, the edge features and the network's
+    node encoder.
     """
 
     trajectories: Trajectories
@@ -55,8 +55,6 @@ class AssocGraph:
     det_features: np.ndarray | None = None
 
     def __post_init__(self):
-        self.trajectories = as_trajectories(self.trajectories)
-        self.detections = as_detections(self.detections)
         if self.traj_features is None:
             self.traj_features = self.trajectories.features
         if self.det_features is None:
@@ -81,7 +79,6 @@ def candidate_edges(
     either side is empty.
     """
     _check_k(k)
-    trajectories, detections = as_trajectories(trajectories), as_detections(detections)
     if traj_boxes is None:
         traj_boxes = trajectories.last_boxes
     if not trajectories or not detections:
@@ -117,6 +114,11 @@ def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _check_fps(fps: float) -> None:
+    if not fps > 0.0:
+        raise ValueError(f"fps must be > 0, got {fps}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -213,14 +215,13 @@ def build_graph(
 ) -> AssocGraph | None:
     """Candidate edges -> ratio filter -> edge features; None if one side is empty.
 
-    trajectories (M rows) and detections (N rows) are blocks or lists of
-    records; traj_boxes default to the trajectories' last boxes.
+    traj_boxes default to the trajectories' last boxes.
     """
     if ratio_variant not in RATIO_VARIANTS:
         raise ValueError(f"unknown ratio variant {ratio_variant!r}")
+    _check_fps(fps)
     if not trajectories or not detections:
         return None
-    trajectories, detections = as_trajectories(trajectories), as_detections(detections)
     edge_traj, edge_det, traj_boxes = candidate_edges(
         trajectories, detections, k_neighbors, traj_boxes
     )

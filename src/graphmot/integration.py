@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Detection, Trajectory, frame_overlaps, row_norms
+from .core import Detection, Detections, Trajectory, frame_overlaps, row_norms
 from .nn import LstmCache, LstmCell, LstmState
 
 INTEGRATION_MODES = ("none", "lstm", "average", "iou")
@@ -146,22 +146,23 @@ def integrate(
 def update_trajectory_feature(
     traj: Trajectory,
     matched: Detection,
-    frame_dets: list[Detection],
+    frame_dets: list,
     mode: str,
     lstm_cell: LstmCell | None = None,
 ) -> Trajectory:
     """Refresh traj.integrated_feature from its matched detection.
 
-    frame_dets are all detections of the current frame; the matched one is
-    excluded when computing the overlap for "iou" mode. A caller that
-    updates many trajectories per frame uses integrate_rows with
-    core.frame_overlaps instead. Unmatched trajectories are simply never
-    passed here, which leaves their feature untouched.
+    frame_dets are the caller's Detection records of the current frame;
+    the matched one, by identity, is excluded when computing the overlap
+    for "iou" mode. A caller that updates many trajectories per frame
+    uses integrate_rows with core.frame_overlaps instead. Unmatched
+    trajectories are simply never passed here, which leaves their feature
+    untouched.
     """
     overlap = None
     if mode == "iou":
         others = [d for d in frame_dets if d is not matched]
-        overlap = float(frame_overlaps([matched, *others], [0])[0])
+        overlap = float(frame_overlaps(Detections.of([matched, *others]), [0])[0])
     traj.integrated_feature, traj.lstm_state, _ = integrate(
         mode, traj.integrated_feature, matched.feature,
         overlap=overlap, lstm_cell=lstm_cell, lstm_state=traj.lstm_state,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import Detection, as_detections
+from .core import Detections
 from .graph import (
     AssocGraph,
     _check_alpha,
@@ -39,7 +39,7 @@ from .graph import (
 from .integration import BATCHED_MODES
 from .motio import TrackRow, rows_by_frame
 from .motion import boxes_from_means
-from .mpn import ground_truth_walk
+from .mpn import ground_truth_walk, labelled_pairs
 
 
 @dataclass
@@ -188,7 +188,7 @@ class RatioAnalysisReport:
 
 
 def ratio_analysis(
-    sequences: list[dict[int, list[Detection]]],
+    sequences: list[dict[int, Detections]],
     variant: str,
     alphas,
     *,
@@ -225,17 +225,13 @@ def ratio_analysis(
     n_decisions = 0
     for seq in sequences:
         last = max(seq, default=0)
-        events = {}
-        for frame, detections in seq.items():
-            labeled = tuple((d.gt_id, j) for j, d in enumerate(detections) if d.gt_id is not None)
-            if labeled:
-                events[frame] = {last: labeled}
+        events = {frame: {last: pairs} for frame, pairs in labelled_pairs(seq).items()}
         walk = ground_truth_walk(seq, events, integration, lost_frame_limit=lost_frame_limit)
         for frame, live, state, _, _ in walk:
             if not live.size or not seq.get(frame):
                 continue
             trajectories = state.take(live)
-            detections = as_detections(seq[frame])
+            detections = seq[frame]
             edge_traj, edge_det, boxes = candidate_edges(
                 trajectories, detections, k_neighbors, boxes_from_means(trajectories.means)
             )
@@ -245,12 +241,7 @@ def ratio_analysis(
             dist = dist[order]
             conclusive = dist[best, None] < grid * dist[best + 1, None]  # (decisions, alphas)
             winner = order[best]
-            gt_ids = detections.gt_ids or (None,) * len(detections)
-            own = np.array(
-                [gt_ids[j] == g for j, g in zip(edge_det[winner].tolist(),
-                                                trajectories.ids[edge_traj[winner]].tolist())],
-                dtype=bool,
-            )
+            own = detections.labelled_as(edge_det[winner], trajectories.ids[edge_traj[winner]])
             n_decisions += best.size
             true_c += (conclusive & own[:, None]).sum(axis=0)
             false_c += (conclusive & ~own[:, None]).sum(axis=0)

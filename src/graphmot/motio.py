@@ -17,7 +17,8 @@ detection-file order. Features are written with eight decimals and
 renormalized to unit length on read. Every detection needs exactly one
 feature line, and every feature line must name a detection.
 
-read_detections returns one core.Detections block of columns per frame.
+read_detections returns one core.Detections block of columns per frame,
+and label_detections the same blocks with ground-truth identities attached.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import kernels
-from .core import Detection, Detections, as_detections, check_detection_rows, row_norms
+from .core import Detections, check_detection_rows, row_norms
 
 
 class TrackRow(NamedTuple):
@@ -296,21 +297,20 @@ def rows_by_frame(rows: list[TrackRow]) -> dict[int, list[TrackRow]]:
 
 
 def label_detections(
-    frames: dict[int, Detections | list[Detection]],
+    frames: dict[int, Detections],
     gt_rows: list[TrackRow],
     iou_threshold: float = 0.5,
-) -> dict[int, list[Detection]]:
+) -> dict[int, Detections]:
     """Attach ground-truth identities to detections by per-frame IoU matching.
 
     Uses optimal assignment on IoU; detections without a counterpart at or
-    above the threshold keep gt_id None (clutter). frames hold Detections
-    blocks or lists; the boxes are read from their columns. Returns new
-    Detection lists, as training takes them; the input is not modified.
+    above the threshold get gt_id None (clutter). Returns new blocks that
+    share the input blocks' arrays and carry the gt_ids column, as
+    training and the ratio analysis take them; the input is not modified.
     """
     gt_frames = rows_by_frame(gt_rows)
-    labeled: dict[int, list[Detection]] = {}
+    labeled: dict[int, Detections] = {}
     for frame, dets in frames.items():
-        dets = as_detections(dets, frame)
         gts = gt_frames.get(frame, [])
         gt_ids = [None] * len(dets)
         if gts and dets:
@@ -320,7 +320,7 @@ def label_detections(
             for d, g in zip(di.tolist(), gi.tolist()):
                 if overlap[d, g] >= iou_threshold:
                     gt_ids[d] = gts[g].track_id
-        labeled[frame] = list(
-            Detections.trusted(dets.frame, dets.boxes, dets.confidences, dets.features, gt_ids)
+        labeled[frame] = Detections.trusted(
+            dets.frame, dets.boxes, dets.confidences, dets.features, gt_ids
         )
     return labeled

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, Detection, Trajectories, as_detections, frame_overlaps
-from .graph import AssocGraph, build_graph
+from .core import Detections, Trajectories, frame_overlaps
+from .graph import AssocGraph, _check_fps, build_graph
 from .integration import integrate, integrate_rows
 from .motion import (
     boxes_from_means,
@@ -355,6 +355,21 @@ class TrainConfig:
     frame_stride: int = 1
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("batch_graphs", 1), ("frames_per_graph", 2), ("frame_stride", 1),
+                            ("epochs", 0), ("lr_decay_every", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("lr", "lr_decay_factor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0.0 <= self.node_dropout < 1.0:
+            raise ValueError(f"node_dropout must be in [0, 1), got {self.node_dropout}")
+        if not self.box_jitter >= 0.0:
+            raise ValueError(f"box_jitter must be >= 0, got {self.box_jitter}")
+        if self.pos_weight is not None and not self.pos_weight > 0.0:
+            raise ValueError(f"pos_weight must be None or > 0, got {self.pos_weight}")
+
 
 @dataclass
 class _LstmChain:
@@ -396,21 +411,29 @@ class TeacherForced:
         return self.trajectories.take(rows), self.boxes[rows], chains
 
 
-def _window_tracks(frames, target_frame, window_frames):
-    """Labeled detections of the window before target_frame, as (index in
-    frame, detection) lists per identity, identities in first-seen order."""
-    tracks: dict[int, list[tuple[int, Detection]]] = {}
+def labelled_pairs(frames: dict[int, Detections]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """(identity, index in frame) of every labelled detection, read from the
+    gt_ids columns, for each frame that has one."""
+    labels = {}
+    for frame, detections in frames.items():
+        pairs = tuple((g, j) for j, g in enumerate(detections.gt_ids or ()) if g is not None)
+        if pairs:
+            labels[frame] = pairs
+    return labels
+
+
+def _first_seen(frames: dict[int, Detections], target_frame: int, window_frames) -> list[int]:
+    """Identities labelled in the window frames before target_frame, in the
+    order the window first shows them."""
+    seen: dict[int, None] = {}
     for f in window_frames:
-        if f >= target_frame:
-            continue
-        for j, det in enumerate(frames.get(f, [])):
-            if det.gt_id is not None:
-                tracks.setdefault(det.gt_id, []).append((j, det))
-    return tracks
+        if f < target_frame and f in frames:
+            seen.update(dict.fromkeys(g for g in frames[f].gt_ids or () if g is not None))
+    return list(seen)
 
 
 def ground_truth_walk(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Detections],
     events: dict[int, dict[int, tuple[tuple[int, int], ...]]],
     integration: str,
     *,
@@ -419,9 +442,9 @@ def ground_truth_walk(
 ):
     """Filter and integrate rows of ground truth along their labeled detections.
 
-    frames maps a frame number to its detections (a list or a Detections
-    block) and events a frame number to its labeled detections, as a dict
-    from end frame to (identity, index in the frame) pairs. A row is one
+    frames maps a frame number to its Detections block and events a frame
+    number to its labeled detections, as a dict from end frame to
+    (identity, index in the frame) pairs (labelled_pairs). A row is one
     (end, identity) pair: it starts at its first event with that event's
     box and feature, is updated at each later one and ends at frame
     `end`; an event at or after its row's end is ignored. One walk from
@@ -497,7 +520,7 @@ def ground_truth_walk(
                 passes[k][0].append(number)
                 passes[k][1].append(j)
         if started or passes:
-            detections = as_detections(frames[frame])
+            detections = frames[frame]
         if started:
             index = [j for _, _, j in started]
             boxes = detections.boxes[index]
@@ -564,42 +587,40 @@ def _teacher_forced(state, rows, lstm_caches, target_frame, identities) -> Teach
 
 
 def teacher_force_samples(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Detections],
     samples,
     integration: str,
     lstm_cell: LstmCell | None = None,
 ) -> list[TeacherForced]:
     """Teacher-force the samples of one sequence in one ground_truth_walk.
 
-    samples is an iterable of (target frame, tracks) pairs with distinct
-    target frames, tracks mapping each identity to its (index in frame,
-    detection) list; it is read once, so a generator keeps only one
-    sample's tracks alive. Each (sample, identity) pair is one row of the
-    walk, from the identity's first detection to the sample's target
-    frame, so each sample gets the bits a walk of its own would give.
+    samples is an iterable of (target frame, window frames) pairs with
+    distinct target frames. A sample's identities are those labelled in
+    its window frames before the target frame, and each (sample,
+    identity) pair is one row of the walk, from the identity's first
+    labelled detection there to the target frame, so each sample gets the
+    bits a walk of its own would give. Each window frame's labelled pairs
+    are read from its gt_ids once, and one tuple of them serves every
+    sample whose window holds the frame.
     """
+    samples = list(samples)
+    labels = labelled_pairs({f: frames[f] for t, window in samples for f in window
+                             if f < t and f in frames})
     identities: dict[int, list[int]] = {}  # target frame -> identities
     events: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
-    # Samples whose windows share a frame mostly hold the same labeled
-    # detections of it; one tuple of them serves every such sample.
-    shared: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
-    for t, tracks in samples:
+    for t, window in samples:
         if t in identities:
             raise ValueError("samples of one walk need distinct target frames")
-        identities[t] = list(tracks)
-        by_frame: dict[int, list[tuple[int, int]]] = {}
-        for gid, observations in tracks.items():
-            for j, det in observations:
-                by_frame.setdefault(det.frame, []).append((gid, j))
-        for f, pairs in by_frame.items():
-            pairs = tuple(pairs)
-            events.setdefault(f, {})[t] = shared.setdefault(pairs, pairs)
+        identities[t] = _first_seen(frames, t, window)
+        for f in window:
+            if f < t and f in labels:
+                events.setdefault(f, {})[t] = labels[f]
     forced: dict[int, TeacherForced] = {}
     walk = ground_truth_walk(frames, events, integration, lstm_cell=lstm_cell)
     for frame, _, state, lstm_caches, ending in walk:
         if ending.size:
             forced[frame] = _teacher_forced(state, ending, lstm_caches, frame, identities[frame])
-    # A sample without a detection before its target frame has no rows.
+    # A sample without a labelled detection before its target frame has no rows.
     empty = Trajectories([], [], [], [], [], [])
     return [
         forced.get(t) or _teacher_forced(empty, np.zeros(0, np.intp), None, t, ids)
@@ -607,21 +628,8 @@ def teacher_force_samples(
     ]
 
 
-def teacher_force(
-    frames: dict[int, list[Detection]],
-    target_frame: int,
-    tracks: dict[int, list[tuple[int, Detection]]],
-    integration: str,
-    lstm_cell: LstmCell | None = None,
-) -> TeacherForced:
-    """teacher_force_samples of one sample: the identities of tracks
-    (identity -> (index in frame, detection) list) walked to the target
-    frame."""
-    return teacher_force_samples(frames, [(target_frame, tracks)], integration, lstm_cell)[0]
-
-
 def build_training_graph(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Detections],
     target_frame: int,
     window_frames: list[int],
     model: MpnModel,
@@ -641,40 +649,40 @@ def build_training_graph(
     Trajectories are assembled from the ground-truth identities seen in the
     window frames before the target frame, with features integrated along
     their own labeled detections (so training never depends on earlier
-    matching decisions). Edge labels are identity equality.
+    matching decisions). Edge labels are identity equality. Node dropout
+    draws one uniform per detection, then one per identity in first-seen
+    order; box jitter shifts each kept detection by a normal draw of
+    box_jitter times its height per axis.
 
-    `teacher` is this sample's teacher_force result over all its
-    identities, computed once and reused; without it the kept identities
-    are teacher-forced here. "lstm" features depend on the weights being
+    `teacher` is this sample's teacher_force_samples result over all its
+    identities, computed once and reused; without it they are
+    teacher-forced here. "lstm" features depend on the weights being
     trained, so that mode takes none.
     """
     if teacher is not None and integration == "lstm":
         raise ValueError("lstm integration cannot reuse teacher-forced features")
-    detections = list(frames.get(target_frame, []))
-    if teacher is None:
-        tracks = _window_tracks(frames, target_frame, window_frames)
-        identities = list(tracks)
-    else:
-        identities = teacher.identities
+    detections = frames.get(target_frame) or Detections.of([], target_frame)
+    identities = _first_seen(frames, target_frame, window_frames) if teacher is None \
+        else teacher.identities
+    rows = np.arange(len(detections))
     if rng is not None and node_dropout > 0.0:
-        detections = [d for d in detections if rng.random() >= node_dropout]
-        identities = [g for g in identities if rng.random() >= node_dropout]
+        rows = rows[rng.random(rows.size) >= node_dropout]
+        draws = rng.random(len(identities)).tolist()
+        identities = [g for g, u in zip(identities, draws) if u >= node_dropout]
+    boxes = detections.boxes[rows]
     if rng is not None and box_jitter > 0.0:
-        jittered = []
-        for det in detections:
-            b = det.box
-            dx, dy = rng.normal(0.0, box_jitter * b.h, size=2)
-            jittered.append(
-                Detection(det.frame, BoundingBox(b.x + dx, b.y + dy, b.w, b.h),
-                          det.confidence, det.feature, det.gt_id)
-            )
-        detections = jittered
-    if not detections or not identities:
+        boxes[:, :2] += rng.normal(0.0, box_jitter * boxes[:, 3:4], size=(rows.size, 2))
+    if not rows.size or not identities:
         return None
     if teacher is None:
-        kept = {g: tracks[g] for g in identities}
-        teacher = teacher_force(frames, target_frame, kept, integration, model.lstm)
+        sample = [(target_frame, window_frames)]
+        (teacher,) = teacher_force_samples(frames, sample, integration, model.lstm)
     trajectories, traj_boxes, chains = teacher.select(identities)
+    gt_ids = detections.gt_ids
+    detections = Detections.trusted(
+        target_frame, boxes, detections.confidences[rows], detections.features[rows],
+        None if gt_ids is None else [gt_ids[j] for j in rows.tolist()],
+    )
 
     graph = build_graph(
         trajectories,
@@ -687,15 +695,8 @@ def build_training_graph(
     )
     if graph is None or graph.n_edges == 0:
         return None
-    det_ids = graph.detections.gt_ids or (None,) * len(graph.detections)
-    traj_ids = graph.trajectories.ids.tolist()
-    labels = np.array(
-        [
-            1.0 if det_ids[j] == traj_ids[i] else 0.0
-            for i, j in zip(graph.edge_traj.tolist(), graph.edge_det.tolist())
-        ]
-    )
-    return _TrainGraph(graph, labels, chains)
+    labels = graph.detections.labelled_as(graph.edge_det, graph.trajectories.ids[graph.edge_traj])
+    return _TrainGraph(graph, labels.astype(np.float64), chains)
 
 
 def _backprop_lstm_chains(model, chains, d_traj_feats, grads_flat):
@@ -720,7 +721,7 @@ def _backprop_lstm_chains(model, chains, d_traj_feats, grads_flat):
 
 def train_model(
     model: MpnModel,
-    sequences: list[dict[int, list[Detection]]],
+    sequences: list[dict[int, Detections]],
     cfg: TrainConfig,
     *,
     integration: str = "average",
@@ -743,9 +744,9 @@ def train_model(
     after), building graphs, in forward and backward passes and in
     optimizer steps, and the positive and negative edges trained on.
     """
-    if not any(
-        det.gt_id is not None for seq in sequences for dets in seq.values() for det in dets
-    ):
+    _check_fps(fps)
+    labelled = [set(labelled_pairs(seq)) for seq in sequences]  # labelled frames
+    if not any(labelled):
         raise ValueError("training requires ground-truth labels on the detections")
     samples = []
     teachers: list[TeacherForced | None] = []
@@ -760,9 +761,7 @@ def train_model(
                 if t - (cfg.frames_per_graph - 1) * cfg.frame_stride <= f < t
                 and (t - f) % cfg.frame_stride == 0
             ]
-            if seq.get(t) and any(
-                det.gt_id is not None for f in window for det in seq.get(f, [])
-            ):
+            if seq[t] and any(f in labelled[si] for f in window):
                 seq_samples.append((si, t, window))
         samples += seq_samples
         # Dropout and jitter leave the teacher-forced states alone, so every
@@ -771,7 +770,7 @@ def train_model(
         if integration == "lstm":
             teachers += [None] * len(seq_samples)
         else:
-            windows = ((t, _window_tracks(seq, t, window)) for _, t, window in seq_samples)
+            windows = ((t, window) for _, t, window in seq_samples)
             teachers += teacher_force_samples(seq, windows, integration)
         teacher_force_s += time.perf_counter() - t0
     if not samples:

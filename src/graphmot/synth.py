@@ -10,6 +10,11 @@ target may also turn as it re-emerges, which makes re-association depend
 on appearance rather than motion extrapolation alone. Clutter boxes carry
 fresh random features, the worst case for appearance gating.
 
+Each frame's detections are one core.Detections block labelled with
+ground-truth identities (gt_id None for clutter), empty for a frame
+without detections; they are also written as the detection and feature
+rows of the files.
+
 Everything is driven by one seeded generator: the same config produces
 byte-identical files.
 """
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, Detection, iou
+from .core import BoundingBox, Detections, iou
 from .motio import TrackRow, write_features, write_track_rows
 
 
@@ -57,7 +62,7 @@ class SceneData:
     gt_rows: list[TrackRow]
     det_rows: list[TrackRow]
     feature_rows: list[tuple[int, int, np.ndarray]]
-    frames: dict[int, list[Detection]]  # detections labeled with gt_id
+    frames: dict[int, Detections]  # every frame's block, labelled with gt_ids
     gt_frames: dict[int, list[tuple[int, BoundingBox]]]
     anchors: np.ndarray  # (n_targets, feature_dim) identity anchors
 
@@ -212,7 +217,7 @@ def generate(cfg: SceneConfig) -> SceneData:
     gt_rows: list[TrackRow] = []
     det_rows: list[TrackRow] = []
     feature_rows: list[tuple[int, int, np.ndarray]] = []
-    frames: dict[int, list[Detection]] = {}
+    frames: dict[int, Detections] = {}
     gt_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
 
     for frame in range(1, cfg.n_frames + 1):
@@ -256,8 +261,8 @@ def generate(cfg: SceneConfig) -> SceneData:
                     t.vx, t.vy = _rotate(t.vx, t.vy, t.turn)
                     t.turned = True
 
-        frame_dets: list[Detection] = []
-        det_index = 0
+        first = len(det_rows)  # the frame's detections are the rows from here on
+        gt_ids: list[int | None] = []
         for t in active:
             overlap = occlusion[t.ident]
             if overlap > cfg.occlusion_drop_iou:
@@ -277,11 +282,8 @@ def generate(cfg: SceneConfig) -> SceneData:
             vec = vec / np.linalg.norm(vec)
             conf = rng.uniform(0.85, 0.99)
             det_rows.append(TrackRow(frame, -1, x, y, w, h, conf))
-            feature_rows.append((frame, det_index, vec))
-            frame_dets.append(
-                Detection(frame, BoundingBox(x, y, w, h), conf, vec, gt_id=t.ident + 1)
-            )
-            det_index += 1
+            feature_rows.append((frame, len(gt_ids), vec))
+            gt_ids.append(t.ident + 1)
 
         for _ in range(rng.poisson(cfg.clutter_rate)):
             w = rng.uniform(*cfg.box_width_range)
@@ -292,11 +294,15 @@ def generate(cfg: SceneConfig) -> SceneData:
             vec = vec / np.linalg.norm(vec)
             conf = rng.uniform(0.3, 0.7)
             det_rows.append(TrackRow(frame, -1, x, y, w, h, conf))
-            feature_rows.append((frame, det_index, vec))
-            frame_dets.append(Detection(frame, BoundingBox(x, y, w, h), conf, vec, gt_id=None))
-            det_index += 1
+            feature_rows.append((frame, len(gt_ids), vec))
+            gt_ids.append(None)
 
-        frames[frame] = frame_dets
+        rows = det_rows[first:]
+        features = np.array([vec for _, _, vec in feature_rows[first:]])
+        frames[frame] = Detections(frame, [r[2:6] for r in rows], [r.conf for r in rows],
+                                   features.reshape(-1, cfg.feature_dim), gt_ids)
+        # One copy of each feature: the feature rows are views of the block's.
+        feature_rows[first:] = [(frame, j, vec) for j, vec in enumerate(frames[frame].features)]
 
     return SceneData(cfg, gt_rows, det_rows, feature_rows, frames, gt_frames, anchors)
 

@@ -13,8 +13,8 @@ position.
 
 The tracker keeps its trajectories, Kalman means and covariances included,
 as one core.Trajectories block of columns with rows in id order, and takes
-a frame's detections as one core.Detections block: every stage of a step
-works on arrays.
+a frame's detections as one core.Detections block (empty for a frame
+without detections): every stage of a step works on arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from operator import itemgetter
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Detection, Detections, Trajectories, frame_overlaps
-from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, build_graph
+from .core import Detections, Trajectories, frame_overlaps
+from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, _check_alpha, _check_fps, build_graph
 from .integration import BATCHED_MODES, INTEGRATION_MODES, integrate_lstm, integrate_rows
 from .motion import (
     FrameContext,
@@ -73,6 +73,17 @@ class TrackerConfig:
             raise ValueError(f"unknown integration mode {self.integration!r}")
         if self.matching not in ("greedy", "hungarian"):
             raise ValueError(f"unknown matching mode {self.matching!r}")
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        _check_fps(self.fps)
+        if self.lost_frame_limit < 0:
+            raise ValueError(f"lost_frame_limit must be >= 0, got {self.lost_frame_limit}")
+        if not 0.0 <= self.spawn_confidence <= 1.0:
+            raise ValueError(f"spawn_confidence must be in [0, 1], got {self.spawn_confidence}")
+        if not self.theta_app >= 0.0:
+            raise ValueError(f"theta_app must be >= 0, got {self.theta_app}")
+        if self.resolved_alpha() is not None:
+            _check_alpha(self.resolved_alpha())
 
     def resolved_alpha(self) -> float | None:
         if self.ratio_variant == "none":
@@ -174,21 +185,17 @@ class Tracker:
         item is a Trajectory snapshot of its row."""
         return self._tracks
 
-    def step(self, frame: int, detections) -> list[TrackRow]:
+    def step(self, frame: int, detections: Detections) -> list[TrackRow]:
         """Advance one frame; returns this frame's output rows, by track id.
 
-        detections is the frame's Detections block or a list of Detection.
+        detections is the frame's block, empty when it has none.
         """
         cfg = self.config
         if self.last_frame is not None and frame <= self.last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: {frame} after {self.last_frame}"
             )
-        if not isinstance(detections, Detections):
-            if any(d.frame != frame for d in detections):
-                raise ValueError("detections from a different frame passed to step")
-            detections = Detections.of(detections, frame)
-        elif detections and detections.frame != frame:
+        if detections and detections.frame != frame:
             raise ValueError("detections from a different frame passed to step")
         self.last_frame = frame
         tracks = self._tracks
@@ -327,7 +334,7 @@ def _track_rows(frame, ids, boxes, confidences) -> list[TrackRow]:
 
 
 def run_sequence(
-    frames: dict[int, Detections | list[Detection]],
+    frames: dict[int, Detections],
     model: MpnModel,
     config: TrackerConfig,
     feature_source=None,
@@ -335,7 +342,7 @@ def run_sequence(
     """Fold Tracker.step over the full frame range; deterministic.
 
     Frames missing from the dict (every detection dropped) are processed
-    as empty so lost-frame counting and motion prediction stay in real
+    as empty blocks so lost-frame counting and motion prediction stay in real
     frame time. While no trajectory is alive an empty frame changes
     nothing, so the run skips ahead to the next frame with detections.
     """
@@ -344,7 +351,8 @@ def run_sequence(
     numbers = sorted(frames)
     frame = numbers[0] if numbers else None
     while frame is not None:
-        rows.extend(tracker.step(frame, frames.get(frame, [])))
+        detections = frames[frame] if frame in frames else Detections.of([], frame)
+        rows.extend(tracker.step(frame, detections))
         if tracker.trajectories:
             frame = frame + 1 if frame < numbers[-1] else None
         else:

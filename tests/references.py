@@ -11,7 +11,8 @@ reference_ratio_analysis walks a dict of live identities, each filtered
 by the single-state Kalman functions, and ratio-tests every trajectory at
 every alpha through conclusive_pick. reference_teacher_force teacher-forces
 one training sample with a frame walk of its own, as training did before
-one walk served every sample of a sequence. The tests require the
+one walk served every sample of a sequence, along the (index in frame,
+detection) lists of window_tracks. The tests require the
 columnar and batched code to agree with them byte for byte.
 """
 
@@ -25,9 +26,9 @@ from graphmot import kernels
 from graphmot.core import (
     BoundingBox,
     Detection,
+    Detections,
     Trajectories,
     Trajectory,
-    box_array,
     frame_overlaps,
     iou,
 )
@@ -51,6 +52,12 @@ from graphmot.motion import (
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
 from graphmot.tracker import StepStats, greedy_match, hungarian_match
+
+
+def box_array(detections) -> np.ndarray:
+    """(N, 4) xywh boxes of Detection records."""
+    boxes = [(d.box.x, d.box.y, d.box.w, d.box.h) for d in detections]
+    return np.array(boxes, dtype=np.float64).reshape(-1, 4)
 
 
 class ReferenceTracker:
@@ -91,7 +98,7 @@ class ReferenceTracker:
             if cfg.integration in BATCHED_MODES:
                 overlaps = None
                 if cfg.integration == "iou":
-                    overlaps = frame_overlaps(detections)[matched_d]
+                    overlaps = frame_overlaps(Detections.of(detections, frame))[matched_d]
                 features = integrate_rows(
                     cfg.integration, graph.traj_features[matched_t],
                     graph.det_features[matched_d], overlaps,
@@ -164,8 +171,8 @@ class ReferenceTracker:
         graph = None
         if self.trajectories and detections:
             graph = build_graph(
-                self.trajectories,
-                detections,
+                Trajectories.of(self.trajectories),
+                Detections.of(detections, frame),
                 k_neighbors=cfg.k_neighbors,
                 ratio_variant=cfg.ratio_variant,
                 alpha=cfg.resolved_alpha(),
@@ -312,7 +319,7 @@ def reference_ratio_analysis(
     for seq in sequences:
         tracks: dict[int, dict] = {}  # identity -> state
         for frame in _frames_to_walk(seq, tracks, lost_frame_limit):
-            detections = seq.get(frame, [])
+            detections = seq.get(frame) or Detections.of([], frame)
             live = {
                 gid: st
                 for gid, st in tracks.items()
@@ -442,9 +449,23 @@ def _sample_walk(frames, events, last_frame, integration, lstm_cell=None):
         frame += 1
 
 
+def window_tracks(frames, target_frame, window_frames):
+    """Labeled detections of the window before target_frame, as (index in
+    frame, detection) lists per identity, identities in first-seen order."""
+    tracks: dict[int, list[tuple[int, Detection]]] = {}
+    for f in window_frames:
+        if f >= target_frame:
+            continue
+        for j, det in enumerate(frames.get(f, [])):
+            if det.gt_id is not None:
+                tracks.setdefault(det.gt_id, []).append((j, det))
+    return tracks
+
+
 def reference_teacher_force(frames, target_frame, tracks, integration, lstm_cell=None):
-    """mpn.teacher_force with a walk of the sample's own: tracks maps each
-    identity to its (index in frame, detection) list."""
+    """One sample of mpn.teacher_force_samples with a walk of its own:
+    tracks maps each identity to its (index in frame, detection) list
+    (window_tracks)."""
     events: dict[int, list[tuple[int, int, Detection]]] = {}
     for gid, observations in tracks.items():
         for j, det in observations:

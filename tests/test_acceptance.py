@@ -99,7 +99,7 @@ def test_c01_gradient_integrity():
 
     model = create_model(6, d_node=8, d_edge=8, rounds=4, seed=12)
     trajs, dets = [], []
-    from graphmot.core import Detection, Trajectory
+    from graphmot.core import Detection, Detections, Trajectories, Trajectory
 
     for i in range(3):
         f = rng.normal(size=6)
@@ -108,7 +108,8 @@ def test_c01_gradient_integrity():
         f = rng.normal(size=6)
         dbox = BoundingBox(120.0 * i + 3.0, 82.0, 28, 56)
         dets.append(Detection(2, dbox, 0.9, f / np.linalg.norm(f), gt_id=i + 1))
-    graph = build_graph(trajs, dets, k_neighbors=20, ratio_variant="none")
+    graph = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=20,
+                        ratio_variant="none")
     labels = np.array(
         [1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
          for i, j in zip(graph.edge_traj, graph.edge_det)]

@@ -272,6 +272,35 @@ class TestConfigFile:
         assert rc == 1
         assert "n_frame" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train", [{"lr_decay_every": 0}, {"batch_graphs": 0},
+                                       {"node_dropout": 1.5}, {"lr": -1}])
+    def test_bad_train_value_exits_one(self, tmp_path, small_scene_dir, capsys, train):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": train}))
+        out = tmp_path / "m.npz"
+        rc = main(["train", "--data", str(small_scene_dir), "--out", str(out),
+                   "--seed", "1", "--config", str(cfg)])
+        assert rc == 1
+        (field,) = train
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tracker", [{"fps": 0}, {"lost_frame_limit": -1},
+                                         {"spawn_confidence": 2.0}])
+    def test_bad_tracker_value_exits_one(self, tmp_path, small_scene_dir, small_checkpoint,
+                                         capsys, tracker):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": tracker}))
+        out = tmp_path / "hyp.txt"
+        rc = main(["track", "--detections", str(small_scene_dir / "det.txt"),
+                   "--features", str(small_scene_dir / "features.txt"),
+                   "--checkpoint", str(small_checkpoint), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        (field,) = tracker
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scene": {"n_frames": 12, "n_targets": 3}}))

@@ -4,7 +4,8 @@ read_detections must give the same detections, or the same error, as the
 row-by-row reader; Tracker.step must write the same rows and StepStats,
 and keep the same trajectory state, as the tracker that held one
 Trajectory record per track, in every configuration branch. Neither may
-build per-row records.
+build per-row records, and neither may labelling, training or the ratio
+analysis.
 """
 
 from contextlib import contextmanager
@@ -17,7 +18,15 @@ from references import max_overlap, reference_read_detections, reference_run_seq
 
 from graphmot import core
 from graphmot.core import BoundingBox, Detection, Detections, Trajectory, frame_overlaps
-from graphmot.motio import TrackRow, format_track_row, read_detections, write_features
+from graphmot.metrics import ratio_analysis
+from graphmot.motio import (
+    TrackRow,
+    format_track_row,
+    label_detections,
+    read_detections,
+    read_track_rows,
+    write_features,
+)
 from graphmot.motion import (
     FrameContext,
     KalmanState,
@@ -27,7 +36,7 @@ from graphmot.motion import (
     make_row_verifier,
     make_verifier,
 )
-from graphmot.mpn import create_model
+from graphmot.mpn import TrainConfig, create_model, train_model
 from graphmot.synth import generate, preset, write_scene
 from graphmot.tracker import Tracker, TrackerConfig, run_sequence
 
@@ -147,6 +156,27 @@ class TestReaderMatchesReference:
         ]
 
 
+class TestLabelledBlocks:
+    """Labelling, training and the ratio analysis read the blocks' columns."""
+
+    def test_labelling_training_and_ratio_analysis_build_no_records(self, tmp_path):
+        scene = generate(preset("crossing", seed=4, n_frames=30, clutter_rate=0.5))
+        write_scene(scene, tmp_path)
+        frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
+        gt_rows = read_track_rows(tmp_path / "gt.txt")
+        cfg = TrainConfig(epochs=1)
+        assert cfg.node_dropout > 0.0 and cfg.box_jitter > 0.0
+        model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=1)
+        with forbidden(Detection, BoundingBox):
+            labeled = label_detections(frames, gt_rows)
+            history = train_model(model, [labeled], cfg, integration="iou", ratio_variant="app")
+            reports = [ratio_analysis([labeled], variant, [0.3, 0.6], integration="iou")
+                       for variant in ("iou", "app")]
+        assert all(isinstance(dets, Detections) for dets in labeled.values())
+        assert history[0]["positive_edges"] > 0
+        assert all(rep.n_decisions > 0 for rep in reports)
+
+
 # ---------------------------------------------------------------------------
 # Tracker
 
@@ -195,7 +225,7 @@ def streams(draw):
             d = dets[int(rng.integers(len(dets)))]
             dets.append(Detection(f, d.box, d.confidence, unit_rows(rng, 1, dim)[0]))
         if dets or not frames or draw(st.booleans()):  # an empty frame, or an absent one
-            frames[f] = dets
+            frames[f] = Detections.of(dets, f)
     model = create_model(dim, d_node=4, d_edge=4, rounds=2, seed=int(rng.integers(100)))
     return frames, model, draw(st.sampled_from([0.05, 0.5])), draw(st.integers(0, 4))
 
@@ -242,7 +272,7 @@ class TestTrackerMatchesReference:
         tracker = Tracker(model, config, source)
         got_rows = []
         for f in range(min(frames), max(frames) + 1):
-            got_rows += tracker.step(f, frames.get(f, []))
+            got_rows += tracker.step(f, frames.get(f, Detections.of([], f)))
         # run_sequence skips frames while nothing is alive; stepping through
         # them too changes nothing.
         rows, stats = run_sequence(frames, model, config, source)
@@ -275,7 +305,7 @@ class TestTrackerColumns:
         tracker = Tracker(model, TrackerConfig(image_size=scene.config.image_size))
         with forbidden(Trajectory, KalmanState, Detection, BoundingBox):
             for f in range(1, scene.config.n_frames + 1):
-                tracker.step(f, frames.get(f, []))
+                tracker.step(f, frames.get(f, Detections.of([], f)))
                 assert len(tracker.trajectories) == len(tracker.trajectories.ids)
         assert tracker.next_id > 1
 
@@ -284,10 +314,8 @@ class TestTrackerColumns:
         config = TrackerConfig(image_size=scene.config.image_size, lost_frame_limit=10)
         tracker = Tracker(model, config)
         for f in range(1, scene.config.n_frames + 1):
-            tracker.step(f, scene.frames.get(f, []))
-        _, _, reference = reference_run_sequence(
-            {f: scene.frames.get(f, []) for f in range(1, scene.config.n_frames + 1)}, model, config
-        )
+            tracker.step(f, scene.frames[f])
+        _, _, reference = reference_run_sequence(scene.frames, model, config)
         live = tracker.trajectories
         m = len(reference.trajectories)
         assert live.ids.tolist() == [t.id for t in reference.trajectories]
@@ -409,9 +437,9 @@ class TestDetectionsBlock:
 def test_frame_overlaps_of_some_rows_are_those_of_all(cells, pick):
     dets = [Detection(1, BoundingBox(10.0 * x, 10.0 * y, 10.0 * w, 10.0 * h), 0.5, np.array([1.0]))
             for x, y, w, h in cells]
+    frame = Detections.of(dets, 1)
     rows = [p for p in pick if p < len(dets)]
-    full = frame_overlaps(dets)
-    assert frame_overlaps(dets, rows).tobytes() == full[rows].tobytes()
-    assert frame_overlaps(Detections.of(dets, 1), rows).tobytes() == full[rows].tobytes()
+    some = frame_overlaps(frame, rows)
+    assert some.tobytes() == frame_overlaps(frame)[rows].tobytes()
     for k, j in enumerate(rows):
-        assert frame_overlaps(dets, rows)[k] == max_overlap(dets[j], dets[:j] + dets[j + 1:])
+        assert some[k] == max_overlap(dets[j], dets[:j] + dets[j + 1:])

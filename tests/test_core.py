@@ -9,6 +9,7 @@ from references import max_overlap
 from graphmot.core import (
     BoundingBox,
     Detection,
+    Detections,
     feature_distance,
     frame_overlaps,
     iou,
@@ -99,8 +100,8 @@ class TestMaxOverlap:
 
 class TestFrameOverlaps:
     def test_empty_and_single(self):
-        assert frame_overlaps([]).shape == (0,)
-        assert frame_overlaps([det(0, 0, 10, 10)]).tolist() == [0.0]
+        assert frame_overlaps(Detections.of([], 1)).shape == (0,)
+        assert frame_overlaps(Detections.of([det(0, 0, 10, 10)])).tolist() == [0.0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(boxes, max_size=10), st.lists(st.integers(0, 9), max_size=4))
@@ -108,7 +109,7 @@ class TestFrameOverlaps:
         # Repeated boxes give exact overlaps of 1 with distinct detections.
         frame_boxes = frame_boxes + [frame_boxes[i] for i in repeats if i < len(frame_boxes)]
         dets = [det(b.x, b.y, b.w, b.h) for b in frame_boxes]
-        got = frame_overlaps(dets)
+        got = frame_overlaps(Detections.of(dets, 1))
         for j, target in enumerate(dets):
             assert got[j] == max_overlap(target, dets[:j] + dets[j + 1:])
 

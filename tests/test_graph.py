@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import conclusive_pick
 
-from graphmot.core import BoundingBox, Detection, Trajectory
+from graphmot.core import BoundingBox, Detection, Detections, Trajectories, Trajectory
 from graphmot.graph import (
     AssocGraph,
     build_graph,
@@ -34,7 +34,8 @@ def make_det(box, feature, frame=2, conf=0.9, gt_id=None):
 
 
 def simple_pair(n_traj=2, n_det=2, spread=300.0, dim=4):
-    """Far-separated identity pairs: trajectory i sits next to detection i."""
+    """Far-separated identity pairs, as blocks: trajectory i sits next to
+    detection i."""
     trajs, dets = [], []
     for i in range(n_traj):
         b = BoundingBox(spread * i, 50, 20, 40)
@@ -42,7 +43,7 @@ def simple_pair(n_traj=2, n_det=2, spread=300.0, dim=4):
     for j in range(n_det):
         b = BoundingBox(spread * j + 3, 52, 20, 40)
         dets.append(make_det(b, unit_vec(dim, j % dim), gt_id=j + 1))
-    return trajs, dets
+    return Trajectories.of(trajs), Detections.of(dets)
 
 
 class TestCandidateEdges:
@@ -53,11 +54,11 @@ class TestCandidateEdges:
 
     def test_k_truncates(self):
         rng = np.random.default_rng(0)
-        trajs = [
+        trajs = Trajectories.of([
             make_traj(i + 1, BoundingBox(10 * i, 10, 10, 20), unit_vec(4, 0))
             for i in range(30)
-        ]
-        dets = [make_det(BoundingBox(0, 10, 10, 20), unit_vec(4, 0))]
+        ])
+        dets = Detections.of([make_det(BoundingBox(0, 10, 10, 20), unit_vec(4, 0))])
         et, ed, _ = candidate_edges(trajs, dets, 20)
         assert len(et) == 20
         # the 20 nearest are trajectories 0..19 (by construction, sorted)
@@ -67,21 +68,22 @@ class TestCandidateEdges:
     def test_equidistant_tie_prefers_lower_id(self):
         b_left = BoundingBox(0, 0, 10, 10)
         b_right = BoundingBox(20, 0, 10, 10)
-        trajs = [
+        trajs = Trajectories.of([
             make_traj(3, b_left, unit_vec(4, 0)),
             make_traj(1, b_right, unit_vec(4, 1)),
-        ]
-        dets = [make_det(BoundingBox(10, 0, 10, 10), unit_vec(4, 2))]
+        ])
+        dets = Detections.of([make_det(BoundingBox(10, 0, 10, 10), unit_vec(4, 2))])
         et, _, _ = candidate_edges(trajs, dets, 1)
         assert trajs[et[0]].id == 1
 
     def test_empty_trajectories(self):
-        et, ed, _ = candidate_edges([], [make_det(BoundingBox(0, 0, 5, 5), unit_vec(4, 0))], 5)
+        dets = Detections.of([make_det(BoundingBox(0, 0, 5, 5), unit_vec(4, 0))])
+        et, ed, _ = candidate_edges(Trajectories.of([]), dets, 5)
         assert et.size == 0 and ed.size == 0
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            candidate_edges([], [], 0)
+            candidate_edges(Trajectories.of([]), Detections.of([], 2), 0)
 
 
 class TestConclusivePick:
@@ -114,8 +116,8 @@ def graph_with_distances(edges, dists, n_traj, n_det):
     et = np.array([e[0] for e in edges], dtype=np.intp)
     ed = np.array([e[1] for e in edges], dtype=np.intp)
     boxes = np.array([t.last_box.as_xywh() for t in trajs])
-    return AssocGraph(trajs, dets, boxes, et, ed, edge_dist=np.asarray(dists, float),
-                      n_candidates=len(edges))
+    return AssocGraph(Trajectories.of(trajs), Detections.of(dets), boxes, et, ed,
+                      edge_dist=np.asarray(dists, float), n_candidates=len(edges))
 
 
 class TestRatioFilter:
@@ -173,8 +175,8 @@ class TestEdgeFeatures:
     def test_identical_box_one_frame_gap(self):
         b = BoundingBox(10, 20, 30, 60)
         f = unit_vec(4, 1)
-        trajs = [make_traj(1, b, f, last_seen=1)]
-        dets = [make_det(b, f, frame=2)]
+        trajs = Trajectories.of([make_traj(1, b, f, last_seen=1)])
+        dets = Detections.of([make_det(b, f, frame=2)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
         g = AssocGraph(trajs, dets, boxes, et, ed, n_candidates=1)
         g = init_edge_features(g, fps=30.0)
@@ -183,8 +185,8 @@ class TestEdgeFeatures:
     def test_one_height_below(self):
         b_t = BoundingBox(0, 0, 30, 60)
         b_d = BoundingBox(0, 60, 30, 60)  # centered one height below
-        trajs = [make_traj(1, b_t, unit_vec(4, 0))]
-        dets = [make_det(b_d, unit_vec(4, 0), frame=2)]
+        trajs = Trajectories.of([make_traj(1, b_t, unit_vec(4, 0))])
+        dets = Detections.of([make_det(b_d, unit_vec(4, 0), frame=2)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
         g = init_edge_features(AssocGraph(trajs, dets, boxes, et, ed), fps=30.0)
         assert g.edge_features[0][1] == pytest.approx(1.0)
@@ -201,7 +203,8 @@ class TestEdgeFeatures:
             bd = BoundingBox(*rng.uniform(10, 300, 2), *rng.uniform(10, 80, 2))
             f = rng.normal(size=6)
             dets.append(make_det(bd, f / np.linalg.norm(f), frame=4))
-        g = build_graph(trajs, dets, k_neighbors=20, ratio_variant="none", fps=25.0)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=20,
+                        ratio_variant="none", fps=25.0)
         for e in range(g.n_edges):
             t = trajs[g.edge_traj[e]]
             d = dets[g.edge_det[e]]
@@ -219,8 +222,8 @@ class TestEdgeFeatures:
 
     def test_rejects_non_positive_gap(self):
         b = BoundingBox(0, 0, 10, 10)
-        trajs = [make_traj(1, b, unit_vec(4, 0), last_seen=5)]
-        dets = [make_det(b, unit_vec(4, 0), frame=5)]
+        trajs = Trajectories.of([make_traj(1, b, unit_vec(4, 0), last_seen=5)])
+        dets = Detections.of([make_det(b, unit_vec(4, 0), frame=5)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
         with pytest.raises(ValueError):
             init_edge_features(AssocGraph(trajs, dets, boxes, et, ed), fps=30.0)
@@ -229,11 +232,11 @@ class TestEdgeFeatures:
 class TestBuildGraph:
     def test_empty_detections_is_none(self):
         trajs, _ = simple_pair()
-        assert build_graph(trajs, [], k_neighbors=5) is None
+        assert build_graph(trajs, Detections.of([], 2), k_neighbors=5) is None
 
     def test_empty_trajectories_is_none(self):
         _, dets = simple_pair()
-        assert build_graph([], dets, k_neighbors=5) is None
+        assert build_graph(Trajectories.of([]), dets, k_neighbors=5) is None
 
     def test_two_separated_pairs_conclusive(self):
         trajs, dets = simple_pair(2, 2)
@@ -255,6 +258,12 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(trajs, dets, ratio_variant="appearance")
 
+    @pytest.mark.parametrize("fps", [0.0, -30.0])
+    def test_refuses_non_positive_fps(self, fps):
+        trajs, dets = simple_pair()
+        with pytest.raises(ValueError, match="fps must be > 0"):
+            build_graph(trajs, dets, fps=fps)
+
     def test_iou_distance_uses_predicted_boxes(self):
         trajs, dets = simple_pair(2, 2)
         g = build_graph(trajs, dets, k_neighbors=20, ratio_variant="iou", alpha=0.3)
@@ -274,11 +283,11 @@ class TestCrossingSceneStructure:
         frames = sorted(scene.frames)
         shrank = False
         for prev_f, cur_f in zip(frames, frames[1:]):
-            trajs = [
+            trajs = Trajectories.of([
                 make_traj(d.gt_id, d.box, d.feature, last_seen=prev_f)
                 for d in scene.frames[prev_f]
                 if d.gt_id is not None
-            ]
+            ])
             dets = scene.frames[cur_f]
             g = build_graph(trajs, dets, k_neighbors=20, ratio_variant="app", alpha=0.3)
             if g is None:
@@ -316,7 +325,8 @@ class TestSeparatedIdentitiesSweep:
             bd = BoundingBox(90.0 * i + rng.normal(0, 2), 100 + rng.normal(0, 2), 30, 60)
             f = anchors[i] + 0.05 * rng.normal(size=dim)
             dets.append(make_det(bd, f / np.linalg.norm(f), frame=2, gt_id=i + 1))
-        g = build_graph(trajs, dets, k_neighbors=20, ratio_variant="app", alpha=0.3)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=20,
+                        ratio_variant="app", alpha=0.3)
         assert g.n_candidates == n_ids * n_ids
         assert g.n_edges <= 0.6 * g.n_candidates  # >= 40% removed
         # Conclusive trajectories ended up with exactly one edge: check it.
@@ -380,7 +390,9 @@ class TestSortBasedBuilderMatchesLoops:
             for x, y, w, h in det_cells
         ]
         traj_boxes = np.array([t.last_box.as_xywh() for t in trajs])
-        edge_traj, edge_det, _ = candidate_edges(trajs, dets, k, traj_boxes)
+        edge_traj, edge_det, _ = candidate_edges(
+            Trajectories.of(trajs), Detections.of(dets), k, traj_boxes
+        )
         ref_traj, ref_det = reference_candidate_edges(trajs, dets, k, traj_boxes)
         assert edge_traj.dtype == ref_traj.dtype and edge_det.dtype == ref_det.dtype
         assert np.array_equal(edge_traj, ref_traj)

@@ -168,7 +168,7 @@ def orthogonal_sequence(n_ids=4, n_frames=12, noise=0.0, seed=0):
             feat = feat / np.linalg.norm(feat)
             box = BoundingBox(150.0 * i + 2.0 * f, 50.0, 25, 50)
             dets.append(Detection(f, box, 0.95, feat, gt_id=i + 1))
-        frames[f] = dets
+        frames[f] = Detections.of(dets, f)
     return frames
 
 
@@ -221,7 +221,8 @@ class TestRatioAnalysis:
         # frames present without detections do.
         scene = generate(preset("crossing", seed=3))
         absent = {f: dets for f, dets in scene.frames.items() if f % 10 != 5}
-        empty = {f: dets if f % 10 != 5 else [] for f, dets in scene.frames.items()}
+        empty = {f: dets if f % 10 != 5 else Detections.of([], f)
+                 for f, dets in scene.frames.items()}
         reports = [ratio_analysis([frames], "iou", [0.6], integration="average")
                    for frames in (absent, empty)]
         for rep in reports:
@@ -252,7 +253,7 @@ class TestRatioAnalysis:
         # Identity 1 is missing for 16 frames: past a limit of 5 it is
         # neither predicted nor tested, and its return updates its old state.
         scene = generate(preset("crossing", seed=3, n_frames=80))
-        frames = {f: [d for d in dets if d.gt_id != 1 or not 30 <= f < 46]
+        frames = {f: Detections.of([d for d in dets if d.gt_id != 1 or not 30 <= f < 46], f)
                   for f, dets in scene.frames.items()}
         reports = {}
         for limit in (5, 80):
@@ -273,9 +274,7 @@ STREAM_FEATURES = [np.array(v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0,
 @st.composite
 def labeled_streams(draw):
     """Frames 1..n, each absent, empty or holding detections of identities
-    1-4 (an identity may be detected twice) and clutter without gt_id; as
-    lists of Detection or as Detections blocks."""
-    blocks = draw(st.booleans())
+    1-4 (an identity may be detected twice) and clutter without gt_id."""
     frames = {}
     for f in range(1, draw(st.integers(1, 14)) + 1):
         kind = draw(st.sampled_from(["absent", "empty", "detections", "detections"]))
@@ -289,7 +288,7 @@ def labeled_streams(draw):
             feature = STREAM_FEATURES[draw(st.integers(0, len(STREAM_FEATURES) - 1))]
             gt_id = draw(st.one_of(st.none(), st.integers(1, 4)))
             dets.append(Detection(f, box, 0.9, feature, gt_id))
-        frames[f] = Detections.of(dets, f) if blocks else dets
+        frames[f] = Detections.of(dets, f)
     return frames
 
 

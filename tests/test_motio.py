@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmot.core import BoundingBox, Detection
+from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.motio import (
     TrackRow,
     format_track_row,
@@ -17,6 +17,7 @@ from graphmot.motio import (
     write_features,
     write_track_rows,
 )
+from graphmot.synth import generate, preset, write_scene
 
 
 def unit(rng, dim=8):
@@ -240,37 +241,59 @@ class TestLabelDetections:
     def test_labels_by_overlap(self):
         rng = np.random.default_rng(2)
         frames = {
-            1: [
+            1: Detections.of([
                 Detection(1, BoundingBox(0, 0, 20, 40), 0.9, unit(rng)),
                 Detection(1, BoundingBox(200, 0, 20, 40), 0.9, unit(rng)),
                 Detection(1, BoundingBox(500, 500, 20, 40), 0.4, unit(rng)),  # clutter
-            ]
+            ])
         }
         gt = [
             TrackRow(1, 11, 1, 1, 20, 40, 1.0),
             TrackRow(1, 22, 201, 0, 20, 40, 1.0),
         ]
         labeled = label_detections(frames, gt)
-        assert [d.gt_id for d in labeled[1]] == [11, 22, None]
+        assert labeled[1].gt_ids == (11, 22, None)
+        assert labeled[1].boxes is frames[1].boxes  # the columns are shared
 
     def test_one_to_one_even_when_overlapping(self):
         rng = np.random.default_rng(3)
         # Two detections near one gt box: only the better one is labeled.
         frames = {
-            1: [
+            1: Detections.of([
                 Detection(1, BoundingBox(0, 0, 20, 40), 0.9, unit(rng)),
                 Detection(1, BoundingBox(2, 0, 20, 40), 0.9, unit(rng)),
-            ]
+            ])
         }
         gt = [TrackRow(1, 5, 0, 0, 20, 40, 1.0)]
         labeled = label_detections(frames, gt)
-        ids = [d.gt_id for d in labeled[1]]
+        ids = labeled[1].gt_ids
         assert ids.count(5) == 1 and ids.count(None) == 1
-        assert labeled[1][0].gt_id == 5
+        assert ids[0] == 5
 
     def test_input_unmodified(self):
         rng = np.random.default_rng(4)
         det = Detection(1, BoundingBox(0, 0, 20, 40), 0.9, unit(rng))
-        frames = {1: [det]}
-        label_detections(frames, [TrackRow(1, 9, 0, 0, 20, 40, 1.0)])
-        assert det.gt_id is None
+        frames = {1: Detections.of([det])}
+        labeled = label_detections(frames, [TrackRow(1, 9, 0, 0, 20, 40, 1.0)])
+        assert labeled[1].gt_ids == (9,)
+        assert frames[1].gt_ids is None and det.gt_id is None
+
+    @pytest.mark.parametrize("name", ["crossing", "crowded"])
+    def test_read_back_labels_give_the_scene_frames(self, name, tmp_path):
+        # Boxes and confidences are written with two decimals and features
+        # with eight, then renormalized: a component moves by at most
+        # 2 * 5e-9 * sqrt(d). Identities come back from the IoU labelling.
+        scene = generate(preset(name, seed=1))
+        paths = write_scene(scene, tmp_path)
+        labeled = label_detections(read_detections(paths["det"], paths["features"]),
+                                   read_track_rows(paths["gt"]))
+        frames = {f: dets for f, dets in scene.frames.items() if dets}
+        assert list(labeled) == list(frames)
+        for f, want in frames.items():
+            got = labeled[f]
+            assert got.frame == want.frame == f
+            assert got.gt_ids == want.gt_ids
+            assert np.abs(got.boxes - want.boxes).max() <= 0.005 + 1e-9
+            assert np.abs(got.confidences - want.confidences).max() <= 0.005 + 1e-9
+            bound = 1e-8 * math.sqrt(scene.config.feature_dim)
+            assert np.abs(got.features - want.features).max() <= bound

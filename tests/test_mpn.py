@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from references import max_overlap, reference_teacher_force
+from references import max_overlap, reference_teacher_force, window_tracks
 
 from graphmot import mpn
-from graphmot.core import BoundingBox, Detection, Trajectory
+from graphmot.core import BoundingBox, Detection, Detections, Trajectories, Trajectory
 from graphmot.graph import AssocGraph, build_graph
 from graphmot.integration import integrate_average, integrate_iou_guided
 from graphmot.motion import kf_init, kf_predict, kf_update, state_to_box
@@ -59,7 +59,7 @@ def grid_graph(n_traj, n_det, dim=6, seed=0, spread=120.0, **build_kw):
         dets.append(make_det(b, f / np.linalg.norm(f), gt_id=j + 1))
     build_kw.setdefault("k_neighbors", 20)
     build_kw.setdefault("ratio_variant", "none")
-    return build_graph(trajs, dets, **build_kw)
+    return build_graph(Trajectories.of(trajs), Detections.of(dets), **build_kw)
 
 
 def tiny_linear_model(d_feat=2, rounds=1):
@@ -97,7 +97,7 @@ class TestEncode:
         f = unit_vec(4, 1)
         dets = [make_det(BoundingBox(0, 0, 10, 20), f), make_det(BoundingBox(100, 0, 10, 20), f)]
         trajs = [make_traj(1, BoundingBox(50, 0, 10, 20), unit_vec(4, 0))]
-        g = build_graph(trajs, dets, k_neighbors=5)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=5)
         state = encode(model, g)
         assert np.array_equal(state.det_layers[0][0], state.det_layers[0][1])
 
@@ -129,7 +129,7 @@ class TestPropagate:
         model = tiny_linear_model()
         trajs = [make_traj(1, BoundingBox(0, 0, 10, 20), unit_vec(2, 0))]
         dets = [make_det(BoundingBox(2, 0, 10, 20), unit_vec(2, 1))]
-        g = build_graph(trajs, dets, k_neighbors=5)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=5)
         state = propagate(model, encode(model, g))
         t0 = state.traj_layers[0][0]
         h1 = state.edge_layers[1][0]
@@ -176,7 +176,8 @@ class TestPropagate:
             make_det(BoundingBox(1, 0, 10, 20), unit_vec(4, 0), gt_id=1),
             make_det(BoundingBox(300, 0, 10, 20), unit_vec(4, 2), gt_id=2),
         ]
-        g = build_graph(trajs, dets, k_neighbors=5, ratio_variant="app", alpha=0.3)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=5,
+                        ratio_variant="app", alpha=0.3)
         assert g.n_edges == 1
         state = propagate(model, encode(model, g))
         assert np.array_equal(state.det_layers[0][1], state.det_layers[-1][1])
@@ -247,7 +248,7 @@ def random_scoring_cases(draw):
              for i, f in enumerate(rng.normal(size=(n_traj, dim)))]
     dets = [Detection(2, BoundingBox(0, 0, 10, 20), 0.9, unit_vec(dim, 0))] * n_det
     graph = AssocGraph(
-        trajs, dets, np.zeros((n_traj, 4)),
+        Trajectories.of(trajs), Detections.of(dets), np.zeros((n_traj, 4)),
         rng.integers(0, max(1, n_traj // draw(st.integers(1, 4))), n_edges),
         rng.integers(0, n_det, n_edges),
         edge_features=rng.normal(size=(n_edges, 6)),
@@ -336,7 +337,8 @@ class TestClassify:
         pd = [1, 3, 0, 2]
         trajs2 = [g.trajectories[i] for i in pt]
         dets2 = [g.detections[j] for j in pd]
-        g2 = build_graph(trajs2, dets2, k_neighbors=20, ratio_variant="none")
+        g2 = build_graph(Trajectories.of(trajs2), Detections.of(dets2), k_neighbors=20,
+                         ratio_variant="none")
         probs2, _ = mpn_forward(model, g2)
         scores2 = {(g2.trajectories[i].id, g2.detections[j].gt_id): p
                    for i, j, p in zip(g2.edge_traj, g2.edge_det, probs2)}
@@ -389,7 +391,8 @@ class TestGradients:
             make_det(BoundingBox(1, 0, 10, 20), unit_vec(4, 0), gt_id=1),
             make_det(BoundingBox(300, 0, 10, 20), unit_vec(4, 2), gt_id=2),
         ]
-        g = build_graph(trajs, dets, k_neighbors=5, ratio_variant="app", alpha=0.3)
+        g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=5,
+                        ratio_variant="app", alpha=0.3)
         assert g.n_edges == 1 and len(g.detections) == 2
         labels = np.array([1.0])
 
@@ -430,11 +433,11 @@ class TestTraining:
         frames = sorted(held_out.frames)
         true_p, false_p = [], []
         for prev_f, cur_f in zip(frames, frames[1:]):
-            trajs = [
+            trajs = Trajectories.of([
                 make_traj(d.gt_id, d.box, d.feature, last_seen=prev_f)
                 for d in held_out.frames[prev_f]
                 if d.gt_id is not None
-            ]
+            ])
             dets = held_out.frames[cur_f]
             g = build_graph(trajs, dets, k_neighbors=20)
             if g is None:
@@ -448,7 +451,7 @@ class TestTraining:
     def test_training_without_labels_errors(self):
         scene = generate(preset("easy", seed=23, n_frames=10))
         stripped = {
-            f: [Detection(d.frame, d.box, d.confidence, d.feature, None) for d in dets]
+            f: Detections(f, dets.boxes, dets.confidences, dets.features)
             for f, dets in scene.frames.items()
         }
         model = create_model(scene.config.feature_dim, seed=17)
@@ -475,6 +478,33 @@ class TestTraining:
         assert first > 0
         train_model(model, [scene.frames], TrainConfig(epochs=1, seed=4))
         assert model.step_count > first
+
+
+class TestTrainConfigChecks:
+    # Each of these used to fail late and obscurely (a zero range step, a
+    # zero division, "no trainable samples") or to train silently to a
+    # wrong model (negative learning rate, NaN loss past full dropout).
+    @pytest.mark.parametrize("field, value", [
+        ("batch_graphs", 0), ("frames_per_graph", 1), ("frame_stride", 0), ("epochs", -1),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")), ("lr_decay_every", 0),
+        ("lr_decay_factor", 0.0), ("node_dropout", 1.0), ("node_dropout", 1.5),
+        ("node_dropout", -0.1), ("box_jitter", -0.01), ("pos_weight", 0.0),
+        ("pos_weight", -2.0),
+    ])
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_bounds_are_accepted(self):
+        TrainConfig(batch_graphs=1, frames_per_graph=2, frame_stride=1, epochs=0,
+                    lr_decay_every=1, node_dropout=0.0, box_jitter=0.0, pos_weight=None)
+
+    @pytest.mark.parametrize("fps", [0.0, -30.0])
+    def test_training_refuses_non_positive_fps(self, fps):
+        scene = generate(preset("easy", seed=25, n_frames=12))
+        model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=19)
+        with pytest.raises(ValueError, match="fps must be > 0"):
+            train_model(model, [scene.frames], TrainConfig(epochs=1), fps=fps)
 
 
 class TestCheckpointRoundTrip:
@@ -510,14 +540,14 @@ class TestCheckpointRoundTrip:
 # Teacher forcing against a sequential reference
 
 
-def reference_integrate(feat, lstm_state, det, frame_dets, mode, cell, caches):
-    """One teacher-forced integration step, one identity at a time."""
+def reference_integrate(feat, lstm_state, det, others, mode, cell, caches):
+    """One teacher-forced integration step, one identity at a time; others
+    are the other detections of its frame."""
     if mode == "none":
         return det.feature.copy(), lstm_state
     if mode == "average":
         return integrate_average(feat, det.feature), lstm_state
     if mode == "iou":
-        others = [d for d in frame_dets if d is not det]
         return integrate_iou_guided(feat, det.feature, max_overlap(det, others)), lstm_state
     state = cell.init_state() if lstm_state is None else lstm_state
     h, new_state, cache = cell.step(state, det.feature)
@@ -537,9 +567,9 @@ def reference_training_graph(frames, target_frame, window_frames, model, *, inte
     for f in window_frames:
         if f >= target_frame:
             continue
-        for det in frames.get(f, []):
+        for j, det in enumerate(frames.get(f, [])):
             if det.gt_id is not None:
-                tracks.setdefault(det.gt_id, []).append(det)
+                tracks.setdefault(det.gt_id, []).append((j, det))
     if rng is not None and node_dropout > 0.0:
         detections = [d for d in detections if rng.random() >= node_dropout]
         tracks = {g: dets for g, dets in tracks.items() if rng.random() >= node_dropout}
@@ -555,15 +585,18 @@ def reference_training_graph(frames, target_frame, window_frames, model, *, inte
         return None
     trajectories, chains = [], {}
     for gid in sorted(tracks):
-        dets = sorted(tracks[gid], key=lambda d: d.frame)
+        observed = sorted(tracks[gid], key=lambda jd: jd[1].frame)
+        dets = [det for _, det in observed]
         feat, lstm_state, caches = dets[0].feature.copy(), None, []
         kf, last_frame = kf_init(dets[0].box), dets[0].frame
-        for det in dets[1:]:
+        for j, det in observed[1:]:
             for _ in range(det.frame - last_frame):
                 kf = kf_predict(kf)
             kf = kf_update(kf, det.box)
+            frame_dets = list(frames[det.frame])
             feat, lstm_state = reference_integrate(
-                feat, lstm_state, det, frames.get(det.frame, []), integration, model.lstm, caches)
+                feat, lstm_state, det, frame_dets[:j] + frame_dets[j + 1:], integration,
+                model.lstm, caches)
             last_frame = det.frame
         for _ in range(target_frame - last_frame):
             kf = kf_predict(kf)
@@ -573,7 +606,8 @@ def reference_training_graph(frames, target_frame, window_frames, model, *, inte
         trajectories.append(Trajectory(gid, feat, dets[-1].box, last_frame, kf,
                                        frames_lost=target_frame - last_frame - 1))
     traj_boxes = np.array([state_to_box(t.motion).as_xywh() for t in trajectories])
-    graph = build_graph(trajectories, detections, traj_boxes=traj_boxes, **graph_kw)
+    graph = build_graph(Trajectories.of(trajectories), Detections.of(detections, target_frame),
+                        traj_boxes=traj_boxes, **graph_kw)
     if graph is None or graph.n_edges == 0:
         return None
     labels = np.array([1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
@@ -628,7 +662,7 @@ def teacher_scene():
                                    det.confidence, det.feature, det.gt_id))
     # Frame 20 is missing altogether.
     frames.pop(20, None)
-    return frames, scene.config.feature_dim
+    return {f: Detections.of(dets, f) for f, dets in frames.items()}, scene.config.feature_dim
 
 
 def sample_windows(frames, stride, per_graph=6):
@@ -678,8 +712,7 @@ class TestTeacherForcing:
         model = create_model(dim, d_node=8, d_edge=8, seed=5)
         aug = dict(node_dropout=0.3, box_jitter=0.05)
         for t, window in sample_windows(frames, 2):
-            teacher = mpn.teacher_force(frames, t, mpn._window_tracks(frames, t, window),
-                                        integration)
+            (teacher,) = mpn.teacher_force_samples(frames, [(t, window)], integration)
             for draw in range(3):
                 want = reference_training_graph(
                     frames, t, window, model, integration=integration,
@@ -769,19 +802,18 @@ def labeled_stream(draw, first_frame=1):
             dets.append(Detection(f, BoundingBox(x, y, w, h), 0.9,
                                   feature / np.linalg.norm(feature),
                                   draw(st.one_of(st.none(), st.integers(1, 4)))))
-        frames[f] = dets
+        frames[f] = Detections.of(dets, f)
     return frames
 
 
 def training_samples(frames, per_graph, stride):
-    """(target frame, tracks) of every sample train_model draws from frames."""
+    """(target frame, window frames) of every sample train_model draws from frames."""
     numbers = sorted(frames)
     for t in numbers:
         window = [f for f in numbers
                   if t - (per_graph - 1) * stride <= f < t and (t - f) % stride == 0]
-        tracks = mpn._window_tracks(frames, t, window)
-        if frames[t] and tracks:
-            yield t, tracks
+        if frames[t] and window_tracks(frames, t, window):
+            yield t, window
 
 
 def assert_same_teacher(got, want):
@@ -800,7 +832,8 @@ class TestBatchedTeacherForcing:
         samples = list(training_samples(frames, per_graph, stride))
         got = mpn.teacher_force_samples(frames, samples, integration)
         assert len(got) == len(samples)
-        for teacher, (t, tracks) in zip(got, samples):
+        for teacher, (t, window) in zip(got, samples):
+            tracks = window_tracks(frames, t, window)
             assert_same_teacher(teacher, reference_teacher_force(frames, t, tracks, integration))
 
     @settings(max_examples=40, deadline=None)
@@ -810,8 +843,9 @@ class TestBatchedTeacherForcing:
         # The two sequences share frame numbers and identities, so rows that
         # leaked from one walk into the other would change some sample.
         sequences = [first, second]
-        want = {(id(seq), t): reference_teacher_force(seq, t, tracks, integration)
-                for seq in sequences for t, tracks in training_samples(seq, 4, stride)}
+        want = {(id(seq), t): reference_teacher_force(seq, t, window_tracks(seq, t, window),
+                                                      integration)
+                for seq in sequences for t, window in training_samples(seq, 4, stride)}
         assume(want)
         got = {}
 
@@ -831,16 +865,17 @@ class TestBatchedTeacherForcing:
     def test_sample_without_earlier_detections_has_no_rows(self, teacher_scene):
         frames, _ = teacher_scene
         t = sorted(frames)[5]
-        later = mpn._window_tracks(frames, t + 3, [t, t + 1, t + 2])
-        got = mpn.teacher_force(frames, t, later, "average")
-        assert len(got.trajectories) == 0 and got.identities == list(later)
-        assert_same_teacher(got, reference_teacher_force(frames, t, later, "average"))
+        later = [t, t + 1, t + 2]  # labelled, but not before the target frame
+        assert window_tracks(frames, t + 3, later)
+        (got,) = mpn.teacher_force_samples(frames, [(t, later)], "average")
+        assert len(got.trajectories) == 0 and got.identities == []
+        assert_same_teacher(got, reference_teacher_force(frames, t, {}, "average"))
 
     def test_repeated_target_frame_is_refused(self, teacher_scene):
         frames, _ = teacher_scene
-        (t, tracks), *_ = training_samples(frames, 4, 1)
+        (t, window), *_ = training_samples(frames, 4, 1)
         with pytest.raises(ValueError, match="distinct target frames"):
-            mpn.teacher_force_samples(frames, [(t, tracks), (t, tracks)], "average")
+            mpn.teacher_force_samples(frames, [(t, window), (t, window)], "average")
 
 
 def test_training_history_reports_stage_times_and_edges(monkeypatch):

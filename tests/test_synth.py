@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphmot import kernels
-from graphmot.core import BoundingBox
+from graphmot.core import BoundingBox, Detections
 from graphmot.synth import (
     SceneConfig,
     SceneFeatureSource,
@@ -33,6 +33,28 @@ class TestDeterminismAndDegenerate:
         scene = generate(cfg)
         assert scene.det_rows == []
         assert len(scene.gt_rows) == 30
+        assert sorted(scene.frames) == list(range(1, 11))
+        for f, dets in scene.frames.items():
+            assert isinstance(dets, Detections) and not dets and dets.frame == f
+            assert dets.features.shape == (0, cfg.feature_dim) and dets.gt_ids == ()
+
+    def test_frames_are_labelled_blocks_of_the_written_rows(self):
+        scene = generate(preset("crowded", seed=3, n_frames=40, clutter_rate=0.5))
+        rows, features = iter(scene.det_rows), iter(scene.feature_rows)
+        for f, dets in scene.frames.items():
+            assert isinstance(dets, Detections) and dets.frame == f
+            assert dets.features.shape == (len(dets), scene.config.feature_dim)
+            assert len(dets.gt_ids) == len(dets)
+            for j in range(len(dets)):
+                row, (feature_frame, index, vec) = next(rows), next(features)
+                assert (row.frame, feature_frame, index) == (f, f, j)
+                assert dets.boxes[j].tolist() == [row.x, row.y, row.w, row.h]
+                assert dets.confidences[j] == row.conf
+                assert dets.features[j].tobytes() == vec.tobytes()
+        assert next(rows, None) is None
+        labels = [g for dets in scene.frames.values() for g in dets.gt_ids]
+        assert None in labels  # clutter
+        assert set(labels) - {None} == set(range(1, scene.config.n_targets + 1))
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         cfg = preset("crossing", seed=9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmot.core import BoundingBox, Detection
+from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.mpn import create_model
 from graphmot.synth import SceneFeatureSource, generate, preset
 from graphmot.tracker import Tracker, TrackerConfig, greedy_match, hungarian_match, run_sequence
@@ -21,6 +21,11 @@ def det(frame, x, y, w=20.0, h=40.0, conf=0.9, feature=None, dim=8):
         feature = np.zeros(dim)
         feature[0] = 1.0
     return Detection(frame, BoundingBox(x, y, w, h), conf, feature)
+
+
+def block(frame, dets=()):
+    """The frame's Detections block of the records (empty without any)."""
+    return Detections.of(list(dets), frame)
 
 
 def random_scored_graph(rng):
@@ -103,6 +108,27 @@ class TestGreedyMatch:
         assert sorted(optimal) == [(0, 1), (1, 0)]
 
 
+class TestTrackerConfigChecks:
+    # Each of these used to run to a plausible wrong number (fps <= 0
+    # scales the edge features' frame gap, a spawn gate above 1 outputs
+    # nothing) or to fail only at the first non-empty graph (k, alpha).
+    @pytest.mark.parametrize("field, value", [
+        ("fps", 0.0), ("fps", -30.0), ("fps", float("nan")),
+        ("lost_frame_limit", -1),
+        ("spawn_confidence", 2.0), ("spawn_confidence", -0.1),
+        ("theta_app", -0.1),
+        ("k_neighbors", 0),
+        ("alpha", 1.0),
+    ])
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrackerConfig(**{field: value})
+
+    def test_bounds_are_accepted(self):
+        TrackerConfig(lost_frame_limit=0, spawn_confidence=0.0, theta_app=0.0, k_neighbors=1)
+        TrackerConfig(spawn_confidence=1.0, ratio_variant="none", alpha=5.0)  # alpha unused
+
+
 class TestTrackerStep:
     def setup_method(self):
         self.model = create_model(8, d_node=8, d_edge=8, rounds=2, seed=0)
@@ -110,39 +136,40 @@ class TestTrackerStep:
 
     def test_first_frame_spawns_every_confident_detection(self):
         tracker = Tracker(self.model, self.config)
-        rows = tracker.step(1, [det(1, 10, 10), det(1, 200, 10), det(1, 20, 200, conf=0.2)])
+        rows = tracker.step(1, block(1, [det(1, 10, 10), det(1, 200, 10),
+                                         det(1, 20, 200, conf=0.2)]))
         assert len(rows) == 2  # the conf=0.2 detection is below the spawn gate
         assert sorted(r.track_id for r in rows) == [1, 2]
         assert len(tracker.trajectories) == 2
 
     def test_empty_frame_sends_all_to_lost(self):
         tracker = Tracker(self.model, self.config)
-        tracker.step(1, [det(1, 10, 10), det(1, 200, 10)])
-        rows = tracker.step(2, [])
+        tracker.step(1, block(1, [det(1, 10, 10), det(1, 200, 10)]))
+        rows = tracker.step(2, block(2))
         assert all(t.frames_lost == 1 for t in tracker.trajectories)
         # forecast rows may or may not pass the gates, but no new ids appear
         assert all(r.track_id in (1, 2) for r in rows)
 
     def test_out_of_order_frames_error(self):
         tracker = Tracker(self.model, self.config)
-        tracker.step(5, [det(5, 10, 10)])
+        tracker.step(5, block(5, [det(5, 10, 10)]))
         with pytest.raises(ValueError):
-            tracker.step(5, [det(5, 10, 10)])
+            tracker.step(5, block(5, [det(5, 10, 10)]))
         with pytest.raises(ValueError):
-            tracker.step(4, [det(4, 10, 10)])
+            tracker.step(4, block(4, [det(4, 10, 10)]))
 
     def test_wrong_frame_detections_error(self):
         tracker = Tracker(self.model, self.config)
         with pytest.raises(ValueError):
-            tracker.step(1, [det(2, 10, 10)])
+            tracker.step(1, block(2, [det(2, 10, 10)]))
 
     def test_lost_trajectory_pruned_after_limit(self):
         config = TrackerConfig(image_size=(600, 400), lost_frame_limit=3,
                                emit_forecasts=False)
         tracker = Tracker(self.model, config)
-        tracker.step(1, [det(1, 10, 10)])
+        tracker.step(1, block(1, [det(1, 10, 10)]))
         for f in range(2, 6):
-            tracker.step(f, [])
+            tracker.step(f, block(f))
         assert tracker.trajectories == []
 
     def test_ids_never_reused(self):
@@ -151,7 +178,7 @@ class TestTrackerStep:
         tracker = Tracker(self.model, config)
         seen = []
         for f in range(1, 8):
-            rows = tracker.step(f, [det(f, 10.0 + 90 * (f % 3), 10)])
+            rows = tracker.step(f, block(f, [det(f, 10.0 + 90 * (f % 3), 10)]))
             seen.extend(r.track_id for r in rows)
         assert seen == sorted(seen) or len(set(seen)) == len(seen) or True
         # strictly: ids are assigned in increasing order of first appearance
@@ -172,7 +199,7 @@ class TestRunSequence:
         # tau below the untrained model's resting score: this asserts the
         # lifecycle plumbing, not the (untrained) scorer.
         model = create_model(8, d_node=8, d_edge=8, rounds=2, seed=2)
-        frames = {f: [det(f, 10, 10)] for f in range(1, 21)}
+        frames = {f: block(f, [det(f, 10, 10)]) for f in range(1, 21)}
         rows, _ = run_sequence(frames, model, TrackerConfig(image_size=(600, 400), tau=0.2))
         # Same location, same feature: one identity should cover everything.
         assert {r.track_id for r in rows} == {1}
@@ -223,12 +250,12 @@ class TestRunSequence:
             frames = {}
             for start in (1, 11 + gap):
                 for f in range(start, start + 10):
-                    frames[f] = [det(f, 10 + 3 * (f - start), 10)]
+                    frames[f] = block(f, [det(f, 10 + 3 * (f - start), 10)])
             return frames
 
         short = bursts(100)
         stepped = Tracker(model, cfg)
-        every_frame = [r for f in range(1, max(short) + 1) for r in stepped.step(f, short.get(f, []))]
+        every_frame = [r for f in range(1, max(short) + 1) for r in stepped.step(f, short.get(f, block(f)))]
         short_rows, _ = run_sequence(short, model, cfg)
         assert short_rows == every_frame
 
@@ -257,7 +284,7 @@ def detection_streams(draw):
     numbers = sorted(draw(st.sets(st.integers(1, 40), min_size=1, max_size=25)))
     frames = {}
     for f in numbers:
-        frames[f] = [
+        frames[f] = block(f, [
             Detection(
                 f,
                 BoundingBox(*rng.uniform(-50, 600, 2), *rng.uniform(5, 120, 2)),
@@ -265,7 +292,7 @@ def detection_streams(draw):
                 unit(rng, dim),
             )
             for _ in range(draw(st.integers(0, 7)))
-        ]
+        ])
     config = TrackerConfig(
         image_size=(600, 400),
         tau=draw(st.sampled_from([0.05, 0.5, 0.9])),
@@ -288,7 +315,7 @@ class TestRandomDetectionStreams:
         every_frame, retired, newest = [], set(), 0
         for f in range(min(frames), max(frames) + 1):
             before = {t.id for t in tracker.trajectories}
-            rows = tracker.step(f, frames.get(f, []))
+            rows = tracker.step(f, frames.get(f, block(f)))
             every_frame += rows
             alive = {t.id for t in tracker.trajectories}
             assert not alive & retired, "an id came back after its trajectory was pruned"
