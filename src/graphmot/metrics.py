@@ -13,6 +13,15 @@ IDF1 maps ground-truth identities to hypothesis identities one-to-one,
 globally, maximizing the number of frames where the mapped pair overlaps
 at or above the threshold (IDTP); IDF1 = 2 IDTP / (2 IDTP + IDFP + IDFN).
 
+Both read two motio.TrackRows blocks of columns, neither with a (frame, id)
+twice, and refuse a threshold outside (0, 1]. One kernels.iou_pairs pass
+finds every same-frame (gt, hyp) row pair at or above the threshold. IDF1
+counts those pairs per identity pair in one np.add.at. The CLEAR walk tests
+persistence against them, and runs the optimal assignment, on the IoU
+matrix of the unmatched rows, only in a frame where a pair of two
+unmatched rows is left: the sub-threshold overlaps in that matrix still
+steer the assignment.
+
 The ratio analysis walks the labeled detections with training's
 teacher-forcing walk (mpn.ground_truth_walk) and tests each frame's
 trajectories with the tracker's own candidate edges, distances and
@@ -37,7 +46,7 @@ from .graph import (
     edge_distances,
 )
 from .integration import BATCHED_MODES
-from .motio import TrackRow, rows_by_frame
+from .motio import TrackRows
 from .motion import boxes_from_means
 from .mpn import ground_truth_walk, labelled_pairs
 
@@ -61,66 +70,56 @@ class ClearMotResult:
     frames: list[FrameDetail] = field(default_factory=list)
 
 
-def _boxes(rows: list[TrackRow]) -> np.ndarray:
-    return np.array([[r.x, r.y, r.w, r.h] for r in rows], dtype=np.float64)
-
-
 def clear_mot(
-    gt_rows: list[TrackRow],
-    hyp_rows: list[TrackRow],
+    gt_rows: TrackRows,
+    hyp_rows: TrackRows,
     iou_threshold: float = 0.5,
 ) -> ClearMotResult:
-    """CLEAR-MOT over parsed track rows (see module docstring)."""
-    gt_frames = rows_by_frame(gt_rows)
-    hyp_frames = rows_by_frame(hyp_rows)
-    all_frames = sorted(set(gt_frames) | set(hyp_frames))
+    """CLEAR-MOT over two blocks of track rows (see module docstring)."""
+    pair_g, pair_h, _ = kernels.iou_pairs(
+        gt_rows.frames, gt_rows.boxes, hyp_rows.frames, hyp_rows.boxes, iou_threshold
+    )
+    frames = np.union1d(gt_rows.frames, hyp_rows.frames)
+    gt_starts, gt_ends = gt_rows.frame_bounds(frames)
+    hyp_starts, hyp_ends = hyp_rows.frame_bounds(frames)
+    # Pairs are ordered by gt row, so a frame's pairs follow the last frame's.
+    pair_ends = np.searchsorted(pair_g, gt_ends)
+    pair_gid, pair_hid = gt_rows.ids[pair_g].tolist(), hyp_rows.ids[pair_h].tolist()
+    pair_g, pair_h = pair_g.tolist(), pair_h.tolist()
+    gt_ids, hyp_ids = gt_rows.ids.tolist(), hyp_rows.ids.tolist()
     correspondence: dict[int, int] = {}  # gt id -> hyp id, previous frame
     last_hyp: dict[int, int] = {}  # gt id -> last matched hyp id, any frame
     fp = fn = ids = 0
     details: list[FrameDetail] = []
-    for frame in all_frames:
-        gts = gt_frames.get(frame, [])
-        hyps = hyp_frames.get(frame, [])
-        gt_ids = [r.track_id for r in gts]
-        hyp_ids = [r.track_id for r in hyps]
-        overlap = (
-            kernels.iou_matrix(_boxes(gts), _boxes(hyps))
-            if gts and hyps
-            else np.zeros((len(gts), len(hyps)))
-        )
-        matched_g: set[int] = set()
-        matched_h: set[int] = set()
-        matches: list[tuple[int, int]] = []
-        # Persist surviving correspondences first.
-        for gi, gid in enumerate(gt_ids):
-            hid = correspondence.get(gid)
-            if hid is None or hid not in hyp_ids:
-                continue
-            hi = hyp_ids.index(hid)
-            if hi in matched_h or overlap[gi, hi] < iou_threshold:
-                continue
-            matched_g.add(gi)
-            matched_h.add(hi)
-            matches.append((gid, hid))
-        free_g = [gi for gi in range(len(gts)) if gi not in matched_g]
-        free_h = [hi for hi in range(len(hyps)) if hi not in matched_h]
-        if free_g and free_h:
-            sub = overlap[np.ix_(free_g, free_h)]
-            rows_idx, cols_idx = linear_sum_assignment(sub, maximize=True)
-            for r, c in zip(rows_idx, cols_idx):
-                if sub[r, c] < iou_threshold:
-                    continue
-                gi, hi = free_g[r], free_h[c]
-                matched_g.add(gi)
-                matched_h.add(hi)
-                matches.append((gt_ids[gi], hyp_ids[hi]))
+    first = 0
+    for frame, g0, g1, h0, h1, stop in zip(
+        *(column.tolist() for column in (frames, gt_starts, gt_ends, hyp_starts, hyp_ends, pair_ends))
+    ):
+        pairs = range(first, stop)  # the frame's pairs at or above the threshold
+        first = stop
+        # Surviving correspondences persist first. Ids are unique within a
+        # frame, so at most one pair of a gt row carries its last hyp id,
+        # and a persisting match is no switch.
+        kept = [k for k in pairs if correspondence.get(pair_gid[k]) == pair_hid[k]]
+        matches = [(pair_gid[k], pair_hid[k]) for k in kept]
         frame_ids = 0
-        for gid, hid in matches:
-            if gid in last_hyp and last_hyp[gid] != hid:
-                frame_ids += 1
-            last_hyp[gid] = hid
-        frame_fp = len(hyps) - len(matched_h)
-        frame_fn = len(gts) - len(matched_g)
+        if len(kept) < len(pairs):
+            matched_g = {pair_g[k] for k in kept}
+            matched_h = {pair_h[k] for k in kept}
+            # The assignment can only add a match where a free pair is left.
+            if any(pair_g[k] not in matched_g and pair_h[k] not in matched_h for k in pairs):
+                free_g = [g for g in range(g0, g1) if g not in matched_g]
+                free_h = [h for h in range(h0, h1) if h not in matched_h]
+                sub = kernels.iou_matrix(gt_rows.boxes[free_g], hyp_rows.boxes[free_h])
+                rows_idx, cols_idx = linear_sum_assignment(sub, maximize=True)
+                for r, c in zip(rows_idx.tolist(), cols_idx.tolist()):
+                    if sub[r, c] >= iou_threshold:
+                        gid, hid = gt_ids[free_g[r]], hyp_ids[free_h[c]]
+                        matches.append((gid, hid))
+                        frame_ids += last_hyp.get(gid, hid) != hid
+                        last_hyp[gid] = hid
+        frame_fp = h1 - h0 - len(matches)
+        frame_fn = g1 - g0 - len(matches)
         fp += frame_fp
         fn += frame_fn
         ids += frame_ids
@@ -132,30 +131,21 @@ def clear_mot(
 
 
 def idf1(
-    gt_rows: list[TrackRow],
-    hyp_rows: list[TrackRow],
+    gt_rows: TrackRows,
+    hyp_rows: TrackRows,
     iou_threshold: float = 0.5,
 ) -> float:
     """Identity F1 under the globally optimal one-to-one identity mapping."""
-    gt_frames = rows_by_frame(gt_rows)
-    hyp_frames = rows_by_frame(hyp_rows)
-    gt_ids = sorted({r.track_id for r in gt_rows})
-    hyp_ids = sorted({r.track_id for r in hyp_rows})
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    hyp_index = {h: i for i, h in enumerate(hyp_ids)}
+    pair_g, pair_h, _ = kernels.iou_pairs(
+        gt_rows.frames, gt_rows.boxes, hyp_rows.frames, hyp_rows.boxes, iou_threshold
+    )
+    gt_ids, gt_index = np.unique(gt_rows.ids, return_inverse=True)
+    hyp_ids, hyp_index = np.unique(hyp_rows.ids, return_inverse=True)
     # co_frames[g, h]: frames where gt identity g and hypothesis h overlap
-    # at or above the threshold, counted from each frame's thresholded pairs.
+    # at or above the threshold; ids are unique within a frame, so each
+    # pair is one such frame.
     co_frames = np.zeros((len(gt_ids), len(hyp_ids)))
-    pair_g, pair_h = [], []
-    for frame in set(gt_frames) & set(hyp_frames):
-        gts = gt_frames[frame]
-        hyps = hyp_frames[frame]
-        overlap = kernels.iou_matrix(_boxes(gts), _boxes(hyps))
-        gi, hi = np.nonzero(overlap >= iou_threshold)
-        pair_g.append(np.array([gt_index[r.track_id] for r in gts])[gi])
-        pair_h.append(np.array([hyp_index[r.track_id] for r in hyps])[hi])
-    if pair_g:
-        np.add.at(co_frames, (np.concatenate(pair_g), np.concatenate(pair_h)), 1.0)
+    np.add.at(co_frames, (gt_index[pair_g], hyp_index[pair_h]), 1.0)
     idtp = 0.0
     if co_frames.size:
         rows_idx, cols_idx = linear_sum_assignment(co_frames, maximize=True)

@@ -8,6 +8,11 @@ frame is a 1-based integer; id is -1 for raw detections; the trailing
 x,y,z world coordinates are unused and written as -1. Boxes and
 confidences are written with two decimals.
 
+read_track_rows returns one TrackRows block of columns (frames, ids,
+boxes, confidences) in frame order; a (frame, id) given twice is an error
+naming the line of its second row, so a detection file (id -1 for every
+row) is read with read_detections, not as track rows.
+
 Per-detection appearance features live in a companion file:
 
     frame,det_index,f_1,...,f_d
@@ -24,6 +29,7 @@ and label_detections the same blocks with ground-truth identities attached.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +47,101 @@ class TrackRow(NamedTuple):
     w: float
     h: float
     conf: float
+
+
+def _first_repeat(frames: np.ndarray, ids: np.ndarray) -> int | None:
+    """The first row, in row order, whose (frame, id) an earlier row has;
+    None when no row repeats one."""
+    # A stable sort by key puts every repeat right after the row it repeats.
+    order = np.lexsort((ids, frames))
+    same = (np.diff(frames[order]) == 0) & (np.diff(ids[order]) == 0)
+    repeats = order[1:][same]
+    return int(repeats.min()) if repeats.size else None
+
+
+class TrackRows(Sequence[TrackRow]):
+    """K track-format rows as columns: frames (K,) and ids (K,) int64,
+    boxes (K, 4) xywh and confidences (K,) float64.
+
+    Rows are in frame order: a block built from rows out of frame order
+    sorts them once, stably, so rows of one frame keep their order. Its
+    arrays are read-only. It is also a read-only sequence of TrackRow: an
+    item is built only when it is indexed.
+    """
+
+    __slots__ = ("frames", "ids", "boxes", "confidences")
+
+    def __init__(self, frames, ids, boxes, confidences):
+        """A checked block: one frame >= 1, id, finite box of positive
+        extent and finite confidence per row, and no (frame, id) twice."""
+        frames, ids = np.array(frames, dtype=np.int64), np.array(ids, dtype=np.int64)
+        boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+        confidences = np.array(confidences, dtype=np.float64)
+        if not frames.shape == ids.shape == confidences.shape == boxes.shape[:1]:
+            raise ValueError("need one frame, id, box and confidence per row")
+        good = (frames >= 1) & np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
+        good &= np.isfinite(confidences)
+        if not good.all():
+            raise ValueError(f"row {np.argmin(good)}: need frame >= 1, a finite box of positive "
+                             "extent and a finite confidence")
+        r = _first_repeat(frames, ids)
+        if r is not None:
+            raise ValueError(f"second row of id {ids[r]} in frame {frames[r]}")
+        self._fill(frames, ids, boxes, confidences)
+
+    def _fill(self, frames, ids, boxes, confidences):
+        if (frames[1:] < frames[:-1]).any():
+            order = np.argsort(frames, kind="stable")
+            frames, ids, boxes, confidences = frames[order], ids[order], boxes[order], confidences[order]
+        for array in (frames, ids, boxes, confidences):
+            array.flags.writeable = False
+        self.frames, self.ids, self.boxes, self.confidences = frames, ids, boxes, confidences
+
+    @classmethod
+    def trusted(cls, frames, ids, boxes, confidences) -> "TrackRows":
+        """A block of int64 / float64 arrays the caller has checked already
+        and hands over; nothing is copied unless the rows need sorting."""
+        block = cls.__new__(cls)
+        block._fill(frames, ids, boxes, confidences)
+        return block
+
+    @classmethod
+    def of(cls, rows) -> "TrackRows":
+        """The checked block of TrackRow records (or 7-tuples)."""
+        rows = list(rows)
+        return cls([r[0] for r in rows], [r[1] for r in rows], [r[2:6] for r in rows],
+                   [r[6] for r in rows])
+
+    @classmethod
+    def concat(cls, blocks) -> "TrackRows":
+        """One block of the blocks' rows, in frame order."""
+        blocks = list(blocks) or [cls.of([])]
+        return cls.trusted(*(np.concatenate([getattr(b, name) for b in blocks])
+                             for name in cls.__slots__))
+
+    def frame_bounds(self, numbers) -> tuple[np.ndarray, np.ndarray]:
+        """First row and one past the last row of each frame number's rows
+        (equal when the frame has none)."""
+        return (np.searchsorted(self.frames, numbers, "left"),
+                np.searchsorted(self.frames, numbers, "right"))
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, i: int) -> TrackRow:
+        i = range(len(self))[i]  # negative indices; IndexError past the end
+        return TrackRow(int(self.frames[i]), int(self.ids[i]), *self.boxes[i].tolist(),
+                        float(self.confidences[i]))
+
+    def __iter__(self):
+        return map(TrackRow, self.frames.tolist(), self.ids.tolist(), *self.boxes.T.tolist(),
+                   self.confidences.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, TrackRows):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in self.__slots__)
 
 
 def _parse_track_line(source: str, lineno: int, line: str) -> tuple:
@@ -61,6 +162,10 @@ def _parse_track_line(source: str, lineno: int, line: str) -> tuple:
         raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
     if w <= 0 or h <= 0:
         raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
+    if frame >= 2**63:
+        raise ValueError(f"{source}:{lineno}: frame number out of range")
+    if not -(2**63) <= track_id < 2**63:
+        raise ValueError(f"{source}:{lineno}: track id out of range")
     return frame, track_id, x, y, w, h, conf
 
 
@@ -84,29 +189,42 @@ def _checked_table(lines: list[str]) -> np.ndarray | None:
     return table
 
 
-def parse_track_rows(lines, source: str = "<input>") -> list[TrackRow]:
-    """Parse track-format lines; malformed input reports its line number.
+def _track_table(lines: list[str], source: str) -> np.ndarray:
+    """The checked (K, 7) float64 table of the track-format lines with
+    content, one row each; malformed input reports source:line.
 
     The first seven fields of every line are parsed by one np.loadtxt
     call. When it rejects them, or any value fails a check, each line is
     parsed and checked on its own, which names the line at fault.
     """
-    lines = list(lines)
     if not any(line.strip() for line in lines):
-        return []
+        return np.zeros((0, 7))
     table = _checked_table(lines)
     if table is None:
-        return [
-            TrackRow(*_parse_track_line(source, lineno, line))
-            for lineno, line in enumerate(lines, start=1)
-            if line.strip()
-        ]
+        table = np.array(
+            [_parse_track_line(source, lineno, line)
+             for lineno, line in enumerate(lines, start=1) if line.strip()],
+            dtype=np.float64,
+        )
+    return table
+
+
+def parse_track_rows(lines, source: str = "<input>") -> TrackRows:
+    """Parse track-format lines into one block; malformed input, a second
+    row of one (frame, id) included, reports source:line."""
+    lines = list(lines)
+    table = _track_table(lines, source)
     # astype truncates toward zero, like int(float(field)).
-    frames, ids = table[:, :2].astype(np.int64).T.tolist()
-    return list(map(TrackRow, frames, ids, *table[:, 2:].T.tolist()))
+    frames, ids = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    r = _first_repeat(frames, ids)
+    if r is not None:
+        raise ValueError(
+            f"{source}:{_line_number(lines, r)}: second row of id {ids[r]} in frame {frames[r]}"
+        )
+    return TrackRows.trusted(frames, ids, table[:, 2:6].copy(), table[:, 6].copy())
 
 
-def read_track_rows(path) -> list[TrackRow]:
+def read_track_rows(path) -> TrackRows:
     with open(path) as fh:
         return parse_track_rows(fh, source=str(path))
 
@@ -182,11 +300,8 @@ def _feature_table(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
         zero = np.argmax(norms <= 0)
         raise ValueError(f"{path}:{_line_number(lines, zero)}: zero feature vector")
     keys = table[:, :2].astype(np.int64)
-    # A stable sort by key puts every repeat right after the line it repeats.
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    repeats = order[1:][(np.diff(keys[order], axis=0) == 0).all(axis=1)]
-    if repeats.size:
-        r = repeats.min()
+    r = _first_repeat(keys[:, 0], keys[:, 1])
+    if r is not None:
         raise ValueError(
             f"{path}:{_line_number(lines, r)}: second feature for frame {keys[r, 0]} "
             f"detection {keys[r, 1]}"
@@ -199,24 +314,6 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
     a repeated (frame, det_index) included, reports path:line."""
     keys, vecs, _ = _feature_table(path)
     return dict(zip(map(tuple, keys.tolist()), vecs))
-
-
-def _detection_table(path) -> np.ndarray:
-    """The checked (K, 7) track-format table of a detection file, one row
-    per line with content; malformed input reports path:line."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    table = _checked_table(lines) if any(line.strip() for line in lines) else np.zeros((0, 7))
-    if table is None:  # one line at a time, which names the line at fault
-        numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
-        table = np.array(
-            [_parse_track_line(str(path), lineno, line) for lineno, line in numbered],
-            dtype=np.float64,
-        )
-        too_big = np.flatnonzero(table[:, 0] >= 2.0**63)
-        if too_big.size:
-            raise ValueError(f"{path}:{numbered[too_big[0]][0]}: frame number out of range")
-    return table
 
 
 def _join(det_keys: np.ndarray, feature_keys: np.ndarray) -> np.ndarray:
@@ -239,13 +336,15 @@ def read_detections(det_path, feature_path) -> dict[int, Detections]:
     them and detections in file order.
 
     Both files are read as arrays; no per-row record is built. Errors, in
-    order: the detection file's (as read_track_rows reports them), the
-    feature file's (as read_features reports them), then the first
+    order: the detection file's malformed lines (as read_track_rows
+    reports them; every row has id -1, so no id is unique), the feature
+    file's (as read_features reports them), then the first
     detection, in file order, without a feature or failing a Detection
     check, then the first feature line that names no detection.
     Confidences are clamped to [0, 1].
     """
-    table = _detection_table(det_path)
+    with open(det_path) as fh:
+        table = _track_table(fh.readlines(), str(det_path))
     keys, vecs, feature_lines = _feature_table(feature_path)
     frames = table[:, 0].astype(np.int64)
     boxes = table[:, 2:6]
@@ -289,37 +388,30 @@ def read_detections(det_path, feature_path) -> dict[int, Detections]:
     return blocks
 
 
-def rows_by_frame(rows: list[TrackRow]) -> dict[int, list[TrackRow]]:
-    frames: dict[int, list[TrackRow]] = {}
-    for row in rows:
-        frames.setdefault(row.frame, []).append(row)
-    return frames
-
-
 def label_detections(
     frames: dict[int, Detections],
-    gt_rows: list[TrackRow],
+    gt_rows: TrackRows,
     iou_threshold: float = 0.5,
 ) -> dict[int, Detections]:
     """Attach ground-truth identities to detections by per-frame IoU matching.
 
     Uses optimal assignment on IoU; detections without a counterpart at or
-    above the threshold get gt_id None (clutter). Returns new blocks that
-    share the input blocks' arrays and carry the gt_ids column, as
-    training and the ratio analysis take them; the input is not modified.
+    above the threshold (in (0, 1]) get gt_id None (clutter). Returns new
+    blocks that share the input blocks' arrays and carry the gt_ids column,
+    as training and the ratio analysis take them; the input is not modified.
     """
-    gt_frames = rows_by_frame(gt_rows)
+    kernels.check_iou_threshold(iou_threshold)
+    starts, ends = gt_rows.frame_bounds(list(frames))
     labeled: dict[int, Detections] = {}
-    for frame, dets in frames.items():
-        gts = gt_frames.get(frame, [])
+    for (frame, dets), lo, hi in zip(frames.items(), starts.tolist(), ends.tolist()):
         gt_ids = [None] * len(dets)
-        if gts and dets:
-            gt_boxes = np.array([[g.x, g.y, g.w, g.h] for g in gts])
-            overlap = kernels.iou_matrix(dets.boxes, gt_boxes)
+        if hi > lo and dets:
+            overlap = kernels.iou_matrix(dets.boxes, gt_rows.boxes[lo:hi])
             di, gi = linear_sum_assignment(overlap, maximize=True)
+            ids = gt_rows.ids[lo:hi].tolist()
             for d, g in zip(di.tolist(), gi.tolist()):
                 if overlap[d, g] >= iou_threshold:
-                    gt_ids[d] = gts[g].track_id
+                    gt_ids[d] = ids[g]
         labeled[frame] = Detections.trusted(
             dets.frame, dets.boxes, dets.confidences, dets.features, gt_ids
         )

@@ -12,8 +12,9 @@ fresh random features, the worst case for appearance gating.
 
 Each frame's detections are one core.Detections block labelled with
 ground-truth identities (gt_id None for clutter), empty for a frame
-without detections; they are also written as the detection and feature
-rows of the files.
+without detections. The ground truth and the detections are also one
+motio.TrackRows block each (id -1 on every detection row), which are
+written with the feature rows as the scene's files.
 
 Everything is driven by one seeded generator: the same config produces
 byte-identical files.
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BoundingBox, Detections, iou
-from .motio import TrackRow, write_features, write_track_rows
+from .motio import TrackRows, write_features, write_track_rows
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ class SceneConfig:
 @dataclass
 class SceneData:
     config: SceneConfig
-    gt_rows: list[TrackRow]
-    det_rows: list[TrackRow]
+    gt_rows: TrackRows
+    det_rows: TrackRows  # id -1 on every row: not unique, so never a checked block
     feature_rows: list[tuple[int, int, np.ndarray]]
     frames: dict[int, Detections]  # every frame's block, labelled with gt_ids
     gt_frames: dict[int, list[tuple[int, BoundingBox]]]
@@ -214,8 +215,7 @@ def generate(cfg: SceneConfig) -> SceneData:
     for ident in range(cfg.n_targets - cfg.exit_targets, cfg.n_targets):
         targets.append(_spawn_exiting(cfg, rng, ident))
 
-    gt_rows: list[TrackRow] = []
-    det_rows: list[TrackRow] = []
+    gt: list[tuple] = []  # (frame, id, x, y, w, h) per ground-truth row
     feature_rows: list[tuple[int, int, np.ndarray]] = []
     frames: dict[int, Detections] = {}
     gt_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
@@ -239,7 +239,7 @@ def generate(cfg: SceneConfig) -> SceneData:
         gt_frames[frame] = [(t.ident + 1, boxes[t.ident]) for t in active]
         for t in active:
             b = boxes[t.ident]
-            gt_rows.append(TrackRow(frame, t.ident + 1, b.x, b.y, b.w, b.h, 1.0))
+            gt.append((frame, t.ident + 1, b.x, b.y, b.w, b.h))
 
         # Overlap bookkeeping: a target is occluded by any lower-id target.
         occlusion: dict[int, float] = {}
@@ -261,7 +261,9 @@ def generate(cfg: SceneConfig) -> SceneData:
                     t.vx, t.vy = _rotate(t.vx, t.vy, t.turn)
                     t.turned = True
 
-        first = len(det_rows)  # the frame's detections are the rows from here on
+        first = len(feature_rows)  # the frame's detections are the rows from here on
+        det_boxes: list[tuple] = []
+        det_conf: list[float] = []
         gt_ids: list[int | None] = []
         for t in active:
             overlap = occlusion[t.ident]
@@ -280,8 +282,8 @@ def generate(cfg: SceneConfig) -> SceneData:
                 mix = (1.0 - blend) * anchors[t.ident] + blend * anchors[occluder[t.ident]]
             vec = mix + cfg.feature_noise * rng.normal(size=cfg.feature_dim)
             vec = vec / np.linalg.norm(vec)
-            conf = rng.uniform(0.85, 0.99)
-            det_rows.append(TrackRow(frame, -1, x, y, w, h, conf))
+            det_boxes.append((x, y, w, h))
+            det_conf.append(rng.uniform(0.85, 0.99))
             feature_rows.append((frame, len(gt_ids), vec))
             gt_ids.append(t.ident + 1)
 
@@ -292,18 +294,24 @@ def generate(cfg: SceneConfig) -> SceneData:
             y = rng.uniform(0.0, height - h)
             vec = rng.normal(size=cfg.feature_dim)
             vec = vec / np.linalg.norm(vec)
-            conf = rng.uniform(0.3, 0.7)
-            det_rows.append(TrackRow(frame, -1, x, y, w, h, conf))
+            det_boxes.append((x, y, w, h))
+            det_conf.append(rng.uniform(0.3, 0.7))
             feature_rows.append((frame, len(gt_ids), vec))
             gt_ids.append(None)
 
-        rows = det_rows[first:]
         features = np.array([vec for _, _, vec in feature_rows[first:]])
-        frames[frame] = Detections(frame, [r[2:6] for r in rows], [r.conf for r in rows],
+        frames[frame] = Detections(frame, det_boxes, det_conf,
                                    features.reshape(-1, cfg.feature_dim), gt_ids)
         # One copy of each feature: the feature rows are views of the block's.
         feature_rows[first:] = [(frame, j, vec) for j, vec in enumerate(frames[frame].features)]
 
+    table = np.array(gt, dtype=np.float64).reshape(-1, 6)
+    gt_rows = TrackRows(table[:, 0], table[:, 1], table[:, 2:], np.ones(len(table)))
+    det_rows = TrackRows.concat(
+        TrackRows.trusted(np.full(len(b), f, dtype=np.int64), np.full(len(b), -1, dtype=np.int64),
+                          b.boxes, b.confidences)
+        for f, b in frames.items()
+    )
     return SceneData(cfg, gt_rows, det_rows, feature_rows, frames, gt_frames, anchors)
 
 

@@ -12,9 +12,10 @@ forecast boxes and keep participating in future graphs at their predicted
 position.
 
 The tracker keeps its trajectories, Kalman means and covariances included,
-as one core.Trajectories block of columns with rows in id order, and takes
+as one core.Trajectories block of columns with rows in id order, takes
 a frame's detections as one core.Detections block (empty for a frame
-without detections): every stage of a step works on arrays.
+without detections) and returns the frame's output as one motio.TrackRows
+block: every stage of a step works on arrays.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import bisect
 import logging
 import time
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -41,7 +40,7 @@ from .motion import (
     kf_update_batch,
     make_row_verifier,
 )
-from .motio import TrackRow
+from .motio import TrackRows
 from .mpn import MpnModel, score_graph
 
 logger = logging.getLogger(__name__)
@@ -185,7 +184,7 @@ class Tracker:
         item is a Trajectory snapshot of its row."""
         return self._tracks
 
-    def step(self, frame: int, detections: Detections) -> list[TrackRow]:
+    def step(self, frame: int, detections: Detections) -> TrackRows:
         """Advance one frame; returns this frame's output rows, by track id.
 
         detections is the frame's block, empty when it has none.
@@ -203,27 +202,30 @@ class Tracker:
             tracks.means, tracks.covs = kf_predict_batch(tracks.means, tracks.covs)
 
         graph, (matches, unmatched_t, unmatched_d) = self._associate(frame, detections)
-        rows: list[TrackRow] = []
+        matched_t, matched_d = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
-            matched_t, matched_d = np.array(matches, dtype=np.intp).T
             self._absorb(graph, detections, matched_t, matched_d, frame)
-            rows += _track_rows(
-                frame, tracks.ids[matched_t], detections.boxes[matched_d],
-                detections.confidences[matched_d].tolist(),
-            )
+        # Output (ids, boxes, confidences): matched rows, forecasts, spawns.
+        parts = [(tracks.ids[matched_t], detections.boxes[matched_d],
+                  detections.confidences[matched_d])]
         expired = np.zeros(0, dtype=np.intp)
         if unmatched_t:
-            expired, forecast_rows = self._lose(frame, np.array(unmatched_t, dtype=np.intp))
-            rows += forecast_rows
-        rows.sort(key=itemgetter(1))  # by id; spawned ids come after every live one
+            expired, forecast, boxes = self._lose(frame, np.array(unmatched_t, dtype=np.intp))
+            parts.append((tracks.ids[forecast], boxes, np.ones(forecast.size)))
 
         unmatched_d = np.array(unmatched_d, dtype=np.intp)
         spawn = unmatched_d[detections.confidences[unmatched_d] >= cfg.spawn_confidence]
         if spawn.size:
             spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
             self.next_id += spawn.size
-            boxes = detections.boxes[spawn]
-            rows += _track_rows(frame, spawn_ids, boxes, detections.confidences[spawn].tolist())
+            spawn_boxes = detections.boxes[spawn]
+            parts.append((spawn_ids, spawn_boxes, detections.confidences[spawn]))
+        ids, boxes, confidences = (np.concatenate(column) for column in zip(*parts))
+        # By id: spawned ids come after every live one.
+        order = np.argsort(ids)
+        rows = TrackRows.trusted(
+            np.full(ids.size, frame, dtype=np.int64), ids[order], boxes[order], confidences[order]
+        )
         if expired.size or spawn.size:
             survivors = tracks
             if expired.size:
@@ -231,9 +233,9 @@ class Tracker:
                 alive[expired] = False
                 survivors = tracks.take(np.flatnonzero(alive))
             if spawn.size:
-                means, covs = kf_init_batch(boxes)
+                means, covs = kf_init_batch(spawn_boxes)
                 survivors = survivors.concat(Trajectories(
-                    spawn_ids, detections.features[spawn], boxes, np.full(spawn.size, frame),
+                    spawn_ids, detections.features[spawn], spawn_boxes, np.full(spawn.size, frame),
                     means, covs,
                     lstm_states=None if tracks.lstm_states is None else [None] * spawn.size,
                 ))
@@ -265,15 +267,16 @@ class Tracker:
 
     def _lose(self, frame, lost):
         """Unmatched rows lose one more frame. Returns the rows past the
-        lost-frame limit, to prune, and the forecast rows of the others
-        whose predicted boxes pass the gates (all of them without
-        constraints); a row whose forecast is rejected stops forecasting."""
+        lost-frame limit, to prune, and the rows of the others whose
+        predicted boxes pass the gates (all of them without constraints),
+        to forecast, with those boxes; a row whose forecast is rejected
+        stops forecasting."""
         cfg, tracks = self.config, self._tracks
         tracks.frames_lost[lost] += 1
         expired = tracks.frames_lost[lost] > cfg.lost_frame_limit
         forecast = lost[~expired & ~tracks.forecast_stopped[lost]]
         if not cfg.emit_forecasts or not forecast.size:
-            return lost[expired], []
+            return lost[expired], forecast[:0], np.zeros((0, 4))
         boxes = boxes_from_means(tracks.means[forecast])
         if cfg.forecast_constraints:
             feature_at = getattr(self.feature_source, "feature_at", None)
@@ -287,7 +290,7 @@ class Tracker:
                 self._appearance_gate_noted = True
             tracks.forecast_stopped[forecast[~keep]] = True
             forecast, boxes = forecast[keep], boxes[keep]
-        return lost[expired], _track_rows(frame, tracks.ids[forecast], boxes, repeat(1.0))
+        return lost[expired], forecast, boxes
 
     def _associate(self, frame, detections):
         """Build, score and resolve the frame's graph; records step stats.
@@ -328,18 +331,14 @@ class Tracker:
         return graph, result
 
 
-def _track_rows(frame, ids, boxes, confidences) -> list[TrackRow]:
-    """One TrackRow per id with its (K, 4) xywh box and confidence."""
-    return list(map(TrackRow, repeat(frame), ids.tolist(), *boxes.T.tolist(), confidences))
-
-
 def run_sequence(
     frames: dict[int, Detections],
     model: MpnModel,
     config: TrackerConfig,
     feature_source=None,
-) -> tuple[list[TrackRow], list[StepStats]]:
-    """Fold Tracker.step over the full frame range; deterministic.
+) -> tuple[TrackRows, list[StepStats]]:
+    """Fold Tracker.step over the full frame range; deterministic. Returns
+    the output rows of every frame as one block, and the step stats.
 
     Frames missing from the dict (every detection dropped) are processed
     as empty blocks so lost-frame counting and motion prediction stay in real
@@ -347,15 +346,15 @@ def run_sequence(
     nothing, so the run skips ahead to the next frame with detections.
     """
     tracker = Tracker(model, config, feature_source)
-    rows: list[TrackRow] = []
+    rows: list[TrackRows] = []
     numbers = sorted(frames)
     frame = numbers[0] if numbers else None
     while frame is not None:
         detections = frames[frame] if frame in frames else Detections.of([], frame)
-        rows.extend(tracker.step(frame, detections))
+        rows.append(tracker.step(frame, detections))
         if tracker.trajectories:
             frame = frame + 1 if frame < numbers[-1] else None
         else:
             later = bisect.bisect_right(numbers, frame)
             frame = numbers[later] if later < len(numbers) else None
-    return rows, tracker.stats
+    return TrackRows.concat(rows), tracker.stats

@@ -1,5 +1,5 @@
-"""Per-object reference implementations of the columnar tracker, the reader
-and the ratio-test analysis.
+"""Per-object reference implementations of the columnar tracker, the reader,
+the metrics and the ratio-test analysis.
 
 ReferenceTracker is the tracker step as it was written before the tracker
 kept its trajectories as columns: one Trajectory record and one
@@ -12,7 +12,9 @@ by the single-state Kalman functions, and ratio-tests every trajectory at
 every alpha through conclusive_pick. reference_teacher_force teacher-forces
 one training sample with a frame walk of its own, as training did before
 one walk served every sample of a sequence, along the (index in frame,
-detection) lists of window_tracks. The tests require the
+detection) lists of window_tracks. reference_clear_mot and reference_idf1
+are the metrics as they were written over lists of TrackRow records,
+regrouped per frame with one IoU matrix per frame. The tests require the
 columnar and batched code to agree with them byte for byte.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import bisect
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from graphmot import kernels
 from graphmot.core import (
@@ -34,8 +37,8 @@ from graphmot.core import (
 )
 from graphmot.graph import _check_alpha, build_graph
 from graphmot.integration import BATCHED_MODES, integrate, integrate_rows, update_trajectory_feature
-from graphmot.metrics import RatioAnalysisReport
-from graphmot.motio import TrackRow, read_features, read_track_rows
+from graphmot.metrics import ClearMotResult, FrameDetail, RatioAnalysisReport
+from graphmot.motio import TrackRow, _parse_track_line, read_features
 from graphmot.motion import (
     ForecastDecision,
     FrameContext,
@@ -220,7 +223,9 @@ def reference_read_detections(det_path, feature_path):
     After the join, a feature line that no detection used is an error
     naming its line, as read_detections reports it.
     """
-    rows = read_track_rows(det_path)
+    with open(det_path) as fh:
+        rows = [TrackRow(*_parse_track_line(str(det_path), lineno, line))
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
     feats = read_features(feature_path)
     frames = {}
     indices = {}
@@ -245,6 +250,101 @@ def reference_read_detections(det_path, feature_path):
                     f"{det_index} names no detection in {det_path}"
                 )
     return frames
+
+
+def rows_by_frame(rows) -> dict[int, list[TrackRow]]:
+    frames: dict[int, list[TrackRow]] = {}
+    for row in rows:
+        frames.setdefault(row.frame, []).append(row)
+    return frames
+
+
+def _boxes(rows) -> np.ndarray:
+    return np.array([[r.x, r.y, r.w, r.h] for r in rows], dtype=np.float64)
+
+
+def reference_clear_mot(gt_rows, hyp_rows, iou_threshold: float = 0.5) -> ClearMotResult:
+    """metrics.clear_mot over lists of TrackRow, one IoU matrix per frame."""
+    gt_frames = rows_by_frame(gt_rows)
+    hyp_frames = rows_by_frame(hyp_rows)
+    all_frames = sorted(set(gt_frames) | set(hyp_frames))
+    correspondence: dict[int, int] = {}  # gt id -> hyp id, previous frame
+    last_hyp: dict[int, int] = {}  # gt id -> last matched hyp id, any frame
+    fp = fn = ids = 0
+    details: list[FrameDetail] = []
+    for frame in all_frames:
+        gts = gt_frames.get(frame, [])
+        hyps = hyp_frames.get(frame, [])
+        gt_ids = [r.track_id for r in gts]
+        hyp_ids = [r.track_id for r in hyps]
+        overlap = (
+            kernels.iou_matrix(_boxes(gts), _boxes(hyps))
+            if gts and hyps
+            else np.zeros((len(gts), len(hyps)))
+        )
+        matched_g: set[int] = set()
+        matched_h: set[int] = set()
+        matches: list[tuple[int, int]] = []
+        # Persist surviving correspondences first.
+        for gi, gid in enumerate(gt_ids):
+            hid = correspondence.get(gid)
+            if hid is None or hid not in hyp_ids:
+                continue
+            hi = hyp_ids.index(hid)
+            if hi in matched_h or overlap[gi, hi] < iou_threshold:
+                continue
+            matched_g.add(gi)
+            matched_h.add(hi)
+            matches.append((gid, hid))
+        free_g = [gi for gi in range(len(gts)) if gi not in matched_g]
+        free_h = [hi for hi in range(len(hyps)) if hi not in matched_h]
+        if free_g and free_h:
+            sub = overlap[np.ix_(free_g, free_h)]
+            rows_idx, cols_idx = linear_sum_assignment(sub, maximize=True)
+            for r, c in zip(rows_idx, cols_idx):
+                if sub[r, c] < iou_threshold:
+                    continue
+                gi, hi = free_g[r], free_h[c]
+                matched_g.add(gi)
+                matched_h.add(hi)
+                matches.append((gt_ids[gi], hyp_ids[hi]))
+        frame_ids = 0
+        for gid, hid in matches:
+            if gid in last_hyp and last_hyp[gid] != hid:
+                frame_ids += 1
+            last_hyp[gid] = hid
+        frame_fp = len(hyps) - len(matched_h)
+        frame_fn = len(gts) - len(matched_g)
+        fp += frame_fp
+        fn += frame_fn
+        ids += frame_ids
+        correspondence = dict(matches)
+        details.append(FrameDetail(frame, matches, frame_fp, frame_fn, frame_ids))
+    n_gt = len(gt_rows)
+    mota = 1.0 - (fp + fn + ids) / n_gt if n_gt else 0.0
+    return ClearMotResult(mota, fp, fn, ids, n_gt, details)
+
+
+def reference_idf1(gt_rows, hyp_rows, iou_threshold: float = 0.5) -> float:
+    """metrics.idf1 over lists of TrackRow, the co-occurrences counted pair
+    by pair in a double loop."""
+    gt_frames, hyp_frames = rows_by_frame(gt_rows), rows_by_frame(hyp_rows)
+    gt_index = {g: i for i, g in enumerate(sorted({r.track_id for r in gt_rows}))}
+    hyp_index = {h: i for i, h in enumerate(sorted({r.track_id for r in hyp_rows}))}
+    co_frames = np.zeros((len(gt_index), len(hyp_index)))
+    for frame in set(gt_frames) & set(hyp_frames):
+        gts, hyps = gt_frames[frame], hyp_frames[frame]
+        overlap = kernels.iou_matrix(_boxes(gts), _boxes(hyps))
+        for gi, grow in enumerate(gts):
+            for hi, hrow in enumerate(hyps):
+                if overlap[gi, hi] >= iou_threshold:
+                    co_frames[gt_index[grow.track_id], hyp_index[hrow.track_id]] += 1
+    idtp = 0.0
+    if co_frames.size:
+        rows_idx, cols_idx = linear_sum_assignment(co_frames, maximize=True)
+        idtp = float(co_frames[rows_idx, cols_idx].sum())
+    denom = 2 * idtp + (len(hyp_rows) - idtp) + (len(gt_rows) - idtp)
+    return 2 * idtp / denom if denom else 0.0
 
 
 def max_overlap(target: Detection, others: list[Detection]) -> float:

@@ -18,7 +18,7 @@ from graphmot.core import BoundingBox
 from graphmot.graph import build_graph
 from graphmot.integration import integrate_average, integrate_iou_guided
 from graphmot.metrics import clear_mot, idf1, ratio_analysis
-from graphmot.motio import TrackRow
+from graphmot.motio import TrackRow, TrackRows
 from graphmot.motion import KalmanParams, kf_init, kf_predict, kf_update, state_to_box
 from graphmot.mpn import TrainConfig, create_model, mpn_backward, mpn_forward, train_model
 from graphmot.nn import LstmCell, LstmState, Mlp, grad_check, weighted_bce
@@ -328,9 +328,10 @@ def test_c08_metrics_oracle():
     for f in range(1, 5):
         gt.append(TrackRow(f, 1, 10.0 * f, 0.0, 20.0, 40.0, 1.0))
         gt.append(TrackRow(f, 2, 500.0 + 10.0 * f, 0.0, 20.0, 40.0, 1.0))
-    res = clear_mot(gt, list(gt))
+    gt = TrackRows.of(gt)
+    res = clear_mot(gt, gt)
     assert (res.mota, res.fp, res.fn, res.ids) == (1.0, 0, 0, 0)
-    assert idf1(gt, list(gt)) == 1.0
+    assert idf1(gt, gt) == 1.0
 
     # Mid-sequence swap: IDS = 2, MOTA = 1 - 2/8 = 0.75 (hand enumerated).
     hyp = []
@@ -338,7 +339,7 @@ def test_c08_metrics_oracle():
         a, b = (10, 20) if f <= 2 else (20, 10)
         hyp.append(TrackRow(f, a, 10.0 * f, 0.0, 20.0, 40.0, 1.0))
         hyp.append(TrackRow(f, b, 500.0 + 10.0 * f, 0.0, 20.0, 40.0, 1.0))
-    res = clear_mot(gt, hyp)
+    res = clear_mot(gt, TrackRows.of(hyp))
     assert res.ids == 2 and res.fp == 0 and res.fn == 0
     assert res.mota == 0.75
 
@@ -348,7 +349,7 @@ def test_c08_metrics_oracle():
         TrackRow(f, 100 if f <= 5 else 200, 3.0 * f, 0.0, 20.0, 40.0, 1.0)
         for f in range(1, 11)
     ]
-    assert idf1(gt_single, hyp_split) == 0.5
+    assert idf1(TrackRows.of(gt_single), TrackRows.of(hyp_split)) == 0.5
     _report(8, "metrics reproduce hand-enumerated cases exactly (MOTA 0.75, IDF1 0.5, perfect)")
 
 

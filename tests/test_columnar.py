@@ -5,22 +5,32 @@ row-by-row reader; Tracker.step must write the same rows and StepStats,
 and keep the same trajectory state, as the tracker that held one
 Trajectory record per track, in every configuration branch. Neither may
 build per-row records, and neither may labelling, training or the ratio
-analysis.
+analysis. Track rows stay one TrackRows block from the readers, the
+generator and the tracker to the metrics, which build no TrackRow either.
 """
 
+import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import max_overlap, reference_read_detections, reference_run_sequence
+from references import (
+    max_overlap,
+    reference_clear_mot,
+    reference_idf1,
+    reference_read_detections,
+    reference_run_sequence,
+)
 
 from graphmot import core
 from graphmot.core import BoundingBox, Detection, Detections, Trajectory, frame_overlaps
-from graphmot.metrics import ratio_analysis
+from graphmot.metrics import clear_mot, idf1, ratio_analysis
 from graphmot.motio import (
     TrackRow,
+    TrackRows,
     format_track_row,
     label_detections,
     read_detections,
@@ -36,7 +46,7 @@ from graphmot.motion import (
     make_row_verifier,
     make_verifier,
 )
-from graphmot.mpn import TrainConfig, create_model, train_model
+from graphmot.mpn import TrainConfig, create_model, load_model, train_model
 from graphmot.synth import generate, preset, write_scene
 from graphmot.tracker import Tracker, TrackerConfig, run_sequence
 
@@ -175,6 +185,84 @@ class TestLabelledBlocks:
         assert all(isinstance(dets, Detections) for dets in labeled.values())
         assert history[0]["positive_edges"] > 0
         assert all(rep.n_decisions > 0 for rep in reports)
+
+
+# ---------------------------------------------------------------------------
+# Track rows
+
+DEPLOY_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "deploy_model.npz"
+
+
+class TestTrackRowBlocks:
+    def test_readers_generator_tracker_and_metrics_build_no_track_rows(self, tmp_path):
+        config = preset("crossing", seed=4, n_frames=40, clutter_rate=0.5)
+        write_scene(generate(config), tmp_path)
+        model = create_model(config.feature_dim, seed=3)
+        with forbidden(TrackRow):
+            scene = generate(config)
+            frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
+            gt_rows = read_track_rows(tmp_path / "gt.txt")
+            labeled = label_detections(frames, gt_rows)
+            rows, _ = run_sequence(frames, model, TrackerConfig(image_size=config.image_size))
+            result = clear_mot(gt_rows, rows)
+            score = idf1(scene.gt_rows, rows)
+        assert all(isinstance(r, TrackRows) for r in (scene.gt_rows, scene.det_rows, gt_rows, rows))
+        assert sum(g is not None for dets in labeled.values() for g in dets.gt_ids) > 0
+        want = reference_clear_mot(list(gt_rows), list(rows))
+        assert (result.mota, result.fp, result.fn, result.ids) == (want.mota, want.fp, want.fn, want.ids)
+        assert score == reference_idf1(list(scene.gt_rows), list(rows))
+
+    def test_block_is_a_read_only_sequence_of_rows(self):
+        records = [TrackRow(3, 1, 0.5, 1.0, 2.0, 3.0, 1.0), TrackRow(1, 2, 4.0, 5.0, 6.0, 7.0, 0.25),
+                   TrackRow(3, 0, 8.0, 9.0, 1.0, 1.0, 0.5)]
+        rows = TrackRows.of(records)
+        assert len(rows) == 3 and rows.frames.tolist() == [1, 3, 3]
+        assert list(rows) == [records[1], records[0], records[2]]  # a stable sort by frame
+        assert rows[-1] == records[2] and [rows[i] for i in range(3)] == list(rows)
+        assert rows.frames.dtype == rows.ids.dtype == np.int64
+        with pytest.raises(IndexError):
+            rows[3]
+        for array in (rows.frames, rows.ids, rows.boxes, rows.confidences):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert TrackRows.concat([rows, TrackRows.of([])]) == rows
+        assert TrackRows.of([]) == TrackRows.concat([]) and len(TrackRows.of([])) == 0
+        assert rows != TrackRows.of(records[:2])
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (TrackRow(0, 1, 0.0, 0.0, 1.0, 1.0, 1.0), "row 1: need frame >= 1"),
+            (TrackRow(1, 1, float("nan"), 0.0, 1.0, 1.0, 1.0), "row 1: need frame >= 1"),
+            (TrackRow(1, 1, 0.0, 0.0, 1.0, 1.0, float("inf")), "row 1: need frame >= 1"),
+            (TrackRow(1, 1, 0.0, 0.0, 0.0, 1.0, 1.0), "row 1: need frame >= 1"),
+            (TrackRow(2, 5, 0.0, 0.0, 1.0, 1.0, 1.0), "second row of id 5 in frame 2"),
+        ],
+    )
+    def test_block_checks_its_rows_when_built(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            TrackRows.of([TrackRow(2, 5, 9.0, 9.0, 1.0, 1.0, 1.0), record])
+
+    def test_metrics_on_a_crowded_scene_stay_small(self):
+        # The first scene of the crowded benchmark workload at seed 1,
+        # tracked by the deployment checkpoint. Chunking the pair pass
+        # keeps clear_mot and idf1 under 3 MB between them.
+        scene = generate(preset("crowded", seed=1100, n_targets=25, image_size=(1920, 1080),
+                                n_frames=210))
+        config = TrackerConfig(image_size=scene.config.image_size, integration="iou",
+                               ratio_variant="app")
+        rows, _ = run_sequence(scene.frames, load_model(DEPLOY_MODEL), config)
+        gt_rows = scene.gt_rows
+        assert len(gt_rows) > 5000 and len(rows) > 5000
+        tracemalloc.start()
+        try:
+            result = clear_mot(gt_rows, rows)
+            score = idf1(gt_rows, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        assert result.n_gt == len(gt_rows) and 0.5 < score < 1.0
 
 
 # ---------------------------------------------------------------------------

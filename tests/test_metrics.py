@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import reference_ratio_analysis
-from scipy.optimize import linear_sum_assignment
+from references import reference_clear_mot, reference_idf1, reference_ratio_analysis
 
 from graphmot import kernels
 from graphmot.core import BoundingBox, Detection, Detections
@@ -14,7 +13,7 @@ from graphmot.metrics import (
     ratio_analysis,
     render_ratio_report,
 )
-from graphmot.motio import TrackRow, rows_by_frame
+from graphmot.motio import TrackRow, TrackRows
 from graphmot.synth import generate, preset
 
 
@@ -34,18 +33,24 @@ def two_identity_swap_case():
         hyp_a, hyp_b = (10, 20) if f <= 2 else (20, 10)
         hyp.append(row(f, hyp_a, x=10.0 * f))
         hyp.append(row(f, hyp_b, x=500.0 + 10.0 * f))
-    return gt, hyp
+    return TrackRows.of(gt), TrackRows.of(hyp)
+
+
+def shuffled(rows, seed):
+    records = list(rows)
+    np.random.default_rng(seed).shuffle(records)
+    return TrackRows.of(records)
 
 
 class TestClearMot:
     def test_perfect_hypothesis(self):
-        gt = [row(f, 1, x=5.0 * f) for f in range(1, 6)]
-        res = clear_mot(gt, list(gt))
+        gt = TrackRows.of([row(f, 1, x=5.0 * f) for f in range(1, 6)])
+        res = clear_mot(gt, gt)
         assert (res.mota, res.fp, res.fn, res.ids) == (1.0, 0, 0, 0)
 
     def test_empty_hypothesis(self):
-        gt = [row(f, 1, x=5.0 * f) for f in range(1, 9)]
-        res = clear_mot(gt, [])
+        gt = TrackRows.of([row(f, 1, x=5.0 * f) for f in range(1, 9)])
+        res = clear_mot(gt, TrackRows.of([]))
         assert res.mota == 0.0
         assert res.fn == len(gt)
         assert res.fp == 0 and res.ids == 0
@@ -58,8 +63,8 @@ class TestClearMot:
         assert res.mota == pytest.approx(0.75)
 
     def test_false_positive_counting(self):
-        gt = [row(f, 1, x=0.0) for f in range(1, 4)]
-        hyp = [row(f, 9, x=0.0) for f in range(1, 4)] + [row(2, 8, x=900.0)]
+        gt = TrackRows.of([row(f, 1, x=0.0) for f in range(1, 4)])
+        hyp = TrackRows.of([row(f, 9, x=0.0) for f in range(1, 4)] + [row(2, 8, x=900.0)])
         res = clear_mot(gt, hyp)
         assert res.fp == 1 and res.fn == 0 and res.ids == 0
         assert res.mota == pytest.approx(1 - 1 / 3)
@@ -67,90 +72,163 @@ class TestClearMot:
     def test_persistence_beats_better_overlap(self):
         # An established match persists while above threshold even if a
         # fresh hypothesis overlaps slightly better.
-        gt = [row(1, 1, x=0.0), row(2, 1, x=0.0)]
-        hyp = [row(1, 10, x=2.0), row(2, 10, x=2.0), row(2, 11, x=0.0)]
+        gt = TrackRows.of([row(1, 1, x=0.0), row(2, 1, x=0.0)])
+        hyp = TrackRows.of([row(1, 10, x=2.0), row(2, 10, x=2.0), row(2, 11, x=0.0)])
         res = clear_mot(gt, hyp)
         assert res.ids == 0
         assert res.fp == 1  # the interloper goes unmatched
 
     def test_row_order_invariance(self):
         gt, hyp = two_identity_swap_case()
-        rng = np.random.default_rng(0)
-        hyp_shuffled = list(hyp)
-        rng.shuffle(hyp_shuffled)
-        gt_shuffled = list(gt)
-        rng.shuffle(gt_shuffled)
         a = clear_mot(gt, hyp)
-        b = clear_mot(gt_shuffled, hyp_shuffled)
+        b = clear_mot(shuffled(gt, 0), shuffled(hyp, 1))
         assert (a.mota, a.fp, a.fn, a.ids) == (b.mota, b.fp, b.fn, b.ids)
 
     def test_gt_against_itself_on_generated_scene(self):
         scene = generate(preset("crossing", seed=3, n_frames=60))
-        res = clear_mot(scene.gt_rows, list(scene.gt_rows))
+        res = clear_mot(scene.gt_rows, scene.gt_rows)
         assert (res.mota, res.fp, res.fn, res.ids) == (1.0, 0, 0, 0)
-        assert idf1(scene.gt_rows, list(scene.gt_rows)) == pytest.approx(1.0)
+        assert idf1(scene.gt_rows, scene.gt_rows) == pytest.approx(1.0)
 
 
 class TestIdf1:
     def test_perfect(self):
-        gt = [row(f, 1, x=3.0 * f) for f in range(1, 11)]
-        assert idf1(gt, list(gt)) == pytest.approx(1.0)
+        gt = TrackRows.of([row(f, 1, x=3.0 * f) for f in range(1, 11)])
+        assert idf1(gt, gt) == pytest.approx(1.0)
 
     def test_split_track_hand_enumerated(self):
         # One 10-frame identity answered by two 5-frame ids: the best
         # mapping picks one half, IDTP = 5, IDFP = IDFN = 5, IDF1 = 0.5.
-        gt = [row(f, 1, x=3.0 * f) for f in range(1, 11)]
-        hyp = [row(f, 100 if f <= 5 else 200, x=3.0 * f) for f in range(1, 11)]
+        gt = TrackRows.of([row(f, 1, x=3.0 * f) for f in range(1, 11)])
+        hyp = TrackRows.of([row(f, 100 if f <= 5 else 200, x=3.0 * f) for f in range(1, 11)])
         assert idf1(gt, hyp) == pytest.approx(0.5)
 
     def test_empty_hypothesis(self):
-        gt = [row(f, 1, x=3.0 * f) for f in range(1, 11)]
-        assert idf1(gt, []) == 0.0
+        gt = TrackRows.of([row(f, 1, x=3.0 * f) for f in range(1, 11)])
+        assert idf1(gt, TrackRows.of([])) == 0.0
 
     def test_row_order_invariance(self):
         gt, hyp = two_identity_swap_case()
-        rng = np.random.default_rng(1)
-        shuffled = list(hyp)
-        rng.shuffle(shuffled)
-        assert idf1(gt, shuffled) == pytest.approx(idf1(gt, hyp))
+        assert idf1(gt, shuffled(hyp, 1)) == pytest.approx(idf1(gt, hyp))
 
 
-def reference_idf1(gt_rows, hyp_rows, iou_threshold=0.5):
-    """idf1 with the co-occurrences counted pair by pair in a double loop."""
-    gt_frames, hyp_frames = rows_by_frame(gt_rows), rows_by_frame(hyp_rows)
-    gt_index = {g: i for i, g in enumerate(sorted({r.track_id for r in gt_rows}))}
-    hyp_index = {h: i for i, h in enumerate(sorted({r.track_id for r in hyp_rows}))}
-    co_frames = np.zeros((len(gt_index), len(hyp_index)))
-    for frame in set(gt_frames) & set(hyp_frames):
-        gts, hyps = gt_frames[frame], hyp_frames[frame]
-        boxes = [np.array([[r.x, r.y, r.w, r.h] for r in rows]) for rows in (gts, hyps)]
-        overlap = kernels.iou_matrix(*boxes)
-        for gi, grow in enumerate(gts):
-            for hi, hrow in enumerate(hyps):
-                if overlap[gi, hi] >= iou_threshold:
-                    co_frames[gt_index[grow.track_id], hyp_index[hrow.track_id]] += 1
-    idtp = 0.0
-    if co_frames.size:
-        rows_idx, cols_idx = linear_sum_assignment(co_frames, maximize=True)
-        idtp = float(co_frames[rows_idx, cols_idx].sum())
-    denom = 2 * idtp + (len(hyp_rows) - idtp) + (len(gt_rows) - idtp)
-    return 2 * idtp / denom if denom else 0.0
+class TestThreshold:
+    # At threshold 0 a box 500 px away used to match: MOTA 0.5, IDF1 0.667.
+    far = TrackRows.of([row(1, 1, x=0.0), row(2, 1, x=0.0)]), TrackRows.of([row(2, 7, x=500.0)])
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    @pytest.mark.parametrize("metric", [clear_mot, idf1], ids=["clear_mot", "idf1"])
+    def test_outside_unit_interval_refused(self, metric, threshold):
+        with pytest.raises(ValueError, match=rf"iou_threshold must be in \(0, 1\], got {threshold}"):
+            metric(*self.far, threshold)
+
+    def test_far_box_never_matches(self):
+        res = clear_mot(*self.far, 1e-9)
+        assert (res.fp, res.fn, res.mota) == (1, 2, -0.5)
+        assert idf1(*self.far, 1e-9) == 0.0
+
+    def test_overlap_at_the_threshold_matches(self):
+        # 20 px boxes 10 px apart: IoU = 400 / 1200, exactly 1/3 in floats.
+        gt = TrackRows.of([row(1, 1, x=0.0)])
+        hyp = TrackRows.of([row(1, 5, x=10.0)])
+        assert kernels.iou_matrix(gt.boxes, hyp.boxes)[0, 0] == 1 / 3
+        assert clear_mot(gt, hyp, 1 / 3).frames[0].matches == [(1, 5)]
+        assert idf1(gt, hyp, 1 / 3) == 1.0
+        assert clear_mot(gt, hyp, np.nextafter(1 / 3, 1.0)).fp == 1
+
+
+class TestRepeatedRows:
+    def test_block_refuses_a_second_row_of_one_frame_and_id(self):
+        # Id 1 twice in frame 2 used to score IDF1 = 1.2 and MOTA 0.667.
+        with pytest.raises(ValueError, match="second row of id 1 in frame 2"):
+            TrackRows.of([row(1, 1, x=0.0), row(2, 1, x=0.0), row(2, 1, x=1.0)])
+
+    def test_same_id_in_other_frames_and_other_ids_in_one_frame_pass(self):
+        rows = TrackRows.of([row(2, 1, x=0.0), row(1, 1, x=0.0), row(2, 2, x=0.0)])
+        assert rows.frames.tolist() == [1, 2, 2]
+        assert rows.ids.tolist() == [1, 1, 2]
 
 
 # Boxes on a coarse grid, so that overlaps of exactly the threshold and
-# repeated (frame, id) rows both occur.
+# assignments steered by sub-threshold overlaps both occur; few ids, so
+# that correspondences persist and switch. Rows come in any frame order,
+# with frames on one side only, and either side may be empty.
 track_rows = st.lists(
     st.builds(row, st.integers(1, 6), st.integers(1, 5), st.integers(0, 4).map(lambda k: 10.0 * k),
-              w=st.sampled_from([20.0, 30.0])),
+              y=st.sampled_from([0.0, 10.0]), w=st.sampled_from([20.0, 30.0])),
     max_size=40,
+    unique_by=lambda r: (r.frame, r.track_id),
 )
+thresholds = st.sampled_from([0.2, 1 / 3, 0.5, 0.6, 1.0])
+
+
+def exact_clear(result):
+    return (result.mota, result.fp, result.fn, result.ids, result.n_gt,
+            [(d.frame, d.matches, d.fp, d.fn, d.ids) for d in result.frames])
+
+
+def with_budgets(metric, *args):
+    """metric(*args) with the pair pass in one chunk, then in one chunk per
+    frame; both results."""
+    results = []
+    for budget in (kernels.PAIR_BUDGET, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "PAIR_BUDGET", budget)
+            results.append(metric(*args))
+    return results
 
 
 class TestIdf1Counting:
     @settings(max_examples=300, deadline=None)
-    @given(gt=track_rows, hyp=track_rows, threshold=st.sampled_from([0.2, 1 / 3, 0.5]))
+    @given(gt=track_rows, hyp=track_rows, threshold=thresholds)
     def test_equals_double_loop(self, gt, hyp, threshold):
-        assert idf1(gt, hyp, threshold) == reference_idf1(gt, hyp, threshold)
+        want = reference_idf1(gt, hyp, threshold)
+        assert with_budgets(idf1, TrackRows.of(gt), TrackRows.of(hyp), threshold) == [want, want]
+
+
+class TestClearMotAgainstListOracle:
+    """clear_mot on blocks equals the list implementation exactly, every
+    FrameDetail included, with the pair pass in one chunk or one chunk per
+    frame."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gt=track_rows, hyp=track_rows, threshold=thresholds)
+    def test_equals_list_oracle(self, gt, hyp, threshold):
+        want = exact_clear(reference_clear_mot(gt, hyp, threshold))
+        got = with_budgets(clear_mot, TrackRows.of(gt), TrackRows.of(hyp), threshold)
+        assert [exact_clear(r) for r in got] == [want, want]
+
+    def test_sub_threshold_overlaps_steer_the_assignment(self):
+        # g1 overlaps h1 at 0.6 and h2 at 0.48; g2 overlaps h1 at 0.48 and
+        # h2 at 0.03. The assignment maximising total IoU takes g1-h2 and
+        # g2-h1 (0.96 over 0.63), so at threshold 0.55 neither is kept and
+        # both gt rows go unmatched, although g1-h1 alone would pass.
+        gt = [row(1, 1, x=0.0, w=10.0, h=10.0), row(1, 2, x=6.0, w=10.0, h=10.0)]
+        hyp = [row(1, 7, x=2.5, w=10.0, h=10.0), row(1, 8, x=-3.5, w=10.0, h=10.0)]
+        overlap = kernels.iou_matrix([r[2:6] for r in gt], [r[2:6] for r in hyp])
+        assert overlap[0, 0] == 0.6 and overlap[0, 1] < 0.55 and overlap[1, 0] < 0.55
+        want = reference_clear_mot(gt, hyp, 0.55)
+        assert (want.fp, want.fn) == (2, 2)
+        got = clear_mot(TrackRows.of(gt), TrackRows.of(hyp), 0.55)
+        assert exact_clear(got) == exact_clear(want)
+
+    @pytest.mark.parametrize("name", ["crossing", "crowded"])
+    def test_generated_scene_against_noisy_copy(self, name):
+        # A hypothesis from the scene's own detections: ids follow the gt
+        # labels, with clutter given fresh ids and some ids swapped midway.
+        scene = generate(preset(name, seed=2, n_frames=80, clutter_rate=0.5))
+        hyp, fresh = [], 1000
+        for f, dets in scene.frames.items():
+            for box, gt_id in zip(dets.boxes.tolist(), dets.gt_ids):
+                if gt_id is None:
+                    fresh += 1
+                hid = fresh if gt_id is None else (gt_id ^ 1 if f > 40 else gt_id)
+                hyp.append(TrackRow(f, hid, *box, 0.9))
+        gt, hyp_block = scene.gt_rows, TrackRows.of(hyp)
+        want = reference_clear_mot(list(gt), hyp)
+        assert exact_clear(clear_mot(gt, hyp_block)) == exact_clear(want)
+        assert want.ids > 0 and want.fp > 0 and want.fn > 0
+        assert idf1(gt, hyp_block) == reference_idf1(list(gt), hyp)
 
 
 def orthogonal_sequence(n_ids=4, n_frames=12, noise=0.0, seed=0):

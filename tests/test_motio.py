@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.motio import (
     TrackRow,
+    TrackRows,
     format_track_row,
     label_detections,
     parse_track_rows,
@@ -26,8 +27,9 @@ def unit(rng, dim=8):
 
 
 def reference_parse_track_rows(lines, source):
-    """parse_track_rows one line at a time with Python float(), for reference."""
-    rows = []
+    """parse_track_rows one line at a time with Python float(), for
+    reference; rows in file order."""
+    rows, seen, repeat = [], set(), None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -46,7 +48,16 @@ def reference_parse_track_rows(lines, source):
             raise ValueError(f"{source}:{lineno}: frame must be >= 1, got {frame}")
         if w <= 0 or h <= 0:
             raise ValueError(f"{source}:{lineno}: non-positive box size {w}x{h}")
+        if frame >= 2**63:
+            raise ValueError(f"{source}:{lineno}: frame number out of range")
+        if not -(2**63) <= track_id < 2**63:
+            raise ValueError(f"{source}:{lineno}: track id out of range")
         rows.append(TrackRow(frame, track_id, x, y, w, h, conf))
+        if repeat is None and (frame, track_id) in seen:
+            repeat = f"{source}:{lineno}: second row of id {track_id} in frame {frame}"
+        seen.add((frame, track_id))
+    if repeat is not None:  # reported after every malformed line
+        raise ValueError(repeat)
     return rows
 
 
@@ -70,6 +81,16 @@ def track_lines(draw):
     return ",".join(text) + draw(st.sampled_from(["", "\n"]))
 
 
+@st.composite
+def track_files(draw):
+    """Lists of track_lines, now and then with one line given again later."""
+    lines = draw(st.lists(track_lines(), max_size=12))
+    if lines and draw(st.integers(0, 3)) == 0:
+        copy = lines[draw(st.integers(0, len(lines) - 1))]
+        lines.insert(draw(st.integers(0, len(lines))), copy)
+    return lines
+
+
 class TestTrackRows:
     def test_round_trip(self, tmp_path):
         rows = [
@@ -79,7 +100,7 @@ class TestTrackRows:
         path = tmp_path / "rows.txt"
         write_track_rows(path, rows)
         loaded = read_track_rows(path)
-        assert loaded == rows
+        assert loaded == TrackRows.of(rows)
 
     def test_format_matches_layout(self):
         line = format_track_row(TrackRow(3, 7, 1.0, 2.0, 3.0, 4.0, 0.5))
@@ -114,8 +135,28 @@ class TestTrackRows:
         with pytest.raises(ValueError, match="hyp.txt:1"):
             parse_track_rows(["inf,1,0,0,5,5,1"], source="hyp.txt")
 
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["table", "line_by_line"])
+    def test_second_row_of_a_frame_and_id_reports_its_line(self, blank):
+        # A whitespace-only line makes np.loadtxt refuse the table, so each
+        # line is parsed on its own. Id 1 twice in frame 2 used to score
+        # IDF1 = 1.2 against the rows it repeats.
+        lines = ["1,1,0,0,5,5,1", "2,1,0,0,5,5,1", blank, "2,2,0,0,5,5,1", "2.0,1,3,0,5,5,1"]
+        with pytest.raises(ValueError, match="gt.txt:5: second row of id 1 in frame 2"):
+            parse_track_rows(lines, source="gt.txt")
+
+    def test_detection_file_is_not_track_rows(self, tmp_path):
+        # Every detection has id -1; read_detections reads detection files.
+        scene = generate(preset("easy", seed=1, n_frames=5))
+        write_scene(scene, tmp_path)
+        with pytest.raises(ValueError, match=r"det.txt:2: second row of id -1 in frame 1"):
+            read_track_rows(tmp_path / "det.txt")
+
+    def test_rows_come_in_frame_order(self):
+        rows = parse_track_rows(["3,1,0,0,5,5,1", "1,2,0,0,5,5,1", "3,0,1,0,5,5,1", "1,1,0,0,5,5,1"])
+        assert [(r.frame, r.track_id) for r in rows] == [(1, 2), (1, 1), (3, 1), (3, 0)]
+
     @settings(max_examples=200, deadline=None)
-    @given(lines=st.lists(track_lines(), max_size=12))
+    @given(lines=track_files())
     def test_equals_line_by_line_parse(self, lines):
         try:
             want = reference_parse_track_rows(lines, "det.txt")
@@ -125,7 +166,7 @@ class TestTrackRows:
             assert str(got.value) == str(exc)
             return
         got = parse_track_rows(lines, source="det.txt")
-        assert got == want
+        assert list(got) == sorted(want, key=lambda r: r.frame)  # a stable sort
         assert all(type(r.frame) is int and type(r.track_id) is int for r in got)
         assert all(type(v) is float for r in got for v in r[2:])
 
@@ -247,10 +288,10 @@ class TestLabelDetections:
                 Detection(1, BoundingBox(500, 500, 20, 40), 0.4, unit(rng)),  # clutter
             ])
         }
-        gt = [
+        gt = TrackRows.of([
             TrackRow(1, 11, 1, 1, 20, 40, 1.0),
             TrackRow(1, 22, 201, 0, 20, 40, 1.0),
-        ]
+        ])
         labeled = label_detections(frames, gt)
         assert labeled[1].gt_ids == (11, 22, None)
         assert labeled[1].boxes is frames[1].boxes  # the columns are shared
@@ -264,7 +305,7 @@ class TestLabelDetections:
                 Detection(1, BoundingBox(2, 0, 20, 40), 0.9, unit(rng)),
             ])
         }
-        gt = [TrackRow(1, 5, 0, 0, 20, 40, 1.0)]
+        gt = TrackRows.of([TrackRow(1, 5, 0, 0, 20, 40, 1.0)])
         labeled = label_detections(frames, gt)
         ids = labeled[1].gt_ids
         assert ids.count(5) == 1 and ids.count(None) == 1
@@ -274,9 +315,17 @@ class TestLabelDetections:
         rng = np.random.default_rng(4)
         det = Detection(1, BoundingBox(0, 0, 20, 40), 0.9, unit(rng))
         frames = {1: Detections.of([det])}
-        labeled = label_detections(frames, [TrackRow(1, 9, 0, 0, 20, 40, 1.0)])
+        labeled = label_detections(frames, TrackRows.of([TrackRow(1, 9, 0, 0, 20, 40, 1.0)]))
         assert labeled[1].gt_ids == (9,)
         assert frames[1].gt_ids is None and det.gt_id is None
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.01])
+    def test_threshold_outside_unit_interval_refused(self, threshold):
+        rng = np.random.default_rng(4)
+        frames = {1: Detections.of([Detection(1, BoundingBox(0, 0, 20, 40), 0.9, unit(rng))])}
+        gt = TrackRows.of([TrackRow(1, 9, 500, 0, 20, 40, 1.0)])
+        with pytest.raises(ValueError, match=f"iou_threshold must be in \\(0, 1\\], got {threshold}"):
+            label_detections(frames, gt, threshold)
 
     @pytest.mark.parametrize("name", ["crossing", "crowded"])
     def test_read_back_labels_give_the_scene_frames(self, name, tmp_path):

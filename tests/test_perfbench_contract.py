@@ -3,7 +3,9 @@
 The traced pass rebinds every function named in tracing.TRACED and
 TRAINING_ONLY and would crash on a name that no longer resolves; its
 counters read Tracker.trajectories before every step, and the timed pass
-takes len(tracker.trajectories) inside the timed run_sequence.
+takes len(tracker.trajectories) inside the timed run_sequence. The checks
+in checks.py iterate the tracker's and the reader's track rows as TrackRow
+items, and the tracer counts the rows read with len().
 """
 
 import importlib
@@ -14,20 +16,31 @@ import pytest
 
 from graphmot import core
 from graphmot.core import BoundingBox, Trajectory
+from graphmot.metrics import clear_mot
+from graphmot.motio import read_detections, read_track_rows, write_track_rows
 from graphmot.motion import KalmanState
 from graphmot.mpn import create_model
-from graphmot.synth import SceneFeatureSource, generate, preset
+from graphmot.synth import SceneFeatureSource, generate, preset, write_scene
 from graphmot.tracker import Tracker, TrackerConfig, run_sequence
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return load("checks")
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +91,20 @@ def test_trajectory_count_builds_no_records(scene, monkeypatch):
             mp.setattr(cls, "__init__", refuse)
         assert len(tracker.trajectories) == len(lost)
     assert [t.frames_lost for t in tracker.trajectories] == lost
+
+
+def test_checks_pass_on_the_tracker_block_and_its_round_trip(checks, scene, tmp_path):
+    # As the two workloads score them: the block run_sequence returns for
+    # the generated frames, and the block read back from the written track
+    # file for the frames read back from the scene's files.
+    scene, model = scene
+    config = TrackerConfig(image_size=scene.config.image_size, integration="iou", ratio_variant="app")
+    write_scene(scene, tmp_path)
+    read_frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
+    rows, _ = run_sequence(scene.frames, model, config, SceneFeatureSource(scene))
+    write_track_rows(tmp_path / "hyp.txt", run_sequence(read_frames, model, config)[0])
+    read_back = read_track_rows(tmp_path / "hyp.txt")
+    assert len(read_back) == len((tmp_path / "hyp.txt").read_text().splitlines()) > 0
+    for frames, hyp in ((scene.frames, rows), (read_frames, read_back)):
+        assert checks.check_track_rows(hyp, frames, scene.config.image_size) == []
+        assert checks.check_clear(clear_mot(scene.gt_rows, hyp), scene.gt_rows, hyp) == []

@@ -15,7 +15,7 @@ from graphmot.synth import (
 )
 from graphmot.tracker import greedy_match
 from graphmot.metrics import idf1
-from graphmot.motio import TrackRow
+from graphmot.motio import TrackRow, TrackRows
 
 
 class TestDeterminismAndDegenerate:
@@ -31,7 +31,7 @@ class TestDeterminismAndDegenerate:
     def test_full_dropout_empties_detections(self):
         cfg = SceneConfig(n_frames=10, n_targets=3, dropout=1.0, clutter_rate=0.0, seed=6)
         scene = generate(cfg)
-        assert scene.det_rows == []
+        assert len(scene.det_rows) == 0
         assert len(scene.gt_rows) == 30
         assert sorted(scene.frames) == list(range(1, 11))
         for f, dets in scene.frames.items():
@@ -215,7 +215,7 @@ class TestEasyBaselineTracking:
                 d = dets[b]
                 hyp_rows.append(TrackRow(frame, next_id, d.box.x, d.box.y, d.box.w, d.box.h, 1.0))
                 next_id += 1
-        assert idf1(scene.gt_rows, hyp_rows) == pytest.approx(1.0)
+        assert idf1(scene.gt_rows, TrackRows.of(hyp_rows)) == pytest.approx(1.0)
 
 
 class TestFeatureSource:

@@ -193,7 +193,7 @@ class TestRunSequence:
     def test_empty_sequence(self):
         model = create_model(8, d_node=8, d_edge=8, seed=1)
         rows, stats = run_sequence({}, model, TrackerConfig())
-        assert rows == [] and stats == []
+        assert len(rows) == 0 and stats == []
 
     def test_single_target_single_trajectory(self):
         # tau below the untrained model's resting score: this asserts the
@@ -257,14 +257,14 @@ class TestRunSequence:
         stepped = Tracker(model, cfg)
         every_frame = [r for f in range(1, max(short) + 1) for r in stepped.step(f, short.get(f, block(f)))]
         short_rows, _ = run_sequence(short, model, cfg)
-        assert short_rows == every_frame
+        assert list(short_rows) == every_frame
 
         start = time.perf_counter()
         long_rows, stats = run_sequence(bursts(1_000_000), model, cfg)
         assert time.perf_counter() - start < 1.0
         assert len(stats) < 100
         shift = 1_000_000 - 100
-        assert long_rows == [r._replace(frame=r.frame + shift) if r.frame > 110 else r
+        assert list(long_rows) == [r._replace(frame=r.frame + shift) if r.frame > 110 else r
                              for r in short_rows]
 
     def test_hungarian_mode_runs(self):
@@ -330,4 +330,5 @@ class TestRandomDetectionStreams:
                 assert t.frames_lost == f - t.last_seen_frame <= cfg.lost_frame_limit
         rows_a, _ = run_sequence(frames, model, cfg)
         rows_b, _ = run_sequence(frames, model, cfg)
-        assert rows_a == rows_b == every_frame
+        assert rows_a == rows_b
+        assert list(rows_a) == every_frame
