@@ -27,7 +27,7 @@ import numpy as np
 
 from .metrics import clear_mot, idf1, ratio_analysis, render_ratio_report
 from .motio import (
-    format_track_row,
+    format_track_rows,
     label_detections,
     read_detections,
     read_track_rows,
@@ -234,8 +234,7 @@ def cmd_track(args) -> int:
         model.rounds = args.layers
     rows, _ = run_sequence(frames, model, config)
     out = Path(args.out)
-    text = "".join(format_track_row(r) + "\n" for r in rows)
-    _atomic_write_text(out, text)
+    _atomic_write_text(out, format_track_rows(rows))
     _echo_config(out.parent / (out.name + ".config.json"), "track",
                  {k: str(v) for k, v in vars(args).items() if k != "func"},
                  {"tracker": config})

@@ -1,4 +1,5 @@
-"""Trajectory appearance integration.
+"""Trajectory appearance integration and the rest of a trajectory's life:
+starting rows and absorbing matched detections.
 
 Four selectable modes for refreshing a trajectory's appearance after a
 match: "none" (take the matched detection's feature as-is), "average",
@@ -9,21 +10,21 @@ All outputs are renormalized to unit length: downstream distances assume
 unit vectors, and repeated un-normalized averaging would shrink norms and
 silently distort them.
 
-integrate_rows() is the one rule of "none", "average" and "iou": it
-integrates many trajectories at once, and integrate() is one row of it.
-The tracker integrates all matches of a frame with one integrate_rows
-call, and "lstm" match by match through integrate_lstm; the ground-truth
-walk (mpn.ground_truth_walk) that teacher-forces training and the ratio
-analysis uses the same functions. update_trajectory_feature applies them
-to one Trajectory record; no code of the package calls it, and it stays
-for perfbench/tracing.py and the tests' per-object tracker reference.
+integrate_rows() is the one rule of "none", "average" and "iou", over
+many trajectories at once, and lstm_step() the one "lstm" step. start()
+and absorb() are the one rule of a trajectory's life over rows of a
+core.Trajectories block, used by the tracker and by the ground-truth walk
+(mpn.ground_truth_walk) of training and the ratio analysis alike.
+update_trajectory_feature is one row of them for one Trajectory record;
+no code of the package calls it, and it stays for perfbench/tracing.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Detection, Detections, Trajectory, frame_overlaps, row_norms
+from .core import Detection, Detections, Trajectories, Trajectory, frame_overlaps, row_norms
+from .motion import kf_init_batch, kf_update_batch
 from .nn import LstmCache, LstmCell, LstmState
 
 INTEGRATION_MODES = ("none", "lstm", "average", "iou")
@@ -47,10 +48,14 @@ def integrate_rows(
 ) -> np.ndarray:
     """One "none", "average" or "iou" step for K trajectories at once.
 
-    f_prev and f_new are (K, d); "iou" needs the (K,) overlaps. Row k of
-    the result has the bits integrate() gives row k on its own: the blend
-    is elementwise and the row norms are row_norms, which equal
-    np.linalg.norm of each row.
+    f_prev and f_new are (K, d); "iou" needs the (K,) overlaps, each
+    new detection's largest IoU with the other detections of its frame.
+    Row k of the result has the bits of row k integrated on its own: the
+    blend is elementwise and the row norms are row_norms, which equal
+    np.linalg.norm of each row. "average" of antipodal rows cancels to
+    zero and falls back to f_new; "iou" at overlap 0 is "average" bit for
+    bit, and at overlap 1 gives the new feature weight zero and keeps
+    f_prev exactly.
     """
     if mode == "none":
         return np.array(f_new, dtype=np.float64)
@@ -72,75 +77,70 @@ def integrate_rows(
     raise ValueError(f"mode {mode!r} does not integrate in batches; expected one of {BATCHED_MODES}")
 
 
-def integrate_average(f_prev: np.ndarray, f_new: np.ndarray) -> np.ndarray:
-    """Half-sum of the previous and new feature, renormalized.
-
-    Antipodal inputs cancel to zero; the result then falls back to f_new.
-    """
-    return integrate_rows("average", f_prev[None], f_new[None])[0]
-
-
-def integrate_iou_guided(f_prev: np.ndarray, f_new: np.ndarray, overlap: float) -> np.ndarray:
-    """Overlap-guided blend of the previous and new feature, renormalized.
-
-    `overlap` is the matched detection's maximum IoU with the other
-    detections of its frame. At overlap 0 this is bit-identical to
-    integrate_average; at overlap 1 the new feature has weight exactly
-    zero and f_prev is returned unchanged.
-    """
-    return integrate_rows("iou", f_prev[None], f_new[None], np.array([overlap]))[0]
-
-
-def _lstm_step(
-    cell: LstmCell, state: LstmState | None, f_new: np.ndarray
+def lstm_step(
+    cell: LstmCell | None, state: LstmState | None, f_new: np.ndarray
 ) -> tuple[np.ndarray, LstmState, LstmCache]:
+    """One "lstm" step over the new feature from state (None: a fresh one):
+    (renormalized hidden output, falling back to f_new when it is zero,
+    new state, the cache training backpropagates through)."""
+    if cell is None:
+        raise ValueError("lstm integration requires an LstmCell")
     state = cell.init_state() if state is None else state
     h, new_state, cache = cell.step(state, f_new)
     return _renormalized_rows(h[None], f_new[None])[0], new_state, cache
 
 
-def integrate_lstm(
-    cell: LstmCell, state: LstmState | None, f_new: np.ndarray
-) -> tuple[np.ndarray, LstmState]:
-    """One recurrent step over the new feature; hidden output renormalized.
+def start(ids, detections: Detections, index, frame: int, lstm: bool) -> Trajectories:
+    """New trajectory rows, one per id, from detections[index] in `frame`:
+    a Kalman state and the detection's feature, plus a fresh LSTM state
+    (None) each in "lstm" integration."""
+    boxes = detections.boxes[index]
+    means, covs = kf_init_batch(boxes)
+    return Trajectories(
+        ids, detections.features[index], boxes, np.full(len(boxes), frame), means, covs,
+        lstm_states=[None] * len(boxes) if lstm else None,
+    )
 
-    A zero hidden output (e.g. zero-initialized weights) falls back to
-    f_new, like the degenerate cases of the other modes.
-    """
-    feature, new_state, _ = _lstm_step(cell, state, f_new)
-    return feature, new_state
 
-
-def integrate(
+def absorb(
+    tracks: Trajectories,
+    rows,
+    detections: Detections,
+    index,
+    frame: int,
     mode: str,
-    f_prev: np.ndarray,
-    f_new: np.ndarray,
     *,
-    overlap: float | None = None,
+    overlaps: np.ndarray | None = None,
     lstm_cell: LstmCell | None = None,
-    lstm_state: LstmState | None = None,
-) -> tuple[np.ndarray, LstmState | None, LstmCache | None]:
-    """One integration step of `mode`: (feature, lstm_state, lstm_cache).
-
-    "iou" needs `overlap`, the new detection's maximum IoU with the other
-    detections of its frame (core.frame_overlaps). "lstm" needs the cell
-    and steps from lstm_state (None starts a fresh state); its cache lets
-    training backpropagate through the step. The other modes pass
-    lstm_state through and return no cache.
-    """
-    if mode == "none":
-        return f_new.copy(), lstm_state, None
-    if mode == "average":
-        return integrate_average(f_prev, f_new), lstm_state, None
-    if mode == "iou":
-        if overlap is None:
-            raise ValueError("iou integration requires the detection's overlap")
-        return integrate_iou_guided(f_prev, f_new, overlap), lstm_state, None
+) -> list[LstmCache] | None:
+    """Rows `rows` of tracks take detections[index] in `frame`, in place:
+    Kalman update, integrated feature, last box and frame, no frame lost
+    and forecasting resumed. "iou" uses overlaps (core.frame_overlaps of
+    the index rows when None); "lstm" steps the rows one by one and
+    returns their step caches, the other modes None."""
+    boxes = detections.boxes[index]
+    tracks.means[rows], tracks.covs[rows] = kf_update_batch(
+        tracks.means[rows], tracks.covs[rows], boxes
+    )
+    caches = None
     if mode == "lstm":
-        if lstm_cell is None:
-            raise ValueError("lstm integration requires an LstmCell")
-        return _lstm_step(lstm_cell, lstm_state, f_new)
-    raise ValueError(f"unknown integration mode {mode!r}; expected one of {INTEGRATION_MODES}")
+        caches = []
+        for r, j in zip(np.asarray(rows).tolist(), np.asarray(index).tolist()):
+            tracks.features[r], tracks.lstm_states[r], cache = lstm_step(
+                lstm_cell, tracks.lstm_states[r], detections.features[j]
+            )
+            caches.append(cache)
+    else:
+        if mode == "iou" and overlaps is None:
+            overlaps = frame_overlaps(detections, index)
+        tracks.features[rows] = integrate_rows(
+            mode, tracks.features[rows], detections.features[index], overlaps
+        )
+    tracks.last_boxes[rows] = boxes
+    tracks.last_seen[rows] = frame
+    tracks.frames_lost[rows] = 0
+    tracks.forecast_stopped[rows] = False
+    return caches
 
 
 def update_trajectory_feature(
@@ -150,21 +150,24 @@ def update_trajectory_feature(
     mode: str,
     lstm_cell: LstmCell | None = None,
 ) -> Trajectory:
-    """Refresh traj.integrated_feature from its matched detection.
+    """Refresh traj.integrated_feature from its matched detection: one row
+    of integrate_rows, or one lstm_step from traj.lstm_state.
 
     frame_dets are the caller's Detection records of the current frame;
     the matched one, by identity, is excluded when computing the overlap
-    for "iou" mode. A caller that updates many trajectories per frame
-    uses integrate_rows with core.frame_overlaps instead. Unmatched
-    trajectories are simply never passed here, which leaves their feature
-    untouched.
+    for "iou" mode. Unmatched trajectories are simply never passed here,
+    which leaves their feature untouched.
     """
-    overlap = None
+    if mode == "lstm":
+        traj.integrated_feature, traj.lstm_state, _ = lstm_step(
+            lstm_cell, traj.lstm_state, matched.feature
+        )
+        return traj
+    overlaps = None
     if mode == "iou":
         others = [d for d in frame_dets if d is not matched]
-        overlap = float(frame_overlaps(Detections.of([matched, *others]), [0])[0])
-    traj.integrated_feature, traj.lstm_state, _ = integrate(
-        mode, traj.integrated_feature, matched.feature,
-        overlap=overlap, lstm_cell=lstm_cell, lstm_state=traj.lstm_state,
-    )
+        overlaps = frame_overlaps(Detections.of([matched, *others]), [0])
+    traj.integrated_feature = integrate_rows(
+        mode, traj.integrated_feature[None], matched.feature[None], overlaps
+    )[0]
     return traj

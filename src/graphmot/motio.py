@@ -28,6 +28,7 @@ and label_detections the same blocks with ground-truth identities attached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -229,17 +230,27 @@ def read_track_rows(path) -> TrackRows:
         return parse_track_rows(fh, source=str(path))
 
 
+_TRACK_LINE = "{},{},{:.2f},{:.2f},{:.2f},{:.2f},{:.2f},-1,-1,-1\n"
+
+
+def format_track_rows(rows) -> str:
+    """The text of track rows, one line each in row order: a TrackRows
+    block, formatted from its columns, or TrackRow records (a detection
+    file's rows repeat (frame, id -1), which no checked block holds)."""
+    if isinstance(rows, TrackRows):
+        rows = zip(rows.frames.tolist(), rows.ids.tolist(), *rows.boxes.T.tolist(),
+                   rows.confidences.tolist())
+    return "".join(itertools.starmap(_TRACK_LINE.format, rows))
+
+
 def format_track_row(row: TrackRow) -> str:
-    return (
-        f"{row.frame},{row.track_id},{row.x:.2f},{row.y:.2f},"
-        f"{row.w:.2f},{row.h:.2f},{row.conf:.2f},-1,-1,-1"
-    )
+    """One row of format_track_rows, without its newline."""
+    return format_track_rows([row])[:-1]
 
 
 def write_track_rows(path, rows) -> None:
     with open(path, "w") as fh:
-        for row in rows:
-            fh.write(format_track_row(row) + "\n")
+        fh.write(format_track_rows(rows))
 
 
 def write_features(path, feature_rows) -> None:

@@ -8,23 +8,23 @@ noise weights: with zero noise the filter then locks onto the exact
 velocity after the second observation.
 
 The kf_*_batch functions filter M stacked states, (M, 8) means and
-(M, 8, 8) covariances, in one call; the tracker and the ground-truth walk
-of training and the ratio analysis use them. The single-state kf_init /
-kf_predict / kf_update are batches of one that no code of the package
-calls: they stay for perfbench/tracing.py, which rebinds them, and for
-the tests' one-identity-at-a-time references.
-
-A lost trajectory's predicted box passes three gates, in order, before it
-is emitted as a tracked position:
+(M, 8, 8) covariances, in one call. A lost trajectory's predicted box
+passes three gates, in order, before it is emitted as a tracked position:
   1. at least half of the box must be inside the image,
   2. a pluggable box verifier must accept it (the default is a geometric
      stand-in: reject boxes touching the image border band or whose area
      drifted more than 50% from the last observation; a learned verifier
-     can be dropped in through the same callable interface),
+     can be dropped in as a row callable, (boxes, last_boxes, image_size)
+     -> (L,) bool),
   3. if an appearance source is available, the feature at the predicted
      box must stay within a distance threshold of the trajectory feature.
 forecast_gates runs them over many lost trajectories at once, the first
-two on arrays; forecast_lost gates one Trajectory record.
+two on arrays, and returns a stop code per row (STOP_REASONS).
+
+kf_init / kf_predict / kf_update, state_to_box and forecast_lost are
+one-row calls of the functions above that no code of the package calls:
+they stay for perfbench/tracing.py, which rebinds them, and for the
+tests' one-identity-at-a-time references.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .core import BoundingBox, Trajectory, feature_distance
 STOP_OUT_OF_VIEW = "out_of_view"
 STOP_VERIFIER = "verifier_reject"
 STOP_APPEARANCE = "appearance_drift"
+# Reason of each stop code of forecast_gates; code 0 keeps the forecast.
+STOP_REASONS = (None, STOP_OUT_OF_VIEW, STOP_VERIFIER, STOP_APPEARANCE)
 
 VERIFIER_NAMES = ("default", "always_keep", "always_stop")
 
@@ -171,16 +173,6 @@ def kf_update(
     return KalmanState(means[0], covs[0])
 
 
-def visible_fraction(box: BoundingBox, image_size: tuple[int, int]) -> float:
-    """Fraction of the box area inside the image."""
-    width, height = image_size
-    ix = min(box.x + box.w, width) - max(box.x, 0.0)
-    iy = min(box.y + box.h, height) - max(box.y, 0.0)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    return (ix * iy) / box.area
-
-
 @dataclass
 class FrameContext:
     """Per-frame inputs for the forecast gates.
@@ -203,41 +195,20 @@ class ForecastDecision:
     appearance_checked: bool = True
 
 
-def default_verifier(box: BoundingBox, last_box: BoundingBox, image_size) -> bool:
-    """Geometric stand-in for a learned box verifier.
-
-    Rejects boxes that touch the image border band (2% of the smaller
-    image side) or whose area changed by more than 50% since the last
-    observation.
-    """
-    width, height = image_size
-    band = 0.02 * min(width, height)
-    if box.x < band or box.y < band:
-        return False
-    if box.x + box.w > width - band or box.y + box.h > height - band:
-        return False
-    return abs(box.area - last_box.area) <= 0.5 * last_box.area
-
-
-def make_verifier(name: str):
-    if name == "default":
-        return default_verifier
-    if name == "always_keep":
-        return lambda box, last_box, image_size: True
-    if name == "always_stop":
-        return lambda box, last_box, image_size: False
-    raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
-
-
 def visible_fractions(boxes: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
-    """visible_fraction of every row of (L, 4) xywh boxes."""
+    """Fraction of the area of each row of (L, 4) xywh boxes inside the image."""
     corner, size = boxes[:, :2], boxes[:, 2:]
     ix, iy = (np.minimum(corner + size, image_size) - np.maximum(corner, 0.0)).T
     return np.where((ix <= 0.0) | (iy <= 0.0), 0.0, ix * iy / (size[:, 0] * size[:, 1]))
 
 
 def default_verifier_rows(boxes: np.ndarray, last_boxes: np.ndarray, image_size) -> np.ndarray:
-    """default_verifier of every row of (L, 4) xywh boxes against its last box."""
+    """Geometric stand-in for a learned box verifier, over (L, 4) xywh rows.
+
+    Rejects boxes that touch the image border band (2% of the smaller
+    image side) or whose area changed by more than 50% since the last
+    observation.
+    """
     width, height = image_size
     band = 0.02 * min(width, height)
     x, y, w, h = boxes.T
@@ -247,7 +218,8 @@ def default_verifier_rows(boxes: np.ndarray, last_boxes: np.ndarray, image_size)
 
 
 def make_row_verifier(name: str):
-    """make_verifier's verifier over rows: (boxes, last_boxes, image_size) -> (L,) bool."""
+    """The verifier of a name in VERIFIER_NAMES, over rows:
+    (boxes, last_boxes, image_size) -> (L,) bool."""
     if name == "default":
         return default_verifier_rows
     if name == "always_keep":
@@ -255,35 +227,6 @@ def make_row_verifier(name: str):
     if name == "always_stop":
         return lambda boxes, last_boxes, image_size: np.zeros(len(boxes), dtype=bool)
     raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
-
-
-def forecast_lost(
-    traj: Trajectory,
-    ctx: FrameContext,
-    theta_app: float = 0.6,
-    verifier=default_verifier,
-) -> ForecastDecision:
-    """Gate the lost trajectory's current predicted box.
-
-    The caller must already have advanced traj.motion to the context
-    frame. Gates run strictly in the order out-of-view, verifier,
-    appearance; the first failing gate determines the stop reason.
-    """
-    if traj.is_active:
-        raise ValueError("forecast_lost expects a lost trajectory")
-    box = state_to_box(traj.motion)
-    if visible_fraction(box, ctx.image_size) < 0.5:
-        return ForecastDecision(False, None, STOP_OUT_OF_VIEW)
-    if not verifier(box, traj.last_box, ctx.image_size):
-        return ForecastDecision(False, None, STOP_VERIFIER)
-    checked = False
-    if ctx.feature_at is not None:
-        feature = ctx.feature_at(ctx.frame, box)
-        if feature is not None:
-            checked = True
-            if feature_distance(traj.integrated_feature, feature) > theta_app:
-                return ForecastDecision(False, None, STOP_APPEARANCE)
-    return ForecastDecision(True, box, None, appearance_checked=checked)
 
 
 def forecast_gates(
@@ -294,24 +237,48 @@ def forecast_gates(
     theta_app: float = 0.6,
     verifier=default_verifier_rows,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """forecast_lost for L lost trajectories at once.
+    """Gate the forecasts of L lost trajectories.
 
     boxes (L, 4) are their predicted xywh boxes at the context frame,
     last_boxes (L, 4) their last observations and features (L, d) their
     integrated features; verifier works on rows (make_row_verifier).
-    The first two gates run on the arrays; the appearance source is asked
-    once per row that passes them, in row order. Returns (keep,
-    appearance_checked), each (L,) bool, row k as forecast_lost decides
-    it for trajectory k.
+    Gates run strictly in the order out-of-view, verifier, appearance,
+    and the first failing gate determines the stop reason. The first two
+    run on the arrays; the appearance source is asked once per row that
+    passes them, in row order. Returns (stops, appearance_checked), each
+    (L,): stops int8, 0 where the forecast is kept and else the index in
+    STOP_REASONS of the gate that stopped it, and appearance_checked bool.
     """
-    keep = ~(visible_fractions(boxes, ctx.image_size) < 0.5)
-    rows = np.flatnonzero(keep)
-    keep[rows] = verifier(boxes[rows], last_boxes[rows], ctx.image_size)
+    stops = (visible_fractions(boxes, ctx.image_size) < 0.5).astype(np.int8)
+    rows = np.flatnonzero(stops == 0)
+    accepted = np.asarray(verifier(boxes[rows], last_boxes[rows], ctx.image_size), dtype=bool)
+    stops[rows[~accepted]] = 2
     checked = np.zeros(len(boxes), dtype=bool)
     if ctx.feature_at is not None:
-        for r in np.flatnonzero(keep):
+        for r in np.flatnonzero(stops == 0):
             feature = ctx.feature_at(ctx.frame, BoundingBox(*boxes[r].tolist()))
             if feature is not None:
                 checked[r] = True
-                keep[r] = not feature_distance(features[r], feature) > theta_app
-    return keep, checked
+                if feature_distance(features[r], feature) > theta_app:
+                    stops[r] = 3
+    return stops, checked
+
+
+def forecast_lost(
+    traj: Trajectory,
+    ctx: FrameContext,
+    theta_app: float = 0.6,
+    verifier=default_verifier_rows,
+) -> ForecastDecision:
+    """forecast_gates for one lost Trajectory record, whose traj.motion the
+    caller has already advanced to the context frame."""
+    if traj.is_active:
+        raise ValueError("forecast_lost expects a lost trajectory")
+    box = state_to_box(traj.motion)
+    (stop,), (checked,) = forecast_gates(
+        box.as_xywh()[None], traj.last_box.as_xywh()[None], traj.integrated_feature[None],
+        ctx, theta_app, verifier,
+    )
+    if stop:
+        return ForecastDecision(False, None, STOP_REASONS[stop])
+    return ForecastDecision(True, box, None, appearance_checked=bool(checked))

@@ -25,13 +25,8 @@ import numpy as np
 
 from .core import Detections, Trajectories, frame_overlaps
 from .graph import AssocGraph, _check_fps, build_graph
-from .integration import integrate, integrate_rows
-from .motion import (
-    boxes_from_means,
-    kf_init_batch,
-    kf_predict_batch,
-    kf_update_batch,
-)
+from .integration import absorb, start
+from .motion import boxes_from_means, kf_predict_batch
 from .nn import AdamOptimizer, LstmCell, Mlp, sigmoid, weighted_bce
 from .nn import load_checkpoint, save_checkpoint
 
@@ -451,14 +446,14 @@ def ground_truth_walk(
     the first event to the last end: each frame predicts the live rows in
     one batch and yields (frame, live, trajectories, lstm_caches, ending),
     trajectories holding every row started and not yet ended in start
-    order, live indexing the predicted rows (a slice without a limit),
-    ending the rows whose end is this frame, which retire after the
-    yield, and lstm_caches each row's "lstm" step caches (None in other
-    modes). The
-    walk then starts the rows first seen in the frame and updates the
-    observed ones in one batch ("lstm" steps them one by one), with one
-    frame_overlaps of the frame for "iou"; a second detection of a row's
-    identity in the frame is a further update without a predict.
+    order (with their LSTM states in "lstm" integration), live indexing
+    the predicted rows (a slice without a limit), ending the rows whose
+    end is this frame, which retire after the yield, and lstm_caches each
+    row's "lstm" step caches (None in other modes). The walk then starts
+    the rows first seen in the frame (integration.start) and updates the
+    observed ones in one batch (integration.absorb, the tracker's rule),
+    with one frame_overlaps of the frame for "iou"; a second detection of
+    a row's identity in the frame is a further update without a predict.
 
     Rows never interact, so every row gets the predicts, updates and
     integration steps it would get in a walk of its own, with the same
@@ -470,14 +465,13 @@ def ground_truth_walk(
     yielded, and an update resumes from their last state. While nothing
     is live the walk jumps to the next frame with events.
     """
-    state = Trajectories([], [], [], [], [], [])
+    lstm = integration == "lstm"
+    state = Trajectories([], [], [], [], [], [], lstm_states=[] if lstm else None)
     ends = np.zeros(0, dtype=np.int64)  # per row
     starts = np.zeros(0, dtype=np.int64)  # per row: its start number, ascending
     start_of: dict[tuple[int, int], int] = {}  # (end, identity) of a row -> start number
     n_started = 0
-    lstm = integration == "lstm"
-    lstm_states: list | None = [] if lstm else None
-    lstm_caches: list[list] | None = [] if lstm else None
+    lstm_caches: list[list] | None = [] if lstm else None  # per row
     numbers = sorted(events)
     if not numbers:
         return
@@ -498,7 +492,6 @@ def ground_truth_walk(
             keep = np.flatnonzero(ends != frame)
             state, ends, starts = state.take(keep), ends[keep], starts[keep]
             if lstm:
-                lstm_states = [lstm_states[r] for r in keep.tolist()]
                 lstm_caches = [lstm_caches[r] for r in keep.tolist()]
 
         started: list[tuple[int, int, int]] = []
@@ -522,40 +515,21 @@ def ground_truth_walk(
         if started or passes:
             detections = frames[frame]
         if started:
-            index = [j for _, _, j in started]
-            boxes = detections.boxes[index]
-            means, covs = kf_init_batch(boxes)
-            state = state.concat(Trajectories(
-                [gid for _, gid, _ in started], detections.features[index], boxes,
-                [frame] * len(started), means, covs,
-            ))
+            state = state.concat(start([gid for _, gid, _ in started], detections,
+                                       [j for _, _, j in started], frame, lstm))
             ends = np.concatenate([ends, [end for end, _, _ in started]])
             starts = np.concatenate([starts, np.arange(n_started, n_started + len(started))])
             n_started += len(started)
             if lstm:
-                lstm_states += [None] * len(started)
                 lstm_caches += [[] for _ in started]
         overlaps = frame_overlaps(detections) if passes and integration == "iou" else None
         for batch, index in passes:
             rows = np.searchsorted(starts, batch)
-            boxes = detections.boxes[index]
-            state.means[rows], state.covs[rows] = kf_update_batch(
-                state.means[rows], state.covs[rows], boxes
-            )
-            if not lstm:
-                state.features[rows] = integrate_rows(
-                    integration, state.features[rows], detections.features[index],
-                    None if overlaps is None else overlaps[index],
-                )
-            else:
-                for r, j in zip(rows.tolist(), index):
-                    state.features[r], lstm_states[r], cache = integrate(
-                        integration, state.features[r], detections.features[j],
-                        lstm_cell=lstm_cell, lstm_state=lstm_states[r],
-                    )
-                    lstm_caches[r].append(cache)
-            state.last_boxes[rows] = boxes
-            state.last_seen[rows] = frame
+            caches = absorb(state, rows, detections, index, frame, integration,
+                            overlaps=None if overlaps is None else overlaps[index],
+                            lstm_cell=lstm_cell)
+            for r, cache in zip(rows.tolist(), caches or ()):
+                lstm_caches[r].append(cache)
 
         if len(state) and (
             lost_frame_limit is None or frame + 1 - state.last_seen.max() <= lost_frame_limit

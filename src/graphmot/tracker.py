@@ -15,29 +15,33 @@ The tracker keeps its trajectories, Kalman means and covariances included,
 as one core.Trajectories block of columns with rows in id order, takes
 a frame's detections as one core.Detections block (empty for a frame
 without detections) and returns the frame's output as one motio.TrackRows
-block: every stage of a step works on arrays.
+block: every stage of a step works on arrays. Rows start and absorb their
+matches through integration.start and integration.absorb, the rule that
+teacher forcing uses too, and the tracker keeps only the latest step's
+StepStats.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Detections, Trajectories, frame_overlaps
+from .core import Detections, Trajectories
 from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, _check_alpha, _check_fps, build_graph
-from .integration import BATCHED_MODES, INTEGRATION_MODES, integrate_lstm, integrate_rows
+from .integration import INTEGRATION_MODES, absorb, start
 from .motion import (
+    VERIFIER_NAMES,
     FrameContext,
     boxes_from_means,
     forecast_gates,
-    kf_init_batch,
     kf_predict_batch,
-    kf_update_batch,
     make_row_verifier,
 )
 from .motio import TrackRows
@@ -81,6 +85,14 @@ class TrackerConfig:
             raise ValueError(f"spawn_confidence must be in [0, 1], got {self.spawn_confidence}")
         if not self.theta_app >= 0.0:
             raise ValueError(f"theta_app must be >= 0, got {self.theta_app}")
+        if self.verifier not in VERIFIER_NAMES:
+            raise ValueError(f"unknown verifier {self.verifier!r}; expected one of {VERIFIER_NAMES}")
+        # The forecast gates measure boxes against the image: any other size
+        # would stop every forecast silently.
+        size = self.image_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in size)):
+            raise ValueError(f"image_size must be two finite positive numbers, got {size!r}")
         if self.resolved_alpha() is not None:
             _check_alpha(self.resolved_alpha())
 
@@ -174,7 +186,7 @@ class Tracker:
         )
         self.next_id = 1
         self.last_frame: int | None = None
-        self.stats: list[StepStats] = []
+        self.last_stats: StepStats | None = None  # of the latest step
         self._verifier = make_row_verifier(config.verifier)
         self._appearance_gate_noted = False
 
@@ -201,10 +213,11 @@ class Tracker:
         if tracks:
             tracks.means, tracks.covs = kf_predict_batch(tracks.means, tracks.covs)
 
-        graph, (matches, unmatched_t, unmatched_d) = self._associate(frame, detections)
+        matches, unmatched_t, unmatched_d = self._associate(frame, detections)
         matched_t, matched_d = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
-            self._absorb(graph, detections, matched_t, matched_d, frame)
+            absorb(tracks, matched_t, detections, matched_d, frame, cfg.integration,
+                   lstm_cell=self.model.lstm)
         # Output (ids, boxes, confidences): matched rows, forecasts, spawns.
         parts = [(tracks.ids[matched_t], detections.boxes[matched_d],
                   detections.confidences[matched_d])]
@@ -218,8 +231,7 @@ class Tracker:
         if spawn.size:
             spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
             self.next_id += spawn.size
-            spawn_boxes = detections.boxes[spawn]
-            parts.append((spawn_ids, spawn_boxes, detections.confidences[spawn]))
+            parts.append((spawn_ids, detections.boxes[spawn], detections.confidences[spawn]))
         ids, boxes, confidences = (np.concatenate(column) for column in zip(*parts))
         # By id: spawned ids come after every live one.
         order = np.argsort(ids)
@@ -233,37 +245,11 @@ class Tracker:
                 alive[expired] = False
                 survivors = tracks.take(np.flatnonzero(alive))
             if spawn.size:
-                means, covs = kf_init_batch(spawn_boxes)
-                survivors = survivors.concat(Trajectories(
-                    spawn_ids, detections.features[spawn], spawn_boxes, np.full(spawn.size, frame),
-                    means, covs,
-                    lstm_states=None if tracks.lstm_states is None else [None] * spawn.size,
-                ))
+                survivors = survivors.concat(
+                    start(spawn_ids, detections, spawn, frame, tracks.lstm_states is not None)
+                )
             self._tracks = survivors
         return rows
-
-    def _absorb(self, graph, detections, matched_t, matched_d, frame):
-        """Matched trajectories take their detections: Kalman update,
-        integrated feature, last box and frame, lost counter and stop flag."""
-        cfg, tracks = self.config, self._tracks
-        tracks.means[matched_t], tracks.covs[matched_t] = kf_update_batch(
-            tracks.means[matched_t], tracks.covs[matched_t], detections.boxes[matched_d]
-        )
-        if cfg.integration in BATCHED_MODES:
-            overlaps = frame_overlaps(detections, matched_d) if cfg.integration == "iou" else None
-            tracks.features[matched_t] = integrate_rows(
-                cfg.integration, graph.traj_features[matched_t],
-                graph.det_features[matched_d], overlaps,
-            )
-        else:
-            for ti, dj in zip(matched_t, matched_d):
-                tracks.features[ti], tracks.lstm_states[ti] = integrate_lstm(
-                    self.model.lstm, tracks.lstm_states[ti], detections.features[dj]
-                )
-        tracks.last_boxes[matched_t] = detections.boxes[matched_d]
-        tracks.last_seen[matched_t] = frame
-        tracks.frames_lost[matched_t] = 0
-        tracks.forecast_stopped[matched_t] = False
 
     def _lose(self, frame, lost):
         """Unmatched rows lose one more frame. Returns the rows past the
@@ -281,10 +267,11 @@ class Tracker:
         if cfg.forecast_constraints:
             feature_at = getattr(self.feature_source, "feature_at", None)
             ctx = FrameContext(cfg.image_size, frame, feature_at)
-            keep, checked = forecast_gates(
+            stops, checked = forecast_gates(
                 boxes, tracks.last_boxes[forecast], tracks.features[forecast], ctx,
                 cfg.theta_app, self._verifier,
             )
+            keep = stops == 0
             if not self._appearance_gate_noted and (keep & ~checked).any():
                 logger.info("no appearance source: forecast appearance gate skipped")
                 self._appearance_gate_noted = True
@@ -293,10 +280,9 @@ class Tracker:
         return lost[expired], forecast, boxes
 
     def _associate(self, frame, detections):
-        """Build, score and resolve the frame's graph; records step stats.
-
-        Returns the graph (None when one side is empty) and
-        (matches, unmatched trajectories, unmatched detections).
+        """Build, score and resolve the frame's graph; records the step's
+        stats as last_stats. Returns (matches, unmatched trajectories,
+        unmatched detections).
         """
         cfg, tracks = self.config, self._tracks
         t_start = time.perf_counter()
@@ -312,8 +298,8 @@ class Tracker:
                 traj_boxes=boxes_from_means(tracks.means),
             )
         if graph is None:
-            self.stats.append(StepStats(frame, 0, 0, time.perf_counter() - t_start))
-            return None, ([], list(range(len(tracks))), list(range(len(detections))))
+            self.last_stats = StepStats(frame, 0, 0, time.perf_counter() - t_start)
+            return [], list(range(len(tracks))), list(range(len(detections)))
         scores = score_graph(self.model, graph)
         if cfg.matching == "hungarian":
             result = hungarian_match(
@@ -325,10 +311,10 @@ class Tracker:
                 graph.edge_traj, graph.edge_det, scores, cfg.tau,
                 n_traj=len(tracks), n_det=len(detections),
             )
-        self.stats.append(
-            StepStats(frame, graph.n_candidates, graph.n_edges, time.perf_counter() - t_start)
+        self.last_stats = StepStats(
+            frame, graph.n_candidates, graph.n_edges, time.perf_counter() - t_start
         )
-        return graph, result
+        return result
 
 
 def run_sequence(
@@ -347,14 +333,16 @@ def run_sequence(
     """
     tracker = Tracker(model, config, feature_source)
     rows: list[TrackRows] = []
+    stats: list[StepStats] = []
     numbers = sorted(frames)
     frame = numbers[0] if numbers else None
     while frame is not None:
         detections = frames[frame] if frame in frames else Detections.of([], frame)
         rows.append(tracker.step(frame, detections))
+        stats.append(tracker.last_stats)
         if tracker.trajectories:
             frame = frame + 1 if frame < numbers[-1] else None
         else:
             later = bisect.bisect_right(numbers, frame)
             frame = numbers[later] if later < len(numbers) else None
-    return TrackRows.concat(rows), tracker.stats
+    return TrackRows.concat(rows), stats

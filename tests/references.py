@@ -3,10 +3,13 @@ the metrics and the ratio-test analysis.
 
 ReferenceTracker is the tracker step as it was written before the tracker
 kept its trajectories as columns: one Trajectory record and one
-KalmanState per live track, forecast gates through motion.forecast_lost
-one trajectory at a time, and features integrated through
-integration.update_trajectory_feature in "lstm" mode. reference_read_detections
+KalmanState per live track, forecast gates through reference_forecast_lost
+one trajectory at a time, with the scalar visible_fraction and
+make_verifier's verifiers, and features integrated one trajectory at a
+time through reference_integrate, each as the package computed them
+before it gated and integrated rows. reference_read_detections
 joins the two files row by row into Detection records.
+reference_format_track_row formats one TrackRow with an f-string.
 reference_ratio_analysis walks a dict of live identities, each filtered
 by the single-state Kalman functions, and ratio-tests every trajectory at
 every alpha through conclusive_pick. reference_teacher_force teacher-forces
@@ -32,29 +35,119 @@ from graphmot.core import (
     Detections,
     Trajectories,
     Trajectory,
+    feature_distance,
     frame_overlaps,
     iou,
 )
 from graphmot.graph import _check_alpha, build_graph
-from graphmot.integration import BATCHED_MODES, integrate, integrate_rows, update_trajectory_feature
 from graphmot.metrics import ClearMotResult, FrameDetail, RatioAnalysisReport
 from graphmot.motio import TrackRow, _parse_track_line, read_features
 from graphmot.motion import (
+    STOP_APPEARANCE,
+    STOP_OUT_OF_VIEW,
+    STOP_VERIFIER,
+    VERIFIER_NAMES,
     ForecastDecision,
     FrameContext,
     KalmanState,
     boxes_from_means,
-    forecast_lost,
     kf_init,
     kf_init_batch,
     kf_predict_batch,
     kf_update,
     kf_update_batch,
-    make_verifier,
     state_to_box,
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
 from graphmot.tracker import StepStats, greedy_match, hungarian_match
+
+
+def reference_integrate(mode, f_prev, f_new, overlap=None, cell=None, state=None):
+    """One integration step of one trajectory, as integration computed it
+    before the batched rule, with np.linalg.norm of the single vector:
+    (feature, lstm state, lstm step cache). The modes other than "lstm"
+    pass the state through and have no cache."""
+    cache = None
+    if mode == "none":
+        return f_new.copy(), state, None
+    if mode == "average":
+        blended = 0.5 * (f_prev + f_new)
+    elif mode == "iou":
+        if overlap is None or not 0.0 <= overlap <= 1.0:
+            raise ValueError(f"iou integration needs an overlap in [0, 1], got {overlap}")
+        if overlap == 1.0:
+            return f_prev.copy(), state, None
+        blended = 0.5 * (f_prev * (1.0 + overlap) + f_new * (1.0 - overlap))
+    elif mode == "lstm":
+        blended, state, cache = cell.step(cell.init_state() if state is None else state, f_new)
+    else:
+        raise ValueError(f"unknown integration mode {mode!r}")
+    norm = float(np.linalg.norm(blended))
+    if norm < 1e-12:
+        return f_new.copy(), state, cache
+    return blended / norm, state, cache
+
+
+def visible_fraction(box: BoundingBox, image_size) -> float:
+    """Fraction of the box area inside the image."""
+    width, height = image_size
+    ix = min(box.x + box.w, width) - max(box.x, 0.0)
+    iy = min(box.y + box.h, height) - max(box.y, 0.0)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    return (ix * iy) / box.area
+
+
+def default_verifier(box: BoundingBox, last_box: BoundingBox, image_size) -> bool:
+    """Rejects boxes that touch the image border band (2% of the smaller
+    image side) or whose area changed by more than 50% since the last
+    observation."""
+    width, height = image_size
+    band = 0.02 * min(width, height)
+    if box.x < band or box.y < band:
+        return False
+    if box.x + box.w > width - band or box.y + box.h > height - band:
+        return False
+    return abs(box.area - last_box.area) <= 0.5 * last_box.area
+
+
+def make_verifier(name: str):
+    """The verifier of a name, for one box: (box, last_box, image_size) -> bool."""
+    if name == "default":
+        return default_verifier
+    if name == "always_keep":
+        return lambda box, last_box, image_size: True
+    if name == "always_stop":
+        return lambda box, last_box, image_size: False
+    raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
+
+
+def reference_forecast_lost(traj, ctx, theta_app=0.6, verifier=default_verifier) -> ForecastDecision:
+    """The gates of one lost trajectory's predicted box, strictly in the
+    order out-of-view, verifier, appearance; the first failing gate
+    determines the stop reason."""
+    if traj.is_active:
+        raise ValueError("forecast_lost expects a lost trajectory")
+    box = state_to_box(traj.motion)
+    if visible_fraction(box, ctx.image_size) < 0.5:
+        return ForecastDecision(False, None, STOP_OUT_OF_VIEW)
+    if not verifier(box, traj.last_box, ctx.image_size):
+        return ForecastDecision(False, None, STOP_VERIFIER)
+    checked = False
+    if ctx.feature_at is not None:
+        feature = ctx.feature_at(ctx.frame, box)
+        if feature is not None:
+            checked = True
+            if feature_distance(traj.integrated_feature, feature) > theta_app:
+                return ForecastDecision(False, None, STOP_APPEARANCE)
+    return ForecastDecision(True, box, None, appearance_checked=checked)
+
+
+def reference_format_track_row(row: TrackRow) -> str:
+    return (
+        f"{row.frame},{row.track_id},{row.x:.2f},{row.y:.2f},"
+        f"{row.w:.2f},{row.h:.2f},{row.conf:.2f},-1,-1,-1"
+    )
 
 
 def box_array(detections) -> np.ndarray:
@@ -92,30 +185,22 @@ class ReferenceTracker:
         graph, (matches, unmatched_t, unmatched_d) = self._associate(frame, detections)
 
         det_boxes = box_array(detections)
-        features = None
         if matches:
             matched_t, matched_d = np.array(matches).T
             self._means[matched_t], self._covs[matched_t] = kf_update_batch(
                 self._means[matched_t], self._covs[matched_t], det_boxes[matched_d]
             )
-            if cfg.integration in BATCHED_MODES:
-                overlaps = None
-                if cfg.integration == "iou":
-                    overlaps = frame_overlaps(Detections.of(detections, frame))[matched_d]
-                features = integrate_rows(
-                    cfg.integration, graph.traj_features[matched_t],
-                    graph.det_features[matched_d], overlaps,
-                )
+            overlaps = frame_overlaps(Detections.of(detections, frame))
         for traj, mean, cov in zip(self.trajectories, self._means, self._covs):
             traj.motion = KalmanState(mean, cov)
 
         rows = []
-        for k, (ti, dj) in enumerate(matches):
+        for ti, dj in matches:
             traj, det = self.trajectories[ti], detections[dj]
-            if features is None:
-                update_trajectory_feature(traj, det, detections, cfg.integration, self.model.lstm)
-            else:
-                traj.integrated_feature = features[k]
+            traj.integrated_feature, traj.lstm_state, _ = reference_integrate(
+                cfg.integration, traj.integrated_feature, det.feature, float(overlaps[dj]),
+                self.model.lstm, traj.lstm_state,
+            )
             traj.last_box = det.box
             traj.last_seen_frame = frame
             traj.frames_lost = 0
@@ -151,7 +236,7 @@ class ReferenceTracker:
             if not cfg.emit_forecasts or traj.forecast_stopped:
                 continue
             if cfg.forecast_constraints:
-                decision = forecast_lost(traj, ctx, cfg.theta_app, self._verifier)
+                decision = reference_forecast_lost(traj, ctx, cfg.theta_app, self._verifier)
             else:
                 decision = ForecastDecision(True, state_to_box(traj.motion))
             if decision.keep:
@@ -476,9 +561,9 @@ def reference_ratio_analysis(
                     }
                     continue
                 st["kf"] = kf_update(st["kf"], det.box)
-                st["feature"], _, _ = integrate(
+                st["feature"], _, _ = reference_integrate(
                     integration, st["feature"], det.feature,
-                    overlap=None if overlaps is None else float(overlaps[j]),
+                    None if overlaps is None else float(overlaps[j]),
                 )
                 st["last_frame"] = frame
     return RatioAnalysisReport(variant, alphas, true_c, false_c, inconclusive_c, n_decisions)
@@ -529,20 +614,12 @@ def _sample_walk(frames, events, last_frame, integration, lstm_cell=None):
             state.means[rows], state.covs[rows] = kf_update_batch(
                 state.means[rows], state.covs[rows], boxes
             )
-            if integration in BATCHED_MODES:
-                overlaps = None
-                if integration == "iou":
-                    overlaps = frame_overlaps(frames[frame], [j for _, j, _ in batch])
-                fresh = np.array([det.feature for _, _, det in batch])
-                state.features[rows] = integrate_rows(
-                    integration, state.features[rows], fresh, overlaps
+            overlaps = frame_overlaps(frames[frame], [j for _, j, _ in batch])
+            for (r, _, det), overlap in zip(batch, overlaps.tolist()):
+                state.features[r], lstm_states[r], cache = reference_integrate(
+                    integration, state.features[r], det.feature, overlap, lstm_cell, lstm_states[r]
                 )
-            else:
-                for r, _, det in batch:
-                    state.features[r], lstm_states[r], cache = integrate(
-                        integration, state.features[r], det.feature,
-                        lstm_cell=lstm_cell, lstm_state=lstm_states[r],
-                    )
+                if cache is not None:
                     lstm_caches[r].append(cache)
             state.last_boxes[rows] = boxes
             state.last_seen[rows] = frame

@@ -16,7 +16,7 @@ import pytest
 from graphmot.cli import main as cli_main
 from graphmot.core import BoundingBox
 from graphmot.graph import build_graph
-from graphmot.integration import integrate_average, integrate_iou_guided
+from graphmot.integration import integrate_rows
 from graphmot.metrics import clear_mot, idf1, ratio_analysis
 from graphmot.motio import TrackRow, TrackRows
 from graphmot.motion import KalmanParams, kf_init, kf_predict, kf_update, state_to_box
@@ -134,14 +134,14 @@ def test_c01_gradient_integrity():
 def test_c02_overlap_guided_identities():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        f_prev = rng.normal(size=16)
+        f_prev = rng.normal(size=(1, 16))
         f_prev /= np.linalg.norm(f_prev)
-        f_new = rng.normal(size=16)
+        f_new = rng.normal(size=(1, 16))
         f_new /= np.linalg.norm(f_new)
-        guided = integrate_iou_guided(f_prev, f_new, 0.0)
-        plain = integrate_average(f_prev, f_new)
+        guided = integrate_rows("iou", f_prev, f_new, np.array([0.0]))
+        plain = integrate_rows("average", f_prev, f_new)
         assert np.array_equal(guided, plain), "overlap 0 must equal plain averaging bit-for-bit"
-        frozen = integrate_iou_guided(f_prev, f_new, 1.0)
+        frozen = integrate_rows("iou", f_prev, f_new, np.array([1.0]))
         assert np.array_equal(frozen, f_prev), "overlap 1 must return the history unchanged"
     _report(2, "overlap-guided blend: I=0 equals averaging bitwise, I=1 freezes history")
 

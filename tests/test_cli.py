@@ -152,6 +152,20 @@ class TestTrack:
         assert rc == 1
         assert "WxH" in capsys.readouterr().err
 
+    def test_zero_image_size_is_refused(self, tmp_path, small_scene_dir, small_checkpoint,
+                                        capsys):
+        out = tmp_path / "x.txt"
+        rc = main([
+            "track", "--detections", str(small_scene_dir / "det.txt"),
+            "--features", str(small_scene_dir / "features.txt"),
+            "--checkpoint", str(small_checkpoint), "--out", str(out),
+            "--image-size", "0x0",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: image_size must be two finite positive numbers, got (0, 0)\n")
+        assert not out.exists()
+
 
 class TestEval:
     def test_gt_against_itself(self, tmp_path, small_scene_dir, capsys):

@@ -9,6 +9,8 @@ analysis. Track rows stay one TrackRows block from the readers, the
 generator and the tracker to the metrics, which build no TrackRow either.
 """
 
+import importlib
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -18,36 +20,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
+    make_verifier,
     max_overlap,
     reference_clear_mot,
+    reference_forecast_lost,
+    reference_format_track_row,
     reference_idf1,
     reference_read_detections,
     reference_run_sequence,
 )
 
-from graphmot import core
+from graphmot import core, motion
+from graphmot import tracker as tracker_module
 from graphmot.core import BoundingBox, Detection, Detections, Trajectory, frame_overlaps
+from graphmot.integration import INTEGRATION_MODES
 from graphmot.metrics import clear_mot, idf1, ratio_analysis
 from graphmot.motio import (
     TrackRow,
     TrackRows,
-    format_track_row,
+    format_track_rows,
     label_detections,
     read_detections,
     read_track_rows,
     write_features,
 )
 from graphmot.motion import (
+    STOP_REASONS,
     FrameContext,
     KalmanState,
     boxes_from_means,
     forecast_gates,
     forecast_lost,
     make_row_verifier,
-    make_verifier,
 )
 from graphmot.mpn import TrainConfig, create_model, load_model, train_model
-from graphmot.synth import generate, preset, write_scene
+from graphmot.synth import SceneFeatureSource, generate, preset, write_scene
 from graphmot.tracker import Tracker, TrackerConfig, run_sequence
 
 
@@ -365,7 +372,8 @@ class TestTrackerMatchesReference:
         # them too changes nothing.
         rows, stats = run_sequence(frames, model, config, source)
         assert exact_rows(rows) == exact_rows(got_rows) == exact_rows(want_rows)
-        assert "".join(map(format_track_row, rows)) == "".join(map(format_track_row, want_rows))
+        assert format_track_rows(rows) == "".join(
+            reference_format_track_row(r) + "\n" for r in want_rows)
         assert exact_stats(stats) == exact_stats(want_stats)
         live = tracker.trajectories
         assert [t.id for t in reference.trajectories] == live.ids.tolist()
@@ -417,6 +425,56 @@ class TestTrackerColumns:
         assert tracker.next_id - 1 > m  # some trajectories were pruned on the way
 
 
+# The one-record twins stay for perfbench/tracing.py, which rebinds them in
+# every graphmot module that binds them; tracking, training and the ratio
+# analysis work on blocks and must call none of them.
+TWINS = {
+    "graphmot.motion": ("forecast_lost", "kf_init", "kf_predict", "kf_update", "state_to_box"),
+    "graphmot.integration": ("update_trajectory_feature",),
+}
+
+
+@contextmanager
+def twins_refused():
+    """Every twin raises inside the block, in every graphmot module that binds it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module_name, names in TWINS.items():
+            for name in names:
+                original = getattr(importlib.import_module(module_name), name)
+
+                def refuse(*args, _name=name, **kwargs):
+                    raise AssertionError(f"{_name} called")
+
+                for owner_name, owner in list(sys.modules.items()):
+                    if owner_name.startswith("graphmot") and getattr(owner, name, None) is original:
+                        mp.setattr(owner, name, refuse)
+        yield
+
+
+class TestTwinsOffTheHotPath:
+    def test_tracking_training_and_ratio_analysis_call_no_twin(self, monkeypatch):
+        scene = generate(preset("crossing", seed=9, n_frames=80, dropout=0.2))
+        model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=3)
+        gated = []
+
+        def counting(boxes, *args):
+            gated.append(len(boxes))
+            return forecast_gates(boxes, *args)
+
+        monkeypatch.setattr(tracker_module, "forecast_gates", counting)
+        with twins_refused():
+            with pytest.raises(AssertionError, match="kf_init called"):
+                motion.kf_init(BoundingBox(0.0, 0.0, 1.0, 1.0))
+            for mode in INTEGRATION_MODES:
+                config = TrackerConfig(image_size=scene.config.image_size, integration=mode)
+                rows, _ = run_sequence(scene.frames, model, config, SceneFeatureSource(scene))
+                assert len(rows) > 0
+            for mode in ("iou", "lstm"):
+                train_model(model, [scene.frames], TrainConfig(epochs=1, seed=1), integration=mode)
+            assert ratio_analysis([scene.frames], "app", (0.5,)).n_decisions > 0
+        assert sum(gated) > 0
+
+
 class TestForecastGatesMatchForecastLost:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -438,13 +496,16 @@ class TestForecastGatesMatchForecastLost:
         last = np.column_stack([boxes[:, :2], boxes[:, 2:] * rng.choice([0.5, 1.0, 2.0], size=(n, 2))])
         features = unit_rows(rng, n, 3)
         ctx = FrameContext(image_size, 7, HashedSource(3, seed % 7).feature_at if with_source else None)
-        keep, checked = forecast_gates(boxes, last, features, ctx, 0.6, make_row_verifier(verifier))
+        stops, checked = forecast_gates(boxes, last, features, ctx, 0.6,
+                                        make_row_verifier(verifier))
+        assert stops.dtype == np.int8
         for r in range(n):
             traj = Trajectory(1, features[r], BoundingBox(*last[r]), 1,
                               KalmanState(means[r], np.eye(8)), frames_lost=1)
-            want = forecast_lost(traj, ctx, 0.6, make_verifier(verifier))
-            assert (keep[r], checked[r] if want.keep else False) == (
-                want.keep, want.appearance_checked if want.keep else False)
+            want = reference_forecast_lost(traj, ctx, 0.6, make_verifier(verifier))
+            assert (STOP_REASONS[stops[r]], checked[r] if want.keep else False) == (
+                want.reason, want.appearance_checked if want.keep else False)
+            assert forecast_lost(traj, ctx, 0.6, make_row_verifier(verifier)) == want
 
 
 # ---------------------------------------------------------------------------

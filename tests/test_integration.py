@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from references import reference_integrate
 
 from graphmot.core import BoundingBox, Detection, Trajectory
-from graphmot.integration import (
-    integrate,
-    integrate_average,
-    integrate_iou_guided,
-    integrate_lstm,
-    integrate_rows,
-    update_trajectory_feature,
-)
+from graphmot.integration import integrate_rows, lstm_step, update_trajectory_feature
 from graphmot.motion import kf_init
 from graphmot.nn import LstmCell
 
@@ -39,18 +33,31 @@ def make_traj(feature, box=None):
     return Trajectory(1, feature.copy(), box, 1, kf_init(box))
 
 
+def average_row(f_prev, f_new):
+    return integrate_rows("average", f_prev[None], f_new[None])[0]
+
+
+def iou_row(f_prev, f_new, overlap):
+    return integrate_rows("iou", f_prev[None], f_new[None], np.array([overlap]))[0]
+
+
+def lstm_row(cell, state, f_new):
+    feature, state, _ = lstm_step(cell, state, f_new)
+    return feature, state
+
+
 class TestAverage:
     def test_fixed_point(self):
         v = unit(0.2, -0.5, 1.0)
-        assert np.allclose(integrate_average(v, v), v)
+        assert np.allclose(average_row(v, v), v)
 
     def test_orthogonal(self):
-        out = integrate_average(unit(1, 0), unit(0, 1))
+        out = average_row(unit(1, 0), unit(0, 1))
         assert np.allclose(out, unit(1, 1))
 
     def test_antipodal_falls_back(self):
         e1 = unit(1, 0)
-        out = integrate_average(e1, -e1)
+        out = average_row(e1, -e1)
         assert np.array_equal(out, -e1)
 
 
@@ -58,26 +65,26 @@ class TestIouGuided:
     def test_zero_overlap_equals_average_bitwise(self):
         for seed in range(20):
             f_prev, f_new = random_unit(seed), random_unit(1000 + seed)
-            guided = integrate_iou_guided(f_prev, f_new, 0.0)
-            plain = integrate_average(f_prev, f_new)
+            guided = iou_row(f_prev, f_new, 0.0)
+            plain = average_row(f_prev, f_new)
             assert np.array_equal(guided, plain)
 
     def test_full_overlap_freezes_previous(self):
         for seed in range(20):
             f_prev, f_new = random_unit(seed), random_unit(2000 + seed)
-            out = integrate_iou_guided(f_prev, f_new, 1.0)
+            out = iou_row(f_prev, f_new, 1.0)
             assert np.array_equal(out, f_prev)
 
     def test_half_overlap_worked_example(self):
         # 0.5 * (1.5 * e1 + 0.5 * e2) = (0.75, 0.25); norm sqrt(0.625);
         # normalized (3, 1)/sqrt(10).
-        out = integrate_iou_guided(unit(1, 0), unit(0, 1), 0.5)
+        out = iou_row(unit(1, 0), unit(0, 1), 0.5)
         assert out[0] == pytest.approx(3 / math.sqrt(10), abs=1e-12)
         assert out[1] == pytest.approx(1 / math.sqrt(10), abs=1e-12)
 
     def test_rejects_out_of_range_overlap(self):
         with pytest.raises(ValueError):
-            integrate_iou_guided(unit(1, 0), unit(0, 1), 1.5)
+            iou_row(unit(1, 0), unit(0, 1), 1.5)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=100)
@@ -86,7 +93,7 @@ class TestIouGuided:
         # after projecting onto that plane is zero.
         f_prev, f_new = random_unit(seed), random_unit(seed + 77)
         overlap = (seed % 11) / 10.0
-        out = integrate_iou_guided(f_prev, f_new, overlap)
+        out = iou_row(f_prev, f_new, overlap)
         basis = np.linalg.qr(np.stack([f_prev, f_new], axis=1))[0]
         residual = out - basis @ (basis.T @ out)
         assert np.linalg.norm(residual) < 1e-9
@@ -96,7 +103,7 @@ class TestIouGuided:
     def test_angle_to_history_non_increasing_in_overlap(self, seed):
         f_prev, f_new = random_unit(seed), random_unit(seed + 31)
         cosines = [
-            float(f_prev @ integrate_iou_guided(f_prev, f_new, i / 10.0))
+            float(f_prev @ iou_row(f_prev, f_new, i / 10.0))
             for i in range(11)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(cosines, cosines[1:]))
@@ -108,7 +115,7 @@ class TestLstmIntegration:
         for p in cell.params():
             p[...] = 0.0
         f_new = unit(1, 2, 3, 4)
-        out, state = integrate_lstm(cell, None, f_new)
+        out, state = lstm_row(cell, None, f_new)
         assert np.array_equal(out, f_new)
         assert not state.h.any()
 
@@ -117,10 +124,10 @@ class TestLstmIntegration:
         # in which the same features arrive.
         cell = LstmCell(4, 4, np.random.default_rng(3))
         f1, f2 = unit(1, 0, 0, 0), unit(0, 1, 0, 0)
-        out_a, state = integrate_lstm(cell, None, f1)
-        out_a, _ = integrate_lstm(cell, state, f2)
-        out_b, state = integrate_lstm(cell, None, f2)
-        out_b, _ = integrate_lstm(cell, state, f1)
+        out_a, state = lstm_row(cell, None, f1)
+        out_a, _ = lstm_row(cell, state, f2)
+        out_b, state = lstm_row(cell, None, f2)
+        out_b, _ = lstm_row(cell, state, f1)
         assert not np.allclose(out_a, out_b)
 
     def test_repeated_input_settles(self):
@@ -132,7 +139,7 @@ class TestLstmIntegration:
         prev = None
         deltas = []
         for _ in range(30):
-            out, state = integrate_lstm(cell, state, f)
+            out, state = lstm_row(cell, state, f)
             if prev is not None:
                 deltas.append(np.linalg.norm(out - prev))
             prev = out
@@ -143,22 +150,25 @@ class TestLstmIntegration:
 class TestIntegrate:
     def test_iou_requires_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            integrate("iou", unit(1, 0), unit(0, 1))
+            integrate_rows("iou", unit(1, 0)[None], unit(0, 1)[None])
 
     def test_lstm_returns_the_step_cache(self):
         cell = LstmCell(3, 3, np.random.default_rng(4))
-        f_prev, f_new = unit(1, 0, 0), unit(0, 1, 1)
-        feature, state, cache = integrate("lstm", f_prev, f_new, lstm_cell=cell)
+        f_new = unit(0, 1, 1)
+        feature, state, cache = lstm_step(cell, None, f_new)
         h, _, _ = cell.step(cell.init_state(), f_new)
         assert np.array_equal(cache.o * cache.c_tanh, h)
-        assert np.array_equal(feature, integrate_lstm(cell, None, f_new)[0])
+        assert feature.tobytes() == (h / np.linalg.norm(h)).tobytes()
         assert np.array_equal(state.h, h)
 
     @pytest.mark.parametrize("mode", ["none", "average", "iou"])
     def test_other_modes_pass_the_lstm_state_through(self, mode):
         marker = object()
-        _, state, cache = integrate(mode, unit(1, 0), unit(0, 1), overlap=0.5, lstm_state=marker)
-        assert state is marker and cache is None
+        traj = make_traj(unit(1, 0))
+        traj.lstm_state = marker
+        d = det(0, 0, 10, 20, unit(0, 1))
+        update_trajectory_feature(traj, d, [d, det(5, 0, 10, 20, unit(1, 1))], mode)
+        assert traj.lstm_state is marker
 
 
 class TestUpdateTrajectoryFeature:
@@ -210,23 +220,6 @@ class TestUpdateTrajectoryFeature:
             update_trajectory_feature(traj, d, [d], "best")
 
 
-def reference_integrate(mode, f_prev, f_new, overlap):
-    """One row as integration computed it before the batched rule, with
-    np.linalg.norm of the single vector."""
-    if mode == "none":
-        return f_new.copy()
-    if mode == "iou" and overlap == 1.0:
-        return f_prev.copy()
-    if mode == "average":
-        blended = 0.5 * (f_prev + f_new)
-    else:
-        blended = 0.5 * (f_prev * (1.0 + overlap) + f_new * (1.0 - overlap))
-    norm = float(np.linalg.norm(blended))
-    if norm < 1e-12:
-        return f_new.copy()
-    return blended / norm
-
-
 @st.composite
 def integration_batches(draw):
     """(f_prev, f_new, overlaps): unit rows, some f_new antipodal to f_prev,
@@ -251,9 +244,9 @@ class TestIntegrateRows:
         f_prev, f_new, overlaps = batch
         got = integrate_rows(mode, f_prev, f_new, overlaps if mode == "iou" else None)
         for k in range(len(f_prev)):
-            want = reference_integrate(mode, f_prev[k], f_new[k], overlaps[k])
+            want, _, _ = reference_integrate(mode, f_prev[k], f_new[k], overlaps[k])
             assert got[k].tobytes() == want.tobytes(), k
-            single, _, _ = integrate(mode, f_prev[k], f_new[k], overlap=overlaps[k])
+            single = integrate_rows(mode, f_prev[k:k + 1], f_new[k:k + 1], overlaps[k:k + 1])
             assert single.tobytes() == want.tobytes(), k
 
     def test_antipodal_blend_falls_back_to_new_feature(self):

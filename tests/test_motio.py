@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import reference_format_track_row
 
 from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.motio import (
     TrackRow,
     TrackRows,
     format_track_row,
+    format_track_rows,
     label_detections,
     parse_track_rows,
     read_detections,
@@ -169,6 +171,40 @@ class TestTrackRows:
         assert list(got) == sorted(want, key=lambda r: r.frame)  # a stable sort
         assert all(type(r.frame) is int and type(r.track_id) is int for r in got)
         assert all(type(v) is float for r in got for v in r[2:])
+
+
+two_decimal_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.005, 0.015, 0.125, 1.005, 2.675, -2.675, 1e6 + 0.005, -0.001]),
+    st.floats(-1e7, 1e7, allow_nan=False),
+)
+
+
+class TestFormatTrackRows:
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.tuples(st.integers(1, 5), st.integers(-1, 10**6),
+                                     *[two_decimal_values] * 2, *[st.floats(0.01, 1e4)] * 2,
+                                     two_decimal_values), max_size=12))
+    def test_equals_one_line_per_record(self, values):
+        records = [TrackRow(*v) for v in values]
+        want = "".join(reference_format_track_row(r) + "\n" for r in records)
+        assert format_track_rows(records) == want
+        block = TrackRows.trusted(
+            np.array([r.frame for r in records], dtype=np.int64),
+            np.array([r.track_id for r in records], dtype=np.int64),
+            np.array([r[2:6] for r in records], dtype=np.float64).reshape(-1, 4),
+            np.array([r.conf for r in records], dtype=np.float64),
+        )
+        assert format_track_rows(block) == "".join(
+            reference_format_track_row(r) + "\n" for r in block)
+        for r in records:
+            assert format_track_row(r) == reference_format_track_row(r)
+
+    def test_signed_zero_and_halves(self):
+        block = TrackRows.of([TrackRow(2, 5, -0.0, 2.675, 1.005, 0.125, -0.0)])
+        assert format_track_rows(block) == "2,5,-0.00,2.67,1.00,0.12,-0.00,-1,-1,-1\n"
+
+    def test_empty(self):
+        assert format_track_rows(TrackRows.of([])) == format_track_rows([]) == ""
 
 
 class TestFeatures:

@@ -17,7 +17,7 @@ from graphmot.motion import (
     KalmanParams,
     KalmanState,
     boxes_from_means,
-    default_verifier,
+    default_verifier_rows,
     forecast_lost,
     kf_init,
     kf_init_batch,
@@ -25,9 +25,9 @@ from graphmot.motion import (
     kf_predict_batch,
     kf_update,
     kf_update_batch,
-    make_verifier,
+    make_row_verifier,
     state_to_box,
-    visible_fraction,
+    visible_fractions,
 )
 
 
@@ -38,6 +38,12 @@ def unit(*values):
 
 def box_at(cx, cy, w=30.0, h=60.0):
     return BoundingBox(cx - w / 2, cy - h / 2, w, h)
+
+
+def accepts(box, last_box, image_size):
+    """default_verifier_rows of one box."""
+    (accepted,) = default_verifier_rows(box.as_xywh()[None], last_box.as_xywh()[None], image_size)
+    return bool(accepted)
 
 
 class ScalarReferenceFilter:
@@ -254,21 +260,20 @@ def lost_traj(cx, cy, w=40.0, h=80.0, frames_lost=1, feature=None):
 
 class TestForecastGates:
     def test_visible_fraction(self):
-        assert visible_fraction(BoundingBox(10, 10, 10, 10), (100, 100)) == 1.0
-        assert visible_fraction(BoundingBox(-5, 0, 10, 10), (100, 100)) == pytest.approx(0.5)
-        assert visible_fraction(BoundingBox(-20, -20, 10, 10), (100, 100)) == 0.0
+        boxes = np.array([[10, 10, 10, 10], [-5, 0, 10, 10], [-20, -20, 10, 10]], dtype=float)
+        assert visible_fractions(boxes, (100, 100)).tolist() == [1.0, 0.5, 0.0]
 
     def test_mostly_outside_stops_out_of_view(self):
         traj = lost_traj(cx=-9.0, cy=50.0, w=40, h=40)  # 60% outside on x
         ctx = FrameContext((200, 200), 2)
-        decision = forecast_lost(traj, ctx, verifier=make_verifier("always_keep"))
+        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_keep"))
         assert not decision.keep
         assert decision.reason == STOP_OUT_OF_VIEW
 
     def test_rejecting_verifier_stops_first_lost_frame(self):
         traj = lost_traj(100, 100)
         ctx = FrameContext((200, 200), 2)
-        decision = forecast_lost(traj, ctx, verifier=make_verifier("always_stop"))
+        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_stop"))
         assert decision.reason == STOP_VERIFIER
 
     def test_appearance_gate(self):
@@ -279,19 +284,19 @@ class TestForecastGates:
             return far_feature
 
         ctx = FrameContext((200, 200), 2, feature_at)
-        decision = forecast_lost(traj, ctx, theta_app=0.6, verifier=make_verifier("always_keep"))
+        decision = forecast_lost(traj, ctx, theta_app=0.6, verifier=make_row_verifier("always_keep"))
         assert decision.reason == STOP_APPEARANCE
 
     def test_appearance_gate_skipped_without_source(self):
         traj = lost_traj(100, 100)
         ctx = FrameContext((200, 200), 2, None)
-        decision = forecast_lost(traj, ctx, verifier=make_verifier("always_keep"))
+        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_keep"))
         assert decision.keep and not decision.appearance_checked
 
     def test_gate_order_out_of_view_before_verifier(self):
         traj = lost_traj(cx=-9.0, cy=50.0, w=40, h=40)
         ctx = FrameContext((200, 200), 2, lambda f, b: unit(0, 1, 0))
-        decision = forecast_lost(traj, ctx, verifier=make_verifier("always_stop"))
+        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_stop"))
         assert decision.reason == STOP_OUT_OF_VIEW  # gate 1 fires first
 
     def test_decision_reproducible(self):
@@ -340,14 +345,14 @@ class TestOcclusionForecast:
 class TestDefaultVerifier:
     def test_rejects_border_band(self):
         last = box_at(100, 100)
-        assert not default_verifier(box_at(3, 100), last, (400, 400))
-        assert default_verifier(box_at(200, 200), last, (400, 400))
+        assert not accepts(box_at(3, 100), last, (400, 400))
+        assert accepts(box_at(200, 200), last, (400, 400))
 
     def test_rejects_large_area_change(self):
         last = box_at(100, 100, w=40, h=80)
         grown = box_at(200, 200, w=70, h=140)  # area ratio ~3.1
-        assert not default_verifier(grown, last, (400, 400))
+        assert not accepts(grown, last, (400, 400))
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            make_verifier("sometimes")
+            make_row_verifier("sometimes")

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from references import max_overlap, reference_teacher_force, window_tracks
+from references import max_overlap, reference_integrate, reference_teacher_force, window_tracks
 
-from graphmot import mpn
+from graphmot import integration, mpn
 from graphmot.core import BoundingBox, Detection, Detections, Trajectories, Trajectory
 from graphmot.graph import AssocGraph, build_graph
-from graphmot.integration import integrate_average, integrate_iou_guided
 from graphmot.motion import kf_init, kf_predict, kf_update, state_to_box
 from graphmot.mpn import (
     TrainConfig,
@@ -540,22 +539,14 @@ class TestCheckpointRoundTrip:
 # Teacher forcing against a sequential reference
 
 
-def reference_integrate(feat, lstm_state, det, others, mode, cell, caches):
+def teacher_step(feat, lstm_state, det, others, mode, cell, caches):
     """One teacher-forced integration step, one identity at a time; others
     are the other detections of its frame."""
-    if mode == "none":
-        return det.feature.copy(), lstm_state
-    if mode == "average":
-        return integrate_average(feat, det.feature), lstm_state
-    if mode == "iou":
-        return integrate_iou_guided(feat, det.feature, max_overlap(det, others)), lstm_state
-    state = cell.init_state() if lstm_state is None else lstm_state
-    h, new_state, cache = cell.step(state, det.feature)
-    caches.append(cache)
-    norm = float(np.linalg.norm(h))
-    if norm < 1e-12:
-        return det.feature.copy(), new_state
-    return h / norm, new_state
+    feat, lstm_state, cache = reference_integrate(
+        mode, feat, det.feature, max_overlap(det, others), cell, lstm_state)
+    if cache is not None:
+        caches.append(cache)
+    return feat, lstm_state
 
 
 def reference_training_graph(frames, target_frame, window_frames, model, *, integration,
@@ -594,7 +585,7 @@ def reference_training_graph(frames, target_frame, window_frames, model, *, inte
                 kf = kf_predict(kf)
             kf = kf_update(kf, det.box)
             frame_dets = list(frames[det.frame])
-            feat, lstm_state = reference_integrate(
+            feat, lstm_state = teacher_step(
                 feat, lstm_state, det, frame_dets[:j] + frame_dets[j + 1:], integration,
                 model.lstm, caches)
             last_frame = det.frame
@@ -639,13 +630,16 @@ def assert_same_training_graph(got, want):
         assert_same_bits(t_got.motion.cov, t_want.motion.cov)
     assert got.lstm_chains.keys() == chains.keys()
     for row, (caches, h_norm, feature) in chains.items():
-        chain = got.lstm_chains[row]
-        assert chain.h_norm == h_norm
-        assert_same_bits(chain.feature, feature)
-        assert len(chain.caches) == len(caches)
-        for c_got, c_want in zip(chain.caches, caches):
-            for name in ("x", "h_prev", "c_prev", "i", "f", "o", "g", "c_new", "c_tanh"):
-                assert_same_bits(getattr(c_got, name), getattr(c_want, name))
+        assert_same_chain(got.lstm_chains[row], caches, h_norm, feature)
+
+
+def assert_same_chain(chain, caches, h_norm, feature):
+    assert chain.h_norm == h_norm
+    assert_same_bits(chain.feature, feature)
+    assert len(chain.caches) == len(caches)
+    for c_got, c_want in zip(chain.caches, caches):
+        for name in ("x", "h_prev", "c_prev", "i", "f", "o", "g", "c_new", "c_tanh"):
+            assert_same_bits(getattr(c_got, name), getattr(c_want, name))
 
 
 @pytest.fixture(scope="module")
@@ -771,13 +765,13 @@ class TestTeacherForcing:
                    for dets in frames.values()]
         bound = sum(1 for c in labeled if c) * max(max(c.values(), default=0) for c in labeled)
         calls = []
-        original = mpn.kf_update_batch
+        original = integration.kf_update_batch
 
         def counting(*args, **kwargs):
             calls.append(len(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(mpn, "kf_update_batch", counting)
+        monkeypatch.setattr(integration, "kf_update_batch", counting)
         model = create_model(dim, d_node=8, d_edge=8, seed=7)
         train_model(model, [frames], TrainConfig(epochs=1, seed=1), integration="average")
         assert 0 < len(calls) <= bound
@@ -822,19 +816,23 @@ def assert_same_teacher(got, want):
         assert_same_bits(getattr(got.trajectories, name), getattr(want.trajectories, name))
     assert_same_bits(got.boxes, want.boxes)
     assert got.lstm_chains.keys() == want.lstm_chains.keys()
+    for row, chain in want.lstm_chains.items():
+        assert_same_chain(got.lstm_chains[row], chain.caches, chain.h_norm, chain.feature)
 
 
 class TestBatchedTeacherForcing:
     @settings(max_examples=150, deadline=None)
     @given(frames=labeled_stream(), per_graph=st.integers(2, 6), stride=st.sampled_from([1, 2]),
-           integration=st.sampled_from(["none", "average", "iou"]))
+           integration=st.sampled_from(["none", "average", "iou", "lstm"]))
     def test_equals_one_walk_per_sample(self, frames, per_graph, stride, integration):
         samples = list(training_samples(frames, per_graph, stride))
-        got = mpn.teacher_force_samples(frames, samples, integration)
+        cell = create_model(3, d_node=4, d_edge=4, seed=per_graph).lstm
+        got = mpn.teacher_force_samples(frames, samples, integration, cell)
         assert len(got) == len(samples)
         for teacher, (t, window) in zip(got, samples):
             tracks = window_tracks(frames, t, window)
-            assert_same_teacher(teacher, reference_teacher_force(frames, t, tracks, integration))
+            assert_same_teacher(teacher,
+                                reference_teacher_force(frames, t, tracks, integration, cell))
 
     @settings(max_examples=40, deadline=None)
     @given(first=labeled_stream(), second=labeled_stream(first_frame=3),

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from graphmot.core import BoundingBox, Detection, Detections
 from graphmot.mpn import create_model
 from graphmot.synth import SceneFeatureSource, generate, preset
-from graphmot.tracker import Tracker, TrackerConfig, greedy_match, hungarian_match, run_sequence
+from graphmot.tracker import (
+    StepStats,
+    Tracker,
+    TrackerConfig,
+    greedy_match,
+    hungarian_match,
+    run_sequence,
+)
 
 
 def unit(rng, dim=8):
@@ -127,6 +134,20 @@ class TestTrackerConfigChecks:
     def test_bounds_are_accepted(self):
         TrackerConfig(lost_frame_limit=0, spawn_confidence=0.0, theta_app=0.0, k_neighbors=1)
         TrackerConfig(spawn_confidence=1.0, ratio_variant="none", alpha=5.0)  # alpha unused
+        TrackerConfig(image_size=[1, 0.5], verifier="always_stop")
+
+    # An image size of 0 x 0 used to stop every forecast silently, and an
+    # unknown verifier failed only when a Tracker was built.
+    @pytest.mark.parametrize("field, value", [
+        ("image_size", (0, 0)), ("image_size", (-1920, -1080)),
+        ("image_size", (float("nan"), 3)), ("image_size", (1920, float("inf"))),
+        ("image_size", (1920,)), ("image_size", None), ("image_size", "12"),
+        ("verifier", "bogus"),
+    ])
+    def test_refused_naming_the_value(self, field, value):
+        with pytest.raises(ValueError, match=field) as refused:
+            TrackerConfig(**{field: value})
+        assert repr(value) in str(refused.value)
 
 
 class TestTrackerStep:
@@ -204,6 +225,23 @@ class TestRunSequence:
         # Same location, same feature: one identity should cover everything.
         assert {r.track_id for r in rows} == {1}
         assert len(rows) == 20
+
+    def test_tracker_keeps_only_the_latest_step_stats(self):
+        scene = generate(preset("crossing", seed=8, n_frames=300))
+        model = create_model(scene.config.feature_dim, seed=3)
+        cfg = TrackerConfig(image_size=scene.config.image_size)
+        tracker = Tracker(model, cfg)
+        stepped = []
+        for f in range(1, 301):
+            tracker.step(f, scene.frames.get(f, block(f)))
+            stepped.append(tracker.last_stats)
+        held = [v for v in vars(tracker).values()
+                if isinstance(v, StepStats) or isinstance(v, list) and v
+                and isinstance(v[0], StepStats)]
+        assert held == [tracker.last_stats] and tracker.last_stats.frame == 300
+        _, stats = run_sequence(scene.frames, model, cfg)
+        assert [(s.frame, s.n_candidates, s.n_edges) for s in stats] == [
+            (s.frame, s.n_candidates, s.n_edges) for s in stepped]
 
     def test_deterministic(self):
         scene = generate(preset("crossing", seed=8, n_frames=40))
