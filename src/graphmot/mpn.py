@@ -9,6 +9,12 @@ updated separately so the graph stays bipartite, but both sides share the
 same node-update parameters. A small classifier head turns final edge
 embeddings into match probabilities.
 
+Inference (score_graph) runs the rounds projected: the first-layer weights
+split by input block, so node embeddings are projected per node rather
+than per edge, and node_update's linear output layer runs per node after
+aggregation. This agrees with mpn_forward to rounding; training keeps the
+concatenated form its backward caches differentiate.
+
 Gradients are hand-derived reverse-mode, mirroring the forward pass layer
 by layer; training minimizes a positive-weighted binary cross-entropy over
 edges with teacher-forced trajectory features.
@@ -18,19 +24,21 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Detections, Trajectories, frame_overlaps
-from .graph import AssocGraph, _check_fps, build_graph
+from .graph import EDGE_FEATURE_DIM, AssocGraph, _check_fps, build_graph
 from .integration import absorb, start
 from .motion import boxes_from_means, kf_predict_batch
 from .nn import AdamOptimizer, LstmCell, Mlp, sigmoid, weighted_bce
 from .nn import load_checkpoint, save_checkpoint
 
 AGGREGATIONS = ("mean", "sum")
+MLPS = ("node_encoder", "edge_encoder", "edge_update", "node_update", "classifier")
 
 
 @dataclass
@@ -87,20 +95,65 @@ def create_model(
     seed: int = 0,
 ) -> MpnModel:
     """Fresh model with two-layer ReLU MLPs throughout."""
+    sizes = {
+        "node_encoder": [feature_dim, d_node, d_node],
+        "edge_encoder": [EDGE_FEATURE_DIM, d_edge, d_edge],
+        "edge_update": [2 * d_node + d_edge, d_edge, d_edge],
+        "node_update": [d_node + d_edge, d_node, d_node],
+        "classifier": [d_edge, d_edge, 1],
+        "lstm": [feature_dim, feature_dim],
+    }
+    return _assemble(sizes, rounds, aggregation, np.random.default_rng(seed))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_shape(sizes, rounds, aggregation) -> None:
+    """Refuse, naming the field, layer sizes that do not chain into one
+    network, a negative number of rounds or an unknown aggregation."""
+    if not _is_count(rounds) or rounds < 0:
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
     if aggregation not in AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-    if rounds < 0:
-        raise ValueError(f"rounds must be >= 0, got {rounds}")
-    rng = np.random.default_rng(seed)
+        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+    if not isinstance(sizes, dict):
+        raise ValueError(f"layer_sizes must be a mapping, got {sizes!r}")
+    for name in MLPS + ("lstm",):
+        layers = sizes.get(name)
+        if (not isinstance(layers, list) or len(layers) < 2 or (name == "lstm" and len(layers) != 2)
+                or not all(_is_count(s) and s > 0 for s in layers)):
+            raise ValueError(f"layer_sizes.{name} must be a list of positive sizes, got {layers!r}")
+    node, edge = sizes["node_encoder"][-1], sizes["edge_encoder"][-1]
+    chain = (
+        ("edge_encoder", 0, EDGE_FEATURE_DIM, "the edge feature width"),
+        ("edge_update", 0, 2 * node + edge, "2 node_encoder outputs + the edge_encoder output"),
+        ("edge_update", -1, edge, "the edge_encoder output"),
+        ("node_update", 0, node + edge, "the node_encoder output + the edge_encoder output"),
+        ("node_update", -1, node, "the node_encoder output"),
+        ("classifier", 0, edge, "the edge_encoder output"),
+        ("classifier", -1, 1, "one logit"),
+        ("lstm", 0, sizes["node_encoder"][0], "the node_encoder input"),
+        ("lstm", 1, sizes["node_encoder"][0], "the node_encoder input"),
+    )
+    for name, k, want, what in chain:
+        if sizes[name][k] != want:
+            side = "input" if k == 0 else "output"
+            raise ValueError(
+                f"layer_sizes.{name} {side} is {sizes[name][k]}, but must be {what} ({want})"
+            )
+
+
+def _assemble(sizes, rounds, aggregation, rng, step_count: int = 0) -> MpnModel:
+    """A model of the checked layer sizes, its weights drawn from rng in
+    component order."""
+    _check_shape(sizes, rounds, aggregation)
     return MpnModel(
-        node_encoder=Mlp([feature_dim, d_node, d_node], rng),
-        edge_encoder=Mlp([6, d_edge, d_edge], rng),
-        edge_update=Mlp([2 * d_node + d_edge, d_edge, d_edge], rng),
-        node_update=Mlp([d_node + d_edge, d_node, d_node], rng),
-        classifier=Mlp([d_edge, d_edge, 1], rng),
-        lstm=LstmCell(feature_dim, feature_dim, rng),
+        **{name: Mlp(sizes[name], rng) for name in MLPS},
+        lstm=LstmCell(*sizes["lstm"], rng),
         rounds=rounds,
         aggregation=aggregation,
+        step_count=step_count,
     )
 
 
@@ -113,12 +166,13 @@ class _RoundCache:
 
 @dataclass(frozen=True)
 class ScatterPlan:
-    """How one side's per-edge messages sum into its (n, width) nodes.
+    """How (k, width) rows of messages sum into (n, width) nodes, row i
+    into node index[i].
 
     Computed once per graph and used by every round: `flat` indexes the
-    flattened node array with every entry of the (E, width) messages,
-    `denominators` is the (n, 1) column max(count, 1) of each node's
-    edges, and `empty` the (n, 1) mask of nodes without edges.
+    flattened node array with every entry of the messages, `denominators`
+    is the (n, 1) column max(count, 1) of each node's messages, and
+    `empty` the (n, 1) mask of nodes without any.
     """
 
     flat: np.ndarray
@@ -137,15 +191,17 @@ class MpnState:
     """Per-layer embeddings plus the caches the backward pass needs.
 
     Without caches (keep_caches False, as score_graph runs) no backward
-    cache is kept and the layer lists hold only the latest layer.
+    cache is kept, the layer lists hold only the latest layer, there are
+    no scatter plans, and propagate runs the projected rounds, which agree
+    with the cached ones to rounding.
     """
 
     graph: AssocGraph
     traj_layers: list[np.ndarray]
     det_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
-    traj_plan: ScatterPlan
-    det_plan: ScatterPlan
+    traj_plan: ScatterPlan | None
+    det_plan: ScatterPlan | None
     keep_caches: bool = True
     encoder_caches: tuple | None = None
     round_caches: list[_RoundCache] = field(default_factory=list)
@@ -173,20 +229,25 @@ def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnSta
         traj_layers=[t0],
         det_layers=[d0],
         edge_layers=[h0],
-        traj_plan=ScatterPlan.of(graph.edge_traj, len(graph.trajectories), width),
-        det_plan=ScatterPlan.of(graph.edge_det, len(graph.detections), width),
+        traj_plan=ScatterPlan.of(graph.edge_traj, len(graph.trajectories), width) if caches else None,
+        det_plan=ScatterPlan.of(graph.edge_det, len(graph.detections), width) if caches else None,
         keep_caches=caches,
         encoder_caches=(t_cache, d_cache, h_cache) if caches else None,
     )
 
 
-def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
-    # One flat bincount sums each node's messages in edge order from zero,
+def _scatter_sum(rows, plan: ScatterPlan, n: int) -> np.ndarray:
+    # One flat bincount sums each node's rows in edge order from zero,
     # exactly as np.add.at would, at a fraction of its cost. (Without edges
-    # bincount returns integers.) Dividing by max(count, 1) leaves an empty
-    # node's zero sum at zero; the copy then restores its previous value.
-    out = np.bincount(plan.flat, weights=messages.ravel(), minlength=previous.size)
-    out = out.astype(previous.dtype, copy=False).reshape(previous.shape)
+    # bincount returns integers.)
+    out = np.bincount(plan.flat, weights=rows.ravel(), minlength=n * rows.shape[1])
+    return out.astype(np.float64, copy=False).reshape(n, rows.shape[1])
+
+
+def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
+    # Dividing by max(count, 1) leaves an empty node's zero sum at zero;
+    # the copy then restores its previous value.
+    out = _scatter_sum(messages, plan, len(previous))
     if aggregation == "mean":
         out /= plan.denominators
     np.copyto(out, previous, where=plan.empty)
@@ -194,39 +255,121 @@ def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
 
 
 def propagate(model: MpnModel, state: MpnState) -> MpnState:
-    """Run the model's propagation rounds, extending the layer lists
-    (replacing their one layer when the state keeps no caches)."""
+    """Run the model's propagation rounds.
+
+    With caches each round appends its layers and backward caches to the
+    state, running the MLPs on the concatenated inputs [t, d, h], [t, h']
+    and [d, h'] that mpn_backward differentiates. Without caches the
+    rounds run projected (_projected_rounds), which agrees with them to
+    rounding, and the state's one layer is replaced by the last.
+    """
+    if not state.keep_caches:
+        return _projected_rounds(model, state)
     ti, dj = state.graph.edge_traj, state.graph.edge_det
-    caches = state.keep_caches
     t_prev, d_prev, h_prev = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
     n_edges, dn = ti.size, t_prev.shape[1]
-    e_in = None
     for _ in range(model.rounds):
-        # The MLP inputs [t, d, h], [t, h'] and [d, h'] are filled in place;
-        # the backward pass keeps them, so with caches every round has its own.
-        if caches or e_in is None:
-            e_in = np.empty((n_edges, 2 * dn + h_prev.shape[1]))
-            x_in = np.empty((n_edges, dn + h_prev.shape[1]))
-            y_in = np.empty_like(x_in)
+        # The inputs are filled in place and kept by the caches.
+        e_in = np.empty((n_edges, 2 * dn + h_prev.shape[1]))
+        x_in = np.empty((n_edges, dn + h_prev.shape[1]))
+        y_in = np.empty_like(x_in)
         np.take(t_prev, ti, axis=0, out=x_in[:, :dn], mode="clip")
         np.take(d_prev, dj, axis=0, out=y_in[:, :dn], mode="clip")
         e_in[:, :dn] = x_in[:, :dn]
         e_in[:, dn : 2 * dn] = y_in[:, :dn]
         e_in[:, 2 * dn :] = h_prev
-        h_prev, e_cache = _run(model.edge_update, e_in, caches)
+        h_prev, e_cache = model.edge_update.forward(e_in)
         x_in[:, dn:] = h_prev
         y_in[:, dn:] = h_prev
-        x_msg, x_cache = _run(model.node_update, x_in, caches)
+        x_msg, x_cache = model.node_update.forward(x_in)
         t_prev = _aggregate(x_msg, state.traj_plan, t_prev, model.aggregation)
-        y_msg, y_cache = _run(model.node_update, y_in, caches)
+        y_msg, y_cache = model.node_update.forward(y_in)
         d_prev = _aggregate(y_msg, state.det_plan, d_prev, model.aggregation)
-        if caches:
-            state.traj_layers.append(t_prev)
-            state.det_layers.append(d_prev)
-            state.edge_layers.append(h_prev)
-            state.round_caches.append(_RoundCache(e_cache, x_cache, y_cache))
-    if not caches:
-        state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = t_prev, d_prev, h_prev
+        state.traj_layers.append(t_prev)
+        state.det_layers.append(d_prev)
+        state.edge_layers.append(h_prev)
+        state.round_caches.append(_RoundCache(e_cache, x_cache, y_cache))
+    return state
+
+
+def _layers_after_first(mlp: Mlp, z: np.ndarray, stop: int) -> np.ndarray:
+    """The input of layer `stop` of mlp (its output when stop is the layer
+    count) from the first layer's pre-activation z, which it overwrites."""
+    last = len(mlp.weights) - 1
+    for k in range(1, stop):
+        np.maximum(z, 0.0, out=z)
+        z = z @ mlp.weights[k].T
+        z += mlp.biases[k]
+    if stop - 1 != last:
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation):
+    """_aggregate of node_update's per-edge messages, from their first-layer
+    pre-activations z. The output layer is linear, like the mean and the
+    sum, so it runs once per node on the aggregated input to it; with
+    "sum" its bias counts once per edge."""
+    layers = len(node_update.weights)
+    if layers == 1:  # z is the message
+        return _aggregate(z, plan, previous, aggregation)
+    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1), plan, len(previous))
+    w, b = node_update.weights[-1], node_update.biases[-1]
+    if aggregation == "mean":
+        hidden /= plan.denominators
+        out = hidden @ w.T
+        out += b
+    else:
+        out = hidden @ w.T
+        out += plan.denominators * b  # the edge count where it is not 0
+    np.copyto(out, previous, where=plan.empty)
+    return out
+
+
+def _projected_rounds(model: MpnModel, state: MpnState) -> MpnState:
+    """propagate without caches, on node-side projections.
+
+    Trajectory and detection embeddings are stacked into one node array,
+    and each edge has two messages, one to each end. The first layers'
+    weights split by input block, so every node is projected once by the
+    blocks that take node embeddings, and the projections are gathered to
+    the edges; node_update's projection of the edge embedding is shared by
+    both messages of an edge, and its output layer runs per node
+    (_update_nodes). The weights are read from the model on every call, so
+    training updates show.
+    """
+    ti, dj = state.graph.edge_traj, state.graph.edge_det
+    t, d, h = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
+    n_traj, dn = len(t), t.shape[1]
+    edge_update, node_update = model.edge_update, model.node_update
+    w_edge, w_node = edge_update.weights[0], node_update.weights[0]
+    eh = len(w_edge)
+    # Node rows times [edge_update's trajectory block | its detection block |
+    # node_update's node block]. Each edge gathers one projection per block,
+    # so the projections carry the first layers' biases.
+    project = np.hstack([w_edge[:, :dn].T, w_edge[:, dn : 2 * dn].T, w_node[:, :dn].T])
+    bias = np.concatenate([edge_update.biases[0], np.zeros(eh), node_update.biases[0]])
+    # Contiguous copies multiply E rows faster than the strided views.
+    e_h = np.ascontiguousarray(w_edge[:, 2 * dn :].T)
+    n_h = np.ascontiguousarray(w_node[:, dn:].T)
+    dk = dj + n_traj  # each edge's detection row in the node array
+    ends = np.concatenate([ti, dk])  # message k goes to node ends[k]
+    width = node_update.layer_sizes[-2] if len(node_update.weights) > 1 else dn
+    plan = ScatterPlan.of(ends, n_traj + len(d), width)
+    nodes = np.concatenate([t, d])
+    for _ in range(model.rounds):
+        projected = nodes @ project
+        projected += bias
+        z = h @ e_h
+        z += projected[ti, :eh]
+        z += projected[dk, eh : 2 * eh]
+        h = _layers_after_first(edge_update, z, len(edge_update.weights))
+        shared = h @ n_h
+        messages = projected[ends, 2 * eh :]
+        to_ends = messages.reshape(2, len(h), messages.shape[1])  # a view
+        to_ends += shared
+        nodes = _update_nodes(node_update, messages, plan, nodes, model.aggregation)
+    state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = nodes[:n_traj], nodes[n_traj:], h
     return state
 
 
@@ -247,7 +390,8 @@ def mpn_forward(model: MpnModel, graph: AssocGraph) -> tuple[np.ndarray, MpnStat
 
 def score_graph(model: MpnModel, graph: AssocGraph) -> np.ndarray:
     """Edge probabilities for inference: mpn_forward's encode, propagate and
-    classify_edges with the backward caches off, giving the same bits."""
+    classify_edges with the backward caches off, so propagate runs the
+    projected rounds, which agree with mpn_forward's to rounding."""
     state = encode(model, graph, caches=False)
     propagate(model, state)
     return classify_edges(model, state)
@@ -853,24 +997,14 @@ def save_model(path, model: MpnModel) -> None:
 
 
 def load_model(path) -> MpnModel:
+    """The model save_model wrote to path; a checkpoint whose layer sizes,
+    rounds or aggregation the network cannot run is refused."""
     arrays, meta = load_checkpoint(path)
-    sizes = meta["layer_sizes"]
-    rng = np.random.default_rng(0)
-    parts = {}
-    for name in ("node_encoder", "edge_encoder", "edge_update", "node_update", "classifier"):
-        parts[name] = Mlp(sizes[name], rng)
-    lstm = LstmCell(sizes["lstm"][0], sizes["lstm"][1], rng)
-    model = MpnModel(
-        node_encoder=parts["node_encoder"],
-        edge_encoder=parts["edge_encoder"],
-        edge_update=parts["edge_update"],
-        node_update=parts["node_update"],
-        classifier=parts["classifier"],
-        lstm=lstm,
-        rounds=int(meta["rounds"]),
-        aggregation=meta["aggregation"],
-        step_count=int(meta["step_count"]),
-    )
+    try:
+        model = _assemble(meta.get("layer_sizes"), meta.get("rounds"), meta.get("aggregation"),
+                          np.random.default_rng(0), int(meta["step_count"]))
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path}: {err}") from None
     for name, comp in model.components():
         for k, p in enumerate(comp.params()):
             stored = arrays[f"{name}.{k}"]

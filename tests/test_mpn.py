@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,7 @@ from graphmot.mpn import (
     score_graph,
     train_model,
 )
-from graphmot.nn import Mlp, grad_check, weighted_bce
+from graphmot.nn import Mlp, grad_check, load_checkpoint, save_checkpoint, weighted_bce
 from graphmot.synth import generate, preset
 
 
@@ -226,23 +227,30 @@ class TestAggregate:
 
 @st.composite
 def random_scoring_cases(draw):
-    """A perturbed untrained model and a random graph for it: 1 to 400
+    """A perturbed untrained model and a random graph for it: 0 to 400
     edges (OpenBLAS takes other kernels for few rows than for many), any
-    number of nodes left without edges, and duplicate edges."""
+    number of nodes left without edges, and duplicate edges. The update
+    MLPs are create_model's two layers, or one, or three with hidden
+    widths other than the embeddings'."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([1, 3, 8, 17, 33]))
+    dn, de = draw(st.sampled_from([2, 8, 32])), draw(st.sampled_from([3, 32]))
     model = create_model(
         dim,
-        d_node=draw(st.sampled_from([2, 8, 32])),
-        d_edge=draw(st.sampled_from([3, 32])),
+        d_node=dn,
+        d_edge=de,
         rounds=draw(st.integers(0, 4)),
         aggregation=draw(st.sampled_from(mpn.AGGREGATIONS)),
         seed=int(rng.integers(1000)),
     )
+    hidden = draw(st.sampled_from([None, [], [5, 7]]))
+    if hidden is not None:
+        model.edge_update = Mlp([2 * dn + de, *hidden, de], rng)
+        model.node_update = Mlp([dn + de, *hidden, dn], rng)
     for p in model.param_arrays():  # non-zero biases too
         p += rng.normal(scale=0.2, size=p.shape)
     n_traj, n_det = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    n_edges = draw(st.integers(1, 400))
+    n_edges = draw(st.integers(0, 400))
     trajs = [make_traj(i + 1, BoundingBox(0, 0, 10, 20), f)
              for i, f in enumerate(rng.normal(size=(n_traj, dim)))]
     dets = [Detection(2, BoundingBox(0, 0, 10, 20), 0.9, unit_vec(dim, 0))] * n_det
@@ -265,7 +273,7 @@ def reference_mlp(mlp, x):
     return x
 
 
-def reference_scores(model, graph):
+def reference_logits(model, graph):
     """The forward pass with concatenated MLP inputs and np.add.at sums."""
     ti, dj = graph.edge_traj, graph.edge_det
     t = reference_mlp(model.node_encoder, np.array([x.integrated_feature for x in graph.trajectories]))
@@ -279,17 +287,33 @@ def reference_scores(model, graph):
         y_msg = reference_mlp(model.node_update, np.concatenate([d[dj], h], axis=1))
         t = add_at_aggregate(x_msg, ti, t_counts, t, model.aggregation)
         d = add_at_aggregate(y_msg, dj, d_counts, d, model.aggregation)
-    return mpn.sigmoid(reference_mlp(model.classifier, h)[:, 0])
+    return reference_mlp(model.classifier, h)[:, 0]
 
 
 class TestScoreGraph:
     @settings(max_examples=150, deadline=None)
     @given(case=random_scoring_cases())
-    def test_equals_cached_forward_bytes(self, case):
+    def test_forward_bytes_and_inference_logits_match_reference(self, case):
+        """mpn_forward gives the reference's bits; score_graph's projected
+        rounds give its logits to within 1e-9 of the largest magnitude."""
         model, graph = case
-        want = reference_scores(model, graph)
-        assert mpn_forward(model, graph)[0].tobytes() == want.tobytes()
-        assert score_graph(model, graph).tobytes() == want.tobytes()
+        want = reference_logits(model, graph)
+        probs, forward = mpn_forward(model, graph)
+        assert forward.logits.tobytes() == want.tobytes()
+        assert probs.tobytes() == mpn.sigmoid(want).tobytes()
+
+        inference = propagate(model, encode(model, graph, caches=False))
+        got = score_graph(model, graph)
+        assert got.tobytes() == classify_edges(model, inference).tobytes()
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(inference.logits - want).max(initial=0.0) <= 1e-9 * scale
+
+        # Nodes without edges keep their encoder embeddings on both paths.
+        for side, index in (("traj_layers", graph.edge_traj), ("det_layers", graph.edge_det)):
+            layers = getattr(forward, side)
+            empty = np.bincount(index, minlength=len(layers[0])) == 0
+            assert np.array_equal(layers[-1][empty], layers[0][empty])
+            assert np.array_equal(getattr(inference, side)[-1][empty], layers[0][empty])
 
     def test_keeps_no_caches(self):
         model = create_model(6, rounds=3, seed=2)
@@ -522,6 +546,36 @@ class TestCheckpointRoundTrip:
             assert p1.tobytes() == p2.tobytes()
         probs2, _ = mpn_forward(loaded, g)
         assert np.array_equal(probs, probs2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("aggregation", "max"),
+        ("rounds", -2),
+        ("rounds", 2.5),
+        ("layer_sizes", None),
+        ("layer_sizes.classifier", None),
+        ("layer_sizes.node_update", [40]),
+        ("layer_sizes.lstm", [6, 6, 6]),
+        ("layer_sizes.edge_encoder", [5, 32, 32]),
+        ("layer_sizes.edge_update", [95, 32, 32]),
+        ("layer_sizes.edge_update", [96, 32, 31]),
+        ("layer_sizes.node_update", [63, 32, 32]),
+        ("layer_sizes.node_update", [64, 32, 31]),
+        ("layer_sizes.classifier", [31, 32, 1]),
+        ("layer_sizes.classifier", [32, 32, 2]),
+        ("layer_sizes.lstm", [6, 5]),
+    ])
+    def test_load_refuses_what_the_network_cannot_run(self, tmp_path, field, value):
+        path = tmp_path / "model.npz"
+        save_model(path, create_model(6, seed=20))
+        arrays, meta = load_checkpoint(path)
+        *parents, key = field.split(".")
+        target = meta
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        save_checkpoint(path, arrays, meta)
+        with pytest.raises(ValueError, match=rf"^checkpoint {re.escape(f'{path}: {field} ')}"):
+            load_model(path)
 
     def test_shared_node_update(self):
         # One shared node-update function serves both sides: perturbing it

@@ -10,11 +10,13 @@ items, and the tracer counts the rows read with len().
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from graphmot import core
+from graphmot import core, mpn
+from graphmot import tracker as tracker_module
 from graphmot.core import BoundingBox, Trajectory
 from graphmot.metrics import clear_mot
 from graphmot.motio import read_detections, read_track_rows, write_track_rows
@@ -72,6 +74,25 @@ def test_traced_run_counts_every_frame_without_violations(tracing, scene):
     assert tracer.counts["tracker.frames"] == len(stats) == tracer.calls["tracker.step"]
     assert tracer.counts["graph.candidates"] == sum(s.n_candidates for s in stats)
     assert tracer.metrics()["tracker.live_trajectories"] > 0
+
+
+def test_scoring_runs_each_traced_network_stage_once(scene, monkeypatch):
+    # The tracer times inference through these three module-level names
+    # (mpn.encode_s, mpn.propagate_s, mpn.classify_edges_s) and counts
+    # mpn.edges_scored from classify_edges.
+    scene, model = scene
+    calls = Counter()
+    for module, name in ((mpn, "encode"), (mpn, "propagate"), (mpn, "classify_edges"),
+                         (tracker_module, "score_graph")):
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    config = TrackerConfig(image_size=scene.config.image_size)
+    run_sequence({f: scene.frames[f] for f in range(1, 11) if f in scene.frames}, model, config)
+    assert calls["score_graph"] > 0
+    assert calls == dict.fromkeys(("encode", "propagate", "classify_edges", "score_graph"),
+                                  calls["score_graph"])
 
 
 def test_trajectory_count_builds_no_records(scene, monkeypatch):
