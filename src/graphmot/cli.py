@@ -32,7 +32,7 @@ from .motio import (
     read_detections,
     read_track_rows,
 )
-from .mpn import TrainConfig, create_model, load_model, save_model, train_model
+from .mpn import TrainConfig, check_rounds, create_model, load_model, save_model, train_model
 from .synth import SceneConfig, generate, preset, standard_scenarios, write_scene
 from .tracker import TrackerConfig, run_sequence
 
@@ -142,10 +142,14 @@ def _feature_dim(frames, default: int | None = None) -> int:
     return dim
 
 
-def _load_checkpoint(path, frames):
+def _load_checkpoint(path, frames, rounds=None):
     """load_model(path), refused when its feature dimension is not the
-    detections' (frames without detections are not checked)."""
+    detections' (frames without detections are not checked), with its
+    rounds replaced by rounds unless that is None."""
     model = load_model(path)
+    if rounds is not None:
+        check_rounds(rounds)
+        model.rounds = rounds
     dim = _feature_dim(frames, model.feature_dim)
     if dim != model.feature_dim:
         raise ValueError(
@@ -174,15 +178,13 @@ def cmd_train(args) -> int:
     frames, _ = _load_labeled_data(Path(args.data))
     feature_dim = _feature_dim(frames)
     if args.resume:
-        model = _load_checkpoint(args.resume, frames)
+        model = _load_checkpoint(args.resume, frames, args.layers)
     else:
         model = create_model(
             feature_dim,
             rounds=args.layers if args.layers is not None else 4,
             seed=train_cfg.seed,
         )
-    if args.layers is not None:
-        model.rounds = args.layers
     history = []
     if train_cfg.epochs > 0:
         history = train_model(
@@ -229,9 +231,7 @@ def cmd_track(args) -> int:
         overrides["forecast_constraints"] = False
     config = _build_section("tracker", file_config, overrides)
     frames = read_detections(args.detections, args.features)
-    model = _load_checkpoint(args.checkpoint, frames)
-    if args.layers is not None:
-        model.rounds = args.layers
+    model = _load_checkpoint(args.checkpoint, frames, args.layers)
     rows, _ = run_sequence(frames, model, config)
     out = Path(args.out)
     _atomic_write_text(out, format_track_rows(rows))

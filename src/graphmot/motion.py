@@ -11,15 +11,16 @@ The kf_*_batch functions filter M stacked states, (M, 8) means and
 (M, 8, 8) covariances, in one call. A lost trajectory's predicted box
 passes three gates, in order, before it is emitted as a tracked position:
   1. at least half of the box must be inside the image,
-  2. a pluggable box verifier must accept it (the default is a geometric
-     stand-in: reject boxes touching the image border band or whose area
-     drifted more than 50% from the last observation; a learned verifier
-     can be dropped in as a row callable, (boxes, last_boxes, image_size)
-     -> (L,) bool),
+  2. a box verifier must accept it (the tracker runs default_verifier_rows,
+     a geometric stand-in: reject boxes touching the image border band or
+     whose area drifted more than 50% from the last observation; a
+     learned verifier would be a row callable, (boxes, last_boxes,
+     image_size) -> (L,) bool),
   3. if an appearance source is available, the feature at the predicted
      box must stay within a distance threshold of the trajectory feature.
-forecast_gates runs them over many lost trajectories at once, the first
-two on arrays, and returns a stop code per row (STOP_REASONS).
+forecast_gates runs them over many lost trajectories at once, on arrays,
+asks the appearance source once for all rows that pass the first two, and
+returns a stop code per row (STOP_REASONS).
 
 kf_init / kf_predict / kf_update, state_to_box and forecast_lost are
 one-row calls of the functions above that no code of the package calls:
@@ -34,15 +35,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BoundingBox, Trajectory, feature_distance
+from .core import BoundingBox, Trajectory, row_norms
 
 STOP_OUT_OF_VIEW = "out_of_view"
 STOP_VERIFIER = "verifier_reject"
 STOP_APPEARANCE = "appearance_drift"
 # Reason of each stop code of forecast_gates; code 0 keeps the forecast.
 STOP_REASONS = (None, STOP_OUT_OF_VIEW, STOP_VERIFIER, STOP_APPEARANCE)
-
-VERIFIER_NAMES = ("default", "always_keep", "always_stop")
 
 # Fraction of box height: per-frame process noise on positions/velocities,
 # measurement noise, and the fixed initial velocity prior.
@@ -177,14 +176,15 @@ def kf_update(
 class FrameContext:
     """Per-frame inputs for the forecast gates.
 
-    feature_at(frame, box) returns the appearance feature observed at a
-    box, or None when no appearance source covers it; the appearance gate
-    is skipped in that case.
+    features_at(frame, boxes) takes (L, 4) xywh boxes and returns the
+    appearance features observed at them, (L, d), with a (L,) bool array
+    of the rows an appearance source covers; the appearance gate is
+    skipped for the other rows, and for every row without a source.
     """
 
     image_size: tuple[int, int]
     frame: int
-    feature_at: Optional[Callable[[int, BoundingBox], Optional[np.ndarray]]] = None
+    features_at: Optional[Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
 
 @dataclass(frozen=True)
@@ -217,18 +217,6 @@ def default_verifier_rows(boxes: np.ndarray, last_boxes: np.ndarray, image_size)
     return ~in_band & (np.abs(w * h - last_area) <= 0.5 * last_area)
 
 
-def make_row_verifier(name: str):
-    """The verifier of a name in VERIFIER_NAMES, over rows:
-    (boxes, last_boxes, image_size) -> (L,) bool."""
-    if name == "default":
-        return default_verifier_rows
-    if name == "always_keep":
-        return lambda boxes, last_boxes, image_size: np.ones(len(boxes), dtype=bool)
-    if name == "always_stop":
-        return lambda boxes, last_boxes, image_size: np.zeros(len(boxes), dtype=bool)
-    raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
-
-
 def forecast_gates(
     boxes: np.ndarray,
     last_boxes: np.ndarray,
@@ -241,26 +229,27 @@ def forecast_gates(
 
     boxes (L, 4) are their predicted xywh boxes at the context frame,
     last_boxes (L, 4) their last observations and features (L, d) their
-    integrated features; verifier works on rows (make_row_verifier).
-    Gates run strictly in the order out-of-view, verifier, appearance,
-    and the first failing gate determines the stop reason. The first two
-    run on the arrays; the appearance source is asked once per row that
-    passes them, in row order. Returns (stops, appearance_checked), each
-    (L,): stops int8, 0 where the forecast is kept and else the index in
-    STOP_REASONS of the gate that stopped it, and appearance_checked bool.
+    integrated features; verifier works on rows, (boxes, last_boxes,
+    image_size) -> (L,) bool. Gates run strictly in the order
+    out-of-view, verifier, appearance, and the first failing gate
+    determines the stop reason. The appearance source, ctx.features_at,
+    is asked once, for the rows that pass the first two gates. Returns
+    (stops, appearance_checked), each (L,): stops int8, 0 where the
+    forecast is kept and else the index in STOP_REASONS of the gate that
+    stopped it, and appearance_checked bool.
     """
     stops = (visible_fractions(boxes, ctx.image_size) < 0.5).astype(np.int8)
     rows = np.flatnonzero(stops == 0)
     accepted = np.asarray(verifier(boxes[rows], last_boxes[rows], ctx.image_size), dtype=bool)
     stops[rows[~accepted]] = 2
     checked = np.zeros(len(boxes), dtype=bool)
-    if ctx.feature_at is not None:
-        for r in np.flatnonzero(stops == 0):
-            feature = ctx.feature_at(ctx.frame, BoundingBox(*boxes[r].tolist()))
-            if feature is not None:
-                checked[r] = True
-                if feature_distance(features[r], feature) > theta_app:
-                    stops[r] = 3
+    if ctx.features_at is not None:
+        rows = rows[accepted]
+        observed, found = ctx.features_at(ctx.frame, boxes[rows])
+        rows, observed = rows[found], observed[found]
+        checked[rows] = True
+        # row_norms: bit for bit the distance of each pair on its own.
+        stops[rows[row_norms(features[rows] - observed) > theta_app]] = 3
     return stops, checked
 
 

@@ -110,11 +110,16 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_rounds(rounds) -> None:
+    """Refuse a number of propagation rounds the network cannot run."""
+    if not _is_count(rounds) or rounds < 0:
+        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
+
+
 def _check_shape(sizes, rounds, aggregation) -> None:
     """Refuse, naming the field, layer sizes that do not chain into one
     network, a negative number of rounds or an unknown aggregation."""
-    if not _is_count(rounds) or rounds < 0:
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
+    check_rounds(rounds)
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     if not isinstance(sizes, dict):

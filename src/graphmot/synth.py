@@ -12,9 +12,9 @@ fresh random features, the worst case for appearance gating.
 
 Each frame's detections are one core.Detections block labelled with
 ground-truth identities (gt_id None for clutter), empty for a frame
-without detections. The ground truth and the detections are also one
-motio.TrackRows block each (id -1 on every detection row), which are
-written with the feature rows as the scene's files.
+without detections. The ground truth is one motio.TrackRows block;
+write_scene writes it, and the detection and feature rows of the blocks,
+as the scene's files.
 
 Everything is driven by one seeded generator: the same config produces
 byte-identical files.
@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .core import BoundingBox, Detections, iou
 from .motio import TrackRows, write_features, write_track_rows
 
@@ -61,10 +62,7 @@ class SceneConfig:
 class SceneData:
     config: SceneConfig
     gt_rows: TrackRows
-    det_rows: TrackRows  # id -1 on every row: not unique, so never a checked block
-    feature_rows: list[tuple[int, int, np.ndarray]]
     frames: dict[int, Detections]  # every frame's block, labelled with gt_ids
-    gt_frames: dict[int, list[tuple[int, BoundingBox]]]
     anchors: np.ndarray  # (n_targets, feature_dim) identity anchors
 
 
@@ -216,9 +214,7 @@ def generate(cfg: SceneConfig) -> SceneData:
         targets.append(_spawn_exiting(cfg, rng, ident))
 
     gt: list[tuple] = []  # (frame, id, x, y, w, h) per ground-truth row
-    feature_rows: list[tuple[int, int, np.ndarray]] = []
     frames: dict[int, Detections] = {}
-    gt_frames: dict[int, list[tuple[int, BoundingBox]]] = {}
 
     for frame in range(1, cfg.n_frames + 1):
         if frame > 1:
@@ -236,7 +232,6 @@ def generate(cfg: SceneConfig) -> SceneData:
 
         active = [t for t in targets if t.active]
         boxes = {t.ident: t.box() for t in active}
-        gt_frames[frame] = [(t.ident + 1, boxes[t.ident]) for t in active]
         for t in active:
             b = boxes[t.ident]
             gt.append((frame, t.ident + 1, b.x, b.y, b.w, b.h))
@@ -261,8 +256,8 @@ def generate(cfg: SceneConfig) -> SceneData:
                     t.vx, t.vy = _rotate(t.vx, t.vy, t.turn)
                     t.turned = True
 
-        first = len(feature_rows)  # the frame's detections are the rows from here on
         det_boxes: list[tuple] = []
+        det_features: list[np.ndarray] = []
         det_conf: list[float] = []
         gt_ids: list[int | None] = []
         for t in active:
@@ -284,7 +279,7 @@ def generate(cfg: SceneConfig) -> SceneData:
             vec = vec / np.linalg.norm(vec)
             det_boxes.append((x, y, w, h))
             det_conf.append(rng.uniform(0.85, 0.99))
-            feature_rows.append((frame, len(gt_ids), vec))
+            det_features.append(vec)
             gt_ids.append(t.ident + 1)
 
         for _ in range(rng.poisson(cfg.clutter_rate)):
@@ -296,50 +291,54 @@ def generate(cfg: SceneConfig) -> SceneData:
             vec = vec / np.linalg.norm(vec)
             det_boxes.append((x, y, w, h))
             det_conf.append(rng.uniform(0.3, 0.7))
-            feature_rows.append((frame, len(gt_ids), vec))
+            det_features.append(vec)
             gt_ids.append(None)
 
-        features = np.array([vec for _, _, vec in feature_rows[first:]])
-        frames[frame] = Detections(frame, det_boxes, det_conf,
-                                   features.reshape(-1, cfg.feature_dim), gt_ids)
-        # One copy of each feature: the feature rows are views of the block's.
-        feature_rows[first:] = [(frame, j, vec) for j, vec in enumerate(frames[frame].features)]
+        features = np.array(det_features).reshape(-1, cfg.feature_dim)
+        frames[frame] = Detections(frame, det_boxes, det_conf, features, gt_ids)
 
     table = np.array(gt, dtype=np.float64).reshape(-1, 6)
     gt_rows = TrackRows(table[:, 0], table[:, 1], table[:, 2:], np.ones(len(table)))
-    det_rows = TrackRows.concat(
-        TrackRows.trusted(np.full(len(b), f, dtype=np.int64), np.full(len(b), -1, dtype=np.int64),
-                          b.boxes, b.confidences)
-        for f, b in frames.items()
-    )
-    return SceneData(cfg, gt_rows, det_rows, feature_rows, frames, gt_frames, anchors)
+    return SceneData(cfg, gt_rows, frames, anchors)
+
+
+# A predicted box shows a ground-truth target's feature only when their
+# IoU reaches this.
+SOURCE_MIN_IOU = 0.1
 
 
 class SceneFeatureSource:
     """Appearance lookup backed by scene ground truth.
 
-    feature_at returns the anchor of the ground-truth target whose box
-    best overlaps the query (IoU >= 0.1), or None when nothing is there.
-    Used as the appearance gate's feature source in synthetic runs.
+    features_at gives each box the anchor of the ground-truth target whose
+    box overlaps it most, the last such row of the frame on a tie; a box
+    is found only when that IoU is at least SOURCE_MIN_IOU. One IoU matrix
+    of the boxes against the frame's ground truth. Used as the appearance
+    gate's feature source in synthetic runs.
     """
 
-    def __init__(self, scene: SceneData, min_iou: float = 0.1):
+    def __init__(self, scene: SceneData):
         self.scene = scene
-        self.min_iou = min_iou
 
-    def feature_at(self, frame: int, box: BoundingBox):
-        best, best_id = self.min_iou, None
-        for ident, gt_box in self.scene.gt_frames.get(frame, []):
-            v = iou(box, gt_box)
-            if v >= best:
-                best, best_id = v, ident
-        if best_id is None:
-            return None
-        return self.scene.anchors[best_id - 1]
+    def features_at(self, frame: int, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(L, d) anchors at the (L, 4) xywh boxes, and the (L,) bool rows found."""
+        gt, anchors = self.scene.gt_rows, self.scene.anchors
+        (lo,), (hi,) = gt.frame_bounds([frame])
+        if lo == hi:
+            return np.zeros((len(boxes), anchors.shape[1])), np.zeros(len(boxes), dtype=bool)
+        # argmax takes the first maximum: of the reversed columns, the last.
+        overlap = kernels.iou_matrix(boxes, gt.boxes[lo:hi])[:, ::-1]
+        best = overlap.argmax(axis=1)
+        found = overlap[np.arange(len(best)), best] >= SOURCE_MIN_IOU
+        return anchors[gt.ids[hi - 1 - best] - 1], found
 
 
 def write_scene(scene: SceneData, out_dir) -> dict[str, Path]:
-    """Write gt.txt / det.txt / features.txt; returns the paths."""
+    """Write gt.txt / det.txt / features.txt; returns the paths.
+
+    det.txt has one row per detection, id -1, and features.txt its
+    feature, keyed by frame and index in the frame.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -347,9 +346,16 @@ def write_scene(scene: SceneData, out_dir) -> dict[str, Path]:
         "det": out / "det.txt",
         "features": out / "features.txt",
     }
+    blocks = scene.frames.items()
     write_track_rows(paths["gt"], scene.gt_rows)
-    write_track_rows(paths["det"], scene.det_rows)
-    write_features(paths["features"], scene.feature_rows)
+    # Ids repeat (-1 on every row), so this is never a checked block.
+    write_track_rows(paths["det"], TrackRows.concat(
+        TrackRows.trusted(np.full(len(b), f, dtype=np.int64), np.full(len(b), -1, dtype=np.int64),
+                          b.boxes, b.confidences)
+        for f, b in blocks
+    ))
+    write_features(paths["features"],
+                   ((f, j, vec) for f, b in blocks for j, vec in enumerate(b.features)))
     return paths
 
 

@@ -31,19 +31,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Detections, Trajectories
 from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, _check_alpha, _check_fps, build_graph
 from .integration import INTEGRATION_MODES, absorb, start
-from .motion import (
-    VERIFIER_NAMES,
-    FrameContext,
-    boxes_from_means,
-    forecast_gates,
-    kf_predict_batch,
-    make_row_verifier,
-)
+from .motion import FrameContext, boxes_from_means, forecast_gates, kf_predict_batch
 from .motio import TrackRows
 from .mpn import MpnModel, score_graph
 
@@ -63,9 +55,7 @@ class TrackerConfig:
     emit_forecasts: bool = True
     forecast_constraints: bool = True
     theta_app: float = 0.6
-    verifier: str = "default"
     image_size: tuple[int, int] = (1920, 1080)
-    matching: str = "greedy"  # "hungarian" kept for ablation comparison
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
@@ -74,8 +64,6 @@ class TrackerConfig:
             raise ValueError(f"unknown ratio variant {self.ratio_variant!r}")
         if self.integration not in INTEGRATION_MODES:
             raise ValueError(f"unknown integration mode {self.integration!r}")
-        if self.matching not in ("greedy", "hungarian"):
-            raise ValueError(f"unknown matching mode {self.matching!r}")
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         _check_fps(self.fps)
@@ -85,8 +73,6 @@ class TrackerConfig:
             raise ValueError(f"spawn_confidence must be in [0, 1], got {self.spawn_confidence}")
         if not self.theta_app >= 0.0:
             raise ValueError(f"theta_app must be >= 0, got {self.theta_app}")
-        if self.verifier not in VERIFIER_NAMES:
-            raise ValueError(f"unknown verifier {self.verifier!r}; expected one of {VERIFIER_NAMES}")
         # The forecast gates measure boxes against the image: any other size
         # would stop every forecast silently.
         size = self.image_size
@@ -103,61 +89,33 @@ class TrackerConfig:
 
 
 def greedy_match(
-    edge_traj,
-    edge_det,
-    scores,
-    tau: float,
-    traj_ids=None,
-    n_traj: int | None = None,
-    n_det: int | None = None,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    edge_traj, edge_det, scores, tau: float, n_traj: int, n_det: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """Rank edges with score >= tau from high to low and accept greedily.
 
-    Each trajectory and each detection is used at most once. Ties are
-    broken toward the lower trajectory id, then the lower detection index,
-    which makes the result independent of edge storage order. Returns
-    (matches, unmatched_traj, unmatched_det) over index ranges n_traj /
-    n_det (inferred from the edges when omitted).
+    Each of the n_traj trajectories and n_det detections is used at most
+    once. Ties are broken toward the lower trajectory index, then the
+    lower detection index, which makes the result independent of edge
+    storage order (the tracker's rows are in id order, so that is the
+    lower id). Returns the (trajectory, detection) index pairs of the
+    matches, then the unmatched trajectory and detection indices as
+    ascending arrays.
     """
     edge_traj = np.asarray(edge_traj, dtype=np.intp)
     edge_det = np.asarray(edge_det, dtype=np.intp)
     scores = np.asarray(scores, dtype=np.float64)
-    if n_traj is None:
-        n_traj = int(edge_traj.max()) + 1 if edge_traj.size else 0
-    if n_det is None:
-        n_det = int(edge_det.max()) + 1 if edge_det.size else 0
-    ids = edge_traj if traj_ids is None else np.asarray(traj_ids)[edge_traj]
     keep = scores >= tau
-    order = np.lexsort((edge_det[keep], ids[keep], -scores[keep]))
-    kept_traj = edge_traj[keep][order]
-    kept_det = edge_det[keep][order]
+    order = np.lexsort((edge_det[keep], edge_traj[keep], -scores[keep]))
     taken_traj = np.zeros(n_traj, dtype=bool)
     taken_det = np.zeros(n_det, dtype=bool)
     matches: list[tuple[int, int]] = []
-    for i, j in zip(kept_traj, kept_det):
+    for i, j in zip(edge_traj[keep][order].tolist(), edge_det[keep][order].tolist()):
         if taken_traj[i] or taken_det[j]:
             continue
         taken_traj[i] = True
         taken_det[j] = True
-        matches.append((int(i), int(j)))
-    unmatched_traj = [i for i in range(n_traj) if not taken_traj[i]]
-    unmatched_det = [j for j in range(n_det) if not taken_det[j]]
-    return matches, unmatched_traj, unmatched_det
-
-
-def hungarian_match(edge_traj, edge_det, scores, tau, n_traj, n_det):
-    """Optimal assignment alternative to greedy_match (ablation only)."""
-    score_mat = np.zeros((n_traj, n_det))
-    score_mat[np.asarray(edge_traj, dtype=np.intp), np.asarray(edge_det, dtype=np.intp)] = scores
-    rows, cols = linear_sum_assignment(score_mat, maximize=True)
-    matches = [(int(i), int(j)) for i, j in zip(rows, cols) if score_mat[i, j] >= tau]
-    matched_t = {i for i, _ in matches}
-    matched_d = {j for _, j in matches}
-    return (
-        matches,
-        [i for i in range(n_traj) if i not in matched_t],
-        [j for j in range(n_det) if j not in matched_d],
-    )
+        matches.append((i, j))
+    return matches, np.flatnonzero(~taken_traj), np.flatnonzero(~taken_det)
 
 
 @dataclass
@@ -172,8 +130,8 @@ class Tracker:
     """Stateful per-sequence tracker; one instance per sequence.
 
     feature_source, when given, provides the appearance gate of the
-    forecast constraints (feature_at(frame, box) -> vector or None);
-    without it that gate is skipped.
+    forecast constraints (motion.FrameContext.features_at, asked once per
+    frame); without it that gate is skipped.
     """
 
     def __init__(self, model: MpnModel, config: TrackerConfig, feature_source=None):
@@ -187,7 +145,6 @@ class Tracker:
         self.next_id = 1
         self.last_frame: int | None = None
         self.last_stats: StepStats | None = None  # of the latest step
-        self._verifier = make_row_verifier(config.verifier)
         self._appearance_gate_noted = False
 
     @property
@@ -222,11 +179,10 @@ class Tracker:
         parts = [(tracks.ids[matched_t], detections.boxes[matched_d],
                   detections.confidences[matched_d])]
         expired = np.zeros(0, dtype=np.intp)
-        if unmatched_t:
-            expired, forecast, boxes = self._lose(frame, np.array(unmatched_t, dtype=np.intp))
+        if unmatched_t.size:
+            expired, forecast, boxes = self._lose(frame, unmatched_t)
             parts.append((tracks.ids[forecast], boxes, np.ones(forecast.size)))
 
-        unmatched_d = np.array(unmatched_d, dtype=np.intp)
         spawn = unmatched_d[detections.confidences[unmatched_d] >= cfg.spawn_confidence]
         if spawn.size:
             spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
@@ -265,11 +221,10 @@ class Tracker:
             return lost[expired], forecast[:0], np.zeros((0, 4))
         boxes = boxes_from_means(tracks.means[forecast])
         if cfg.forecast_constraints:
-            feature_at = getattr(self.feature_source, "feature_at", None)
-            ctx = FrameContext(cfg.image_size, frame, feature_at)
+            features_at = getattr(self.feature_source, "features_at", None)
             stops, checked = forecast_gates(
-                boxes, tracks.last_boxes[forecast], tracks.features[forecast], ctx,
-                cfg.theta_app, self._verifier,
+                boxes, tracks.last_boxes[forecast], tracks.features[forecast],
+                FrameContext(cfg.image_size, frame, features_at), cfg.theta_app,
             )
             keep = stops == 0
             if not self._appearance_gate_noted and (keep & ~checked).any():
@@ -299,18 +254,11 @@ class Tracker:
             )
         if graph is None:
             self.last_stats = StepStats(frame, 0, 0, time.perf_counter() - t_start)
-            return [], list(range(len(tracks))), list(range(len(detections)))
+            return [], np.arange(len(tracks)), np.arange(len(detections))
         scores = score_graph(self.model, graph)
-        if cfg.matching == "hungarian":
-            result = hungarian_match(
-                graph.edge_traj, graph.edge_det, scores, cfg.tau, len(tracks), len(detections),
-            )
-        else:
-            # Rows are in id order, so row order breaks ties like id order.
-            result = greedy_match(
-                graph.edge_traj, graph.edge_det, scores, cfg.tau,
-                n_traj=len(tracks), n_det=len(detections),
-            )
+        result = greedy_match(
+            graph.edge_traj, graph.edge_det, scores, cfg.tau, len(tracks), len(detections)
+        )
         self.last_stats = StepStats(
             frame, graph.n_candidates, graph.n_edges, time.perf_counter() - t_start
         )

@@ -5,10 +5,13 @@ ReferenceTracker is the tracker step as it was written before the tracker
 kept its trajectories as columns: one Trajectory record and one
 KalmanState per live track, forecast gates through reference_forecast_lost
 one trajectory at a time, with the scalar visible_fraction and
-make_verifier's verifiers, and features integrated one trajectory at a
-time through reference_integrate, each as the package computed them
-before it gated and integrated rows. reference_read_detections
-joins the two files row by row into Detection records.
+default_verifier and the appearance source asked for one box at a time,
+and features integrated one trajectory at a time through
+reference_integrate, each as the package computed them before it gated
+and integrated rows. reference_feature_at is the scene feature source's
+lookup of one box, a loop over the frame's ground-truth boxes.
+reference_read_detections joins the two files row by row into Detection
+records.
 reference_format_track_row formats one TrackRow with an f-string.
 reference_ratio_analysis walks a dict of live identities, each filtered
 by the single-state Kalman functions, and ratio-tests every trajectory at
@@ -46,11 +49,11 @@ from graphmot.motion import (
     STOP_APPEARANCE,
     STOP_OUT_OF_VIEW,
     STOP_VERIFIER,
-    VERIFIER_NAMES,
     ForecastDecision,
     FrameContext,
     KalmanState,
     boxes_from_means,
+    default_verifier_rows,
     kf_init,
     kf_init_batch,
     kf_predict_batch,
@@ -59,7 +62,7 @@ from graphmot.motion import (
     state_to_box,
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
-from graphmot.tracker import StepStats, greedy_match, hungarian_match
+from graphmot.tracker import StepStats, greedy_match
 
 
 def reference_integrate(mode, f_prev, f_new, overlap=None, cell=None, state=None):
@@ -111,15 +114,38 @@ def default_verifier(box: BoundingBox, last_box: BoundingBox, image_size) -> boo
     return abs(box.area - last_box.area) <= 0.5 * last_box.area
 
 
-def make_verifier(name: str):
-    """The verifier of a name, for one box: (box, last_box, image_size) -> bool."""
-    if name == "default":
-        return default_verifier
-    if name == "always_keep":
-        return lambda box, last_box, image_size: True
-    if name == "always_stop":
-        return lambda box, last_box, image_size: False
-    raise ValueError(f"unknown verifier {name!r}; expected one of {VERIFIER_NAMES}")
+def keep_all(boxes, last_boxes, image_size):
+    """A row verifier that accepts every box."""
+    return np.ones(len(boxes), dtype=bool)
+
+
+def stop_all(boxes, last_boxes, image_size):
+    """A row verifier that rejects every box."""
+    return np.zeros(len(boxes), dtype=bool)
+
+
+# Verifiers the gate tests pass to forecast_gates, by name: (the verifier
+# of one box, (box, last_box, image_size) -> bool, and its row form).
+VERIFIERS = {
+    "default": (default_verifier, default_verifier_rows),
+    "always_keep": (lambda box, last_box, image_size: True, keep_all),
+    "always_stop": (lambda box, last_box, image_size: False, stop_all),
+}
+
+
+def reference_feature_at(scene, frame: int, box: BoundingBox):
+    """The anchor of the ground-truth target whose box best overlaps box
+    (IoU >= 0.1; the later row of the frame on a tie), or None when
+    nothing is there: the scene feature source's lookup of one box."""
+    best, best_id = 0.1, None
+    for r in np.flatnonzero(scene.gt_rows.frames == frame).tolist():
+        row = scene.gt_rows[r]
+        v = iou(box, BoundingBox(row.x, row.y, row.w, row.h))
+        if v >= best:
+            best, best_id = v, row.track_id
+    if best_id is None:
+        return None
+    return scene.anchors[best_id - 1]
 
 
 def reference_forecast_lost(traj, ctx, theta_app=0.6, verifier=default_verifier) -> ForecastDecision:
@@ -134,9 +160,9 @@ def reference_forecast_lost(traj, ctx, theta_app=0.6, verifier=default_verifier)
     if not verifier(box, traj.last_box, ctx.image_size):
         return ForecastDecision(False, None, STOP_VERIFIER)
     checked = False
-    if ctx.feature_at is not None:
-        feature = ctx.feature_at(ctx.frame, box)
-        if feature is not None:
+    if ctx.features_at is not None:
+        (feature,), (found,) = ctx.features_at(ctx.frame, box.as_xywh()[None])
+        if found:
             checked = True
             if feature_distance(traj.integrated_feature, feature) > theta_app:
                 return ForecastDecision(False, None, STOP_APPEARANCE)
@@ -169,7 +195,6 @@ class ReferenceTracker:
         self.next_id = 1
         self.last_frame = None
         self.stats: list[StepStats] = []
-        self._verifier = make_verifier(config.verifier)
 
     def step(self, frame, detections):
         cfg = self.config
@@ -225,7 +250,7 @@ class ReferenceTracker:
             b = det.box
             rows.append(TrackRow(frame, traj.id, b.x, b.y, b.w, b.h, det.confidence))
 
-        ctx = FrameContext(cfg.image_size, frame, getattr(self.feature_source, "feature_at", None))
+        ctx = FrameContext(cfg.image_size, frame, getattr(self.feature_source, "features_at", None))
         pruned = set()
         for ti in unmatched_t:
             traj = self.trajectories[ti]
@@ -236,7 +261,7 @@ class ReferenceTracker:
             if not cfg.emit_forecasts or traj.forecast_stopped:
                 continue
             if cfg.forecast_constraints:
-                decision = reference_forecast_lost(traj, ctx, cfg.theta_app, self._verifier)
+                decision = reference_forecast_lost(traj, ctx, cfg.theta_app)
             else:
                 decision = ForecastDecision(True, state_to_box(traj.motion))
             if decision.keep:
@@ -271,17 +296,10 @@ class ReferenceTracker:
             self.stats.append(StepStats(frame, 0, 0, 0.0))
             return None, ([], list(range(len(self.trajectories))), list(range(len(detections))))
         scores = score_graph(self.model, graph)
-        if cfg.matching == "hungarian":
-            result = hungarian_match(
-                graph.edge_traj, graph.edge_det, scores, cfg.tau,
-                len(self.trajectories), len(detections),
-            )
-        else:
-            result = greedy_match(
-                graph.edge_traj, graph.edge_det, scores, cfg.tau,
-                traj_ids=[t.id for t in self.trajectories],
-                n_traj=len(self.trajectories), n_det=len(detections),
-            )
+        # The records are in id order: their indices break ties like ids.
+        result = greedy_match(
+            graph.edge_traj, graph.edge_det, scores, cfg.tau, len(self.trajectories), len(detections)
+        )
         self.stats.append(StepStats(frame, graph.n_candidates, graph.n_edges, 0.0))
         return graph, result
 

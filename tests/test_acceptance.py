@@ -309,8 +309,8 @@ def test_c07_matching_invariants():
             used_t = [i for i, _ in matches]
             used_d = [j for _, j in matches]
             assert len(set(used_t)) == len(used_t) and len(set(used_d)) == len(used_d)
-            assert sorted(used_t + ut) == list(range(n_traj))
-            assert sorted(used_d + ud) == list(range(n_det))
+            assert sorted(used_t + ut.tolist()) == list(range(n_traj))
+            assert sorted(used_d + ud.tolist()) == list(range(n_det))
             perm = rng.permutation(len(edges))
             matches_p, _, _ = greedy_match(
                 et[perm], ed[perm], scores[perm], tau, n_traj=n_traj, n_det=n_det

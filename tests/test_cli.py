@@ -92,6 +92,15 @@ class TestTrain:
         assert rc == 0
         assert load_model(out).step_count > first
 
+    def test_resume_refuses_negative_layers(self, tmp_path, small_scene_dir, small_checkpoint,
+                                            capsys):
+        out = tmp_path / "resumed.npz"
+        rc = main(["train", "--data", str(small_scene_dir), "--out", str(out), "--seed", "5",
+                   "--epochs", "1", "--resume", str(small_checkpoint), "--layers", "-2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rounds must be an integer >= 0, got -2\n"
+        assert not out.exists()
+
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                    str(tmp_path / "m.npz"), "--seed", "1"])
@@ -164,6 +173,18 @@ class TestTrack:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: image_size must be two finite positive numbers, got (0, 0)\n")
+        assert not out.exists()
+
+
+    def test_negative_layers_refused(self, tmp_path, small_scene_dir, small_checkpoint, capsys):
+        out = tmp_path / "x.txt"
+        rc = main([
+            "track", "--detections", str(small_scene_dir / "det.txt"),
+            "--features", str(small_scene_dir / "features.txt"),
+            "--checkpoint", str(small_checkpoint), "--out", str(out), "--layers", "-2",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: rounds must be an integer >= 0, got -2\n"
         assert not out.exists()
 
 
@@ -285,6 +306,21 @@ class TestConfigFile:
                    "--config", str(cfg)])
         assert rc == 1
         assert "n_frame" in capsys.readouterr().err
+
+    # Greedy matching and the default verifier are the tracker's only ones.
+    @pytest.mark.parametrize("key, value", [("matching", "hungarian"), ("verifier", "default")])
+    def test_removed_tracker_keys_rejected(self, tmp_path, small_scene_dir, small_checkpoint,
+                                           capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {key: value}}))
+        out = tmp_path / "hyp.txt"
+        rc = main(["track", "--detections", str(small_scene_dir / "det.txt"),
+                   "--features", str(small_scene_dir / "features.txt"),
+                   "--checkpoint", str(small_checkpoint), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown key {key!r} in config section 'tracker'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("train", [{"lr_decay_every": 0}, {"batch_graphs": 0},
                                        {"node_dropout": 1.5}, {"lr": -1}])

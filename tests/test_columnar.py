@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from references import (
-    make_verifier,
+    VERIFIERS,
     max_overlap,
     reference_clear_mot,
     reference_forecast_lost,
@@ -51,7 +51,6 @@ from graphmot.motion import (
     boxes_from_means,
     forecast_gates,
     forecast_lost,
-    make_row_verifier,
 )
 from graphmot.mpn import TrainConfig, create_model, load_model, train_model
 from graphmot.synth import SceneFeatureSource, generate, preset, write_scene
@@ -213,7 +212,7 @@ class TestTrackRowBlocks:
             rows, _ = run_sequence(frames, model, TrackerConfig(image_size=config.image_size))
             result = clear_mot(gt_rows, rows)
             score = idf1(scene.gt_rows, rows)
-        assert all(isinstance(r, TrackRows) for r in (scene.gt_rows, scene.det_rows, gt_rows, rows))
+        assert all(isinstance(r, TrackRows) for r in (scene.gt_rows, gt_rows, rows))
         assert sum(g is not None for dets in labeled.values() for g in dets.gt_ids) > 0
         want = reference_clear_mot(list(gt_rows), list(rows))
         assert (result.mota, result.fp, result.fn, result.ids) == (want.mota, want.fp, want.fn, want.ids)
@@ -284,9 +283,9 @@ class HashedSource:
         vecs = np.random.default_rng(seed).normal(size=(8, dim))
         self.vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
-    def feature_at(self, frame, box):
-        cell = int(box.x // 40 + box.y // 40 + frame) % 9
-        return None if cell == 8 else self.vecs[cell]
+    def features_at(self, frame, boxes):
+        cells = (boxes[:, 0] // 40 + boxes[:, 1] // 40 + frame).astype(np.int64) % 9
+        return self.vecs[np.minimum(cells, 7)], cells != 8
 
 
 def unit_rows(rng, n, dim):
@@ -330,11 +329,9 @@ BRANCHES = [
     {"integration": "average"},
     {"integration": "iou"},
     {"integration": "lstm"},
-    {"matching": "hungarian"},
     {"ratio_variant": "none"},
     {"ratio_variant": "iou"},
-    {"verifier": "always_keep"},
-    {"verifier": "always_stop"},
+    {"theta_app": 0.0},
     {"emit_forecasts": False},
     {"forecast_constraints": False},
 ]
@@ -398,12 +395,29 @@ class TestTrackerColumns:
         scene, model = scene
         write_scene(scene, tmp_path)
         frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
-        tracker = Tracker(model, TrackerConfig(image_size=scene.config.image_size))
+        # With the appearance source: the gates ask it for boxes as arrays.
+        tracker = Tracker(model, TrackerConfig(image_size=scene.config.image_size),
+                          SceneFeatureSource(scene))
         with forbidden(Trajectory, KalmanState, Detection, BoundingBox):
             for f in range(1, scene.config.n_frames + 1):
                 tracker.step(f, frames.get(f, Detections.of([], f)))
                 assert len(tracker.trajectories) == len(tracker.trajectories.ids)
         assert tracker.next_id > 1
+
+    def test_appearance_source_is_asked_at_most_once_per_frame(self, scene):
+        scene, model = scene
+        asked = []
+
+        class CountingSource(SceneFeatureSource):
+            def features_at(self, frame, boxes):
+                asked.append((frame, len(boxes)))
+                return super().features_at(frame, boxes)
+
+        config = TrackerConfig(image_size=scene.config.image_size)
+        _, stats = run_sequence(scene.frames, model, config, CountingSource(scene))
+        frames = [frame for frame, _ in asked]
+        assert len(frames) == len(set(frames)) <= len(stats)
+        assert sum(n for _, n in asked) > len(frames) > 0  # some frames gate several rows
 
     def test_columns_hold_exactly_the_live_trajectories(self, scene):
         scene, model = scene
@@ -495,17 +509,17 @@ class TestForecastGatesMatchForecastLost:
         # Area ratios of 1/4 to 4, drifts of exactly 50% included.
         last = np.column_stack([boxes[:, :2], boxes[:, 2:] * rng.choice([0.5, 1.0, 2.0], size=(n, 2))])
         features = unit_rows(rng, n, 3)
-        ctx = FrameContext(image_size, 7, HashedSource(3, seed % 7).feature_at if with_source else None)
-        stops, checked = forecast_gates(boxes, last, features, ctx, 0.6,
-                                        make_row_verifier(verifier))
+        ctx = FrameContext(image_size, 7, HashedSource(3, seed % 7).features_at if with_source else None)
+        one_box, rows = VERIFIERS[verifier]
+        stops, checked = forecast_gates(boxes, last, features, ctx, 0.6, rows)
         assert stops.dtype == np.int8
         for r in range(n):
             traj = Trajectory(1, features[r], BoundingBox(*last[r]), 1,
                               KalmanState(means[r], np.eye(8)), frames_lost=1)
-            want = reference_forecast_lost(traj, ctx, 0.6, make_verifier(verifier))
+            want = reference_forecast_lost(traj, ctx, 0.6, one_box)
             assert (STOP_REASONS[stops[r]], checked[r] if want.keep else False) == (
                 want.reason, want.appearance_checked if want.keep else False)
-            assert forecast_lost(traj, ctx, 0.6, make_row_verifier(verifier)) == want
+            assert forecast_lost(traj, ctx, 0.6, rows) == want
 
 
 # ---------------------------------------------------------------------------

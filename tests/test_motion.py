@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import keep_all, stop_all
 
 from graphmot.core import BoundingBox, Trajectory
 from graphmot.motion import (
@@ -25,7 +26,6 @@ from graphmot.motion import (
     kf_predict_batch,
     kf_update,
     kf_update_batch,
-    make_row_verifier,
     state_to_box,
     visible_fractions,
 )
@@ -266,37 +266,38 @@ class TestForecastGates:
     def test_mostly_outside_stops_out_of_view(self):
         traj = lost_traj(cx=-9.0, cy=50.0, w=40, h=40)  # 60% outside on x
         ctx = FrameContext((200, 200), 2)
-        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_keep"))
+        decision = forecast_lost(traj, ctx, verifier=keep_all)
         assert not decision.keep
         assert decision.reason == STOP_OUT_OF_VIEW
 
     def test_rejecting_verifier_stops_first_lost_frame(self):
         traj = lost_traj(100, 100)
         ctx = FrameContext((200, 200), 2)
-        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_stop"))
+        decision = forecast_lost(traj, ctx, verifier=stop_all)
         assert decision.reason == STOP_VERIFIER
 
     def test_appearance_gate(self):
         traj = lost_traj(100, 100, feature=unit(1, 0, 0))
         far_feature = unit(0, 1, 0)  # distance sqrt(2) > 0.6
 
-        def feature_at(frame, box):
-            return far_feature
+        def features_at(frame, boxes):
+            return np.tile(far_feature, (len(boxes), 1)), np.ones(len(boxes), dtype=bool)
 
-        ctx = FrameContext((200, 200), 2, feature_at)
-        decision = forecast_lost(traj, ctx, theta_app=0.6, verifier=make_row_verifier("always_keep"))
+        ctx = FrameContext((200, 200), 2, features_at)
+        decision = forecast_lost(traj, ctx, theta_app=0.6, verifier=keep_all)
         assert decision.reason == STOP_APPEARANCE
 
     def test_appearance_gate_skipped_without_source(self):
         traj = lost_traj(100, 100)
         ctx = FrameContext((200, 200), 2, None)
-        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_keep"))
+        decision = forecast_lost(traj, ctx, verifier=keep_all)
         assert decision.keep and not decision.appearance_checked
 
     def test_gate_order_out_of_view_before_verifier(self):
         traj = lost_traj(cx=-9.0, cy=50.0, w=40, h=40)
-        ctx = FrameContext((200, 200), 2, lambda f, b: unit(0, 1, 0))
-        decision = forecast_lost(traj, ctx, verifier=make_row_verifier("always_stop"))
+        ctx = FrameContext((200, 200), 2, lambda f, b: (np.tile(unit(0, 1, 0), (len(b), 1)),
+                                                         np.ones(len(b), dtype=bool)))
+        decision = forecast_lost(traj, ctx, verifier=stop_all)
         assert decision.reason == STOP_OUT_OF_VIEW  # gate 1 fires first
 
     def test_decision_reproducible(self):
@@ -352,7 +353,3 @@ class TestDefaultVerifier:
         last = box_at(100, 100, w=40, h=80)
         grown = box_at(200, 200, w=70, h=140)  # area ratio ~3.1
         assert not accepts(grown, last, (400, 400))
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_row_verifier("sometimes")

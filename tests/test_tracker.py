@@ -13,7 +13,6 @@ from graphmot.tracker import (
     Tracker,
     TrackerConfig,
     greedy_match,
-    hungarian_match,
     run_sequence,
 )
 
@@ -49,21 +48,28 @@ def random_scored_graph(rng):
 
 class TestGreedyMatch:
     def test_single_edge(self):
-        matches, ut, ud = greedy_match([0], [0], [0.9], tau=0.5)
+        matches, ut, ud = greedy_match([0], [0], [0.9], tau=0.5, n_traj=1, n_det=1)
         assert matches == [(0, 0)]
-        assert ut == [] and ud == []
+        assert ut.tolist() == [] and ud.tolist() == []
 
     def test_ranked_order_example(self):
         # (T0,D0,0.9) wins first; (T0,D1,0.8) blocked; (T1,D1,0.7) taken.
         et, ed, sc = [0, 0, 1], [0, 1, 1], [0.9, 0.8, 0.7]
-        matches, ut, ud = greedy_match(et, ed, sc, tau=0.5)
+        matches, ut, ud = greedy_match(et, ed, sc, tau=0.5, n_traj=2, n_det=2)
         assert matches == [(0, 0), (1, 1)]
-        assert ut == [] and ud == []
+        assert ut.tolist() == [] and ud.tolist() == []
 
     def test_all_below_threshold(self):
         matches, ut, ud = greedy_match([0, 1], [0, 1], [0.3, 0.2], tau=0.5, n_traj=2, n_det=2)
         assert matches == []
-        assert ut == [0, 1] and ud == [0, 1]
+        assert ut.tolist() == [0, 1] and ud.tolist() == [0, 1]
+
+    def test_unmatched_rows_without_edges(self):
+        # Rows no edge reaches are unmatched too, as index arrays.
+        matches, ut, ud = greedy_match([1], [2], [0.9], tau=0.5, n_traj=3, n_det=4)
+        assert matches == [(1, 2)]
+        assert ut.dtype == ud.dtype == np.intp
+        assert ut.tolist() == [0, 2] and ud.tolist() == [0, 1, 3]
 
     def test_one_to_one_over_random_graphs(self):
         rng = np.random.default_rng(0)
@@ -75,8 +81,8 @@ class TestGreedyMatch:
             used_d = [j for _, j in matches]
             assert len(used_t) == len(set(used_t))
             assert len(used_d) == len(set(used_d))
-            assert sorted(used_t + ut) == list(range(n_traj))
-            assert sorted(used_d + ud) == list(range(n_det))
+            assert sorted(used_t + ut.tolist()) == list(range(n_traj))
+            assert sorted(used_d + ud.tolist()) == list(range(n_det))
             assert all(sc[list(zip(et, ed)).index((i, j))] >= tau for i, j in matches)
 
     def test_deterministic_under_edge_permutation(self):
@@ -99,20 +105,12 @@ class TestGreedyMatch:
             ]
             assert all(b <= a for a, b in zip(counts, counts[1:]))
 
-    def test_tie_breaks_toward_lower_trajectory_id(self):
-        # Equal scores: trajectory id 2 (index 0) loses to id 1 (index 1).
-        matches, _, _ = greedy_match([0, 1], [0, 0], [0.8, 0.8], 0.5, traj_ids=[2, 1])
-        assert matches == [(1, 0)]
-
-    def test_hungarian_differs_only_in_optimality(self):
-        # Greedy takes (0,0) at 0.9 then nothing; Hungarian prefers the
-        # pair (0,1) + (1,0) with total 1.6.
-        et, ed = [0, 0, 1], [0, 1, 0]
-        sc = [0.9, 0.8, 0.8]
-        greedy, _, _ = greedy_match(et, ed, sc, 0.5, n_traj=2, n_det=2)
-        optimal, _, _ = hungarian_match(et, ed, sc, 0.5, 2, 2)
-        assert greedy == [(0, 0)]
-        assert sorted(optimal) == [(0, 1), (1, 0)]
+    def test_tie_breaks_toward_lower_trajectory_then_detection_index(self):
+        # Equal scores, edges stored highest index first.
+        matches, _, _ = greedy_match([1, 0, 0], [1, 1, 0], [0.8, 0.8, 0.8], 0.5, 2, 2)
+        assert matches == [(0, 0), (1, 1)]
+        matches, _, _ = greedy_match([0, 1], [1, 1], [0.8, 0.8], 0.5, 2, 2)
+        assert matches == [(0, 1)]
 
 
 class TestTrackerConfigChecks:
@@ -134,15 +132,13 @@ class TestTrackerConfigChecks:
     def test_bounds_are_accepted(self):
         TrackerConfig(lost_frame_limit=0, spawn_confidence=0.0, theta_app=0.0, k_neighbors=1)
         TrackerConfig(spawn_confidence=1.0, ratio_variant="none", alpha=5.0)  # alpha unused
-        TrackerConfig(image_size=[1, 0.5], verifier="always_stop")
+        TrackerConfig(image_size=[1, 0.5])
 
-    # An image size of 0 x 0 used to stop every forecast silently, and an
-    # unknown verifier failed only when a Tracker was built.
+    # An image size of 0 x 0 used to stop every forecast silently.
     @pytest.mark.parametrize("field, value", [
         ("image_size", (0, 0)), ("image_size", (-1920, -1080)),
         ("image_size", (float("nan"), 3)), ("image_size", (1920, float("inf"))),
         ("image_size", (1920,)), ("image_size", None), ("image_size", "12"),
-        ("verifier", "bogus"),
     ])
     def test_refused_naming_the_value(self, field, value):
         with pytest.raises(ValueError, match=field) as refused:
@@ -305,13 +301,6 @@ class TestRunSequence:
         assert list(long_rows) == [r._replace(frame=r.frame + shift) if r.frame > 110 else r
                              for r in short_rows]
 
-    def test_hungarian_mode_runs(self):
-        scene = generate(preset("easy", seed=11, n_frames=20))
-        model = create_model(scene.config.feature_dim, seed=6)
-        cfg = TrackerConfig(image_size=scene.config.image_size, matching="hungarian")
-        rows, _ = run_sequence(scene.frames, model, cfg)
-        assert rows
-
 
 @st.composite
 def detection_streams(draw):
@@ -339,7 +328,6 @@ def detection_streams(draw):
         lost_frame_limit=draw(st.integers(0, 4)),
         emit_forecasts=draw(st.booleans()),
         forecast_constraints=draw(st.booleans()),
-        matching=draw(st.sampled_from(["greedy", "hungarian"])),
     )
     return frames, create_model(dim, d_node=4, d_edge=4, rounds=2, seed=int(rng.integers(100))), config
 
