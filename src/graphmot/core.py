@@ -257,9 +257,12 @@ class Detections(Sequence[Detection]):
 class Trajectories(Sequence[Trajectory]):
     """M trajectories as columns, row r for row r: ids (M,), integrated
     features (M, d), last observed boxes (M, 4) xywh, last-seen frames
-    (M,), Kalman means (M, 8) and covariances (M, 8, 8), frames lost and
+    (M,), Kalman means (M, 8) and covariances (M, 3, 4), frames lost and
     forecast-stopped flags (M,; zero and False by default), and LSTM
     states (a list of M states, kept in "lstm" integration only; else None).
+    A covariance row holds the 8x8 matrix's nonzero entries, 12 of 64: the
+    filter never couples two coordinates, so the matrix is four 2x2 blocks,
+    one column of (position, cross, velocity) terms each (see motion).
 
     The tracker owns its block and updates the columns in place. As a
     sequence the block is read-only: an item is a Trajectory snapshot of
@@ -282,7 +285,7 @@ class Trajectories(Sequence[Trajectory]):
         self.last_boxes = np.asarray(last_boxes, dtype=np.float64).reshape(m, 4)
         self.last_seen = np.asarray(last_seen, dtype=np.int64)
         self.means = np.asarray(means, dtype=np.float64).reshape(m, 8)
-        self.covs = np.asarray(covs, dtype=np.float64).reshape(m, 8, 8)
+        self.covs = np.asarray(covs, dtype=np.float64).reshape(m, 3, 4)
         self.frames_lost = np.zeros(m, dtype=np.int64) if frames_lost is None \
             else np.asarray(frames_lost, dtype=np.int64)
         self.forecast_stopped = np.zeros(m, dtype=bool) if forecast_stopped is None \

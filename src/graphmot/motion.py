@@ -8,8 +8,15 @@ noise weights: with zero noise the filter then locks onto the exact
 velocity after the second observation.
 
 The kf_*_batch functions filter M stacked states, (M, 8) means and
-(M, 8, 8) covariances, in one call. A lost trajectory's predicted box
-passes three gates, in order, before it is emitted as a tracked position:
+(M, 3, 4) covariances, in one call. F couples each of (cx, cy, w, h) only
+with its own velocity and Q, R and the initial covariance are diagonal, so
+the 8x8 covariance is exactly four 2x2 blocks; rows p, c and v of a (3, 4)
+covariance hold each coordinate's position variance, position-velocity
+covariance and velocity variance. The innovation covariance is diagonal,
+so an update is a scalar Kalman update per coordinate.
+
+A lost trajectory's predicted box passes three gates, in order, before it
+is emitted as a tracked position:
   1. at least half of the box must be inside the image,
   2. a box verifier must accept it (the tracker runs default_verifier_rows,
      a geometric stand-in: reject boxes touching the image border band or
@@ -52,12 +59,6 @@ INIT_VEL_STD = 1.0 / 8.0
 
 _MIN_SIZE = 1e-3
 
-_EYE4 = np.eye(4)
-_EYE8 = np.eye(8)
-_F = np.eye(8)
-_F[:4, 4:] = np.eye(4)
-_H = np.eye(4, 8)
-
 
 @dataclass(frozen=True)
 class KalmanParams:
@@ -72,7 +73,7 @@ DEFAULT_KALMAN = KalmanParams()
 @dataclass(frozen=True)
 class KalmanState:
     mean: np.ndarray  # (8,)
-    cov: np.ndarray  # (8, 8)
+    cov: np.ndarray  # (3, 4) blocks, as Trajectories.covs
 
 
 def _measurements(boxes: np.ndarray) -> np.ndarray:
@@ -90,10 +91,7 @@ def boxes_from_means(means: np.ndarray) -> np.ndarray:
 
 def state_to_box(state: KalmanState) -> BoundingBox:
     """Single-state boxes_from_means, as a validated BoundingBox."""
-    cx, cy, w, h = state.mean[:4]
-    w = max(w, _MIN_SIZE)
-    h = max(h, _MIN_SIZE)
-    return BoundingBox(cx - 0.5 * w, cy - 0.5 * h, w, h)
+    return BoundingBox(*boxes_from_means(state.mean[None])[0].tolist())
 
 
 def _height(means: np.ndarray) -> np.ndarray:
@@ -104,22 +102,24 @@ def _height(means: np.ndarray) -> np.ndarray:
 def kf_init_batch(
     boxes: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial (N, 8) means and (N, 8, 8) covariances for (N, 4) xywh boxes."""
+    """Initial (N, 8) means and (N, 3, 4) covariance blocks for (N, 4) xywh boxes."""
     means = np.zeros((len(boxes), 8))
     means[:, :4] = _measurements(boxes)
-    weights = np.array([2 * params.meas_weight] * 4 + [INIT_VEL_STD] * 4)
-    stds = weights * means[:, 3:4]
-    return means, stds[:, :, None] ** 2 * _EYE8
+    covs = np.zeros((len(boxes), 3, 4))
+    covs[:, 0] = (2 * params.meas_weight * means[:, 3:4]) ** 2
+    covs[:, 2] = (INIT_VEL_STD * means[:, 3:4]) ** 2
+    return means, covs
 
 
 def kf_predict_batch(
     means: np.ndarray, covs: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step for stacked (M, 8) means and (M, 8, 8) covariances."""
-    weights = np.array([params.pos_weight] * 4 + [params.vel_weight] * 4)
-    q = weights * _height(means)
-    cov = _F @ covs @ _F.T + q[:, :, None] ** 2 * _EYE8
-    return means @ _F.T, 0.5 * (cov + cov.swapaxes(1, 2))
+    """One constant-velocity step for stacked (M, 8) means and (M, 3, 4) blocks."""
+    h = _height(means)
+    p, c, v = covs.swapaxes(0, 1)
+    p = (p + c) + (c + v) + (params.pos_weight * h) ** 2  # the order F P F^T sums in
+    covs = np.stack((p, c + v, v + (params.vel_weight * h) ** 2), axis=1)
+    return np.hstack((means[:, :4] + means[:, 4:], means[:, 4:])), covs
 
 
 def kf_update_batch(
@@ -130,28 +130,25 @@ def kf_update_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correct each of M states with its own (M, 4) xywh box observation.
 
-    Raises ValueError when any innovation covariance is not positive
-    definite (e.g. a noiseless filter that has already converged).
+    Raises ValueError when any innovation variance is not positive (e.g.
+    a noiseless filter that has already converged).
     """
     # float_power squares through libm pow, as a scalar `** 2` does; `** 2`
     # on an array multiplies instead, which differs in the last bit for
     # about 0.1% of heights and so would change trained checkpoints.
-    r = np.float_power(params.meas_weight * _height(means), 2)[:, :, None] * _EYE4
-    innovation = _measurements(boxes) - means[:, :4]  # H selects the first four rows
-    s = covs[:, :4, :4] + r
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("innovation covariance is not positive definite") from exc
-    # Gain via two triangular solves: K = P H^T S^-1.
-    pht = covs[:, :, :4]
-    k = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, pht.swapaxes(1, 2)))
-    k = k.swapaxes(1, 2)
-    mean = means + (k @ innovation[:, :, None])[:, :, 0]
-    ikh = _EYE8 - k @ _H
-    cov = ikh @ covs @ ikh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)  # Joseph form keeps PSD
+    r = np.float_power(params.meas_weight * _height(means), 2)
+    p, c, v = covs.swapaxes(0, 1)
+    s = p + r
+    if not np.all(s > 0):  # NaN too
+        raise ValueError("innovation covariance is not positive definite")
+    a, b = p / s, c / s  # gains on position and velocity
+    innovation = _measurements(boxes) - means[:, :4]
+    mean = means + np.hstack((a * innovation, b * innovation))
     mean[:, 2:4] = np.maximum(mean[:, 2:4], _MIN_SIZE)
-    return mean, 0.5 * (cov + cov.swapaxes(1, 2))
+    # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps every block PSD.
+    blocks = ((1 - a) ** 2 * p + a * a * r, (1 - a) * (c - b * p) + a * b * r,
+              v - 2 * b * c + b * b * s)
+    return mean, np.stack(blocks, axis=1)
 
 
 def kf_init(box: BoundingBox, params: KalmanParams = DEFAULT_KALMAN) -> KalmanState:

@@ -22,13 +22,11 @@ BCE_CLIP = 1e-7
 
 
 def sigmoid(x):
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so exp
+    never overflows. min(x, -x) rather than -|x| keeps the sign of a NaN."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:

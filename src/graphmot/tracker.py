@@ -12,7 +12,8 @@ forecast boxes and keep participating in future graphs at their predicted
 position.
 
 The tracker keeps its trajectories, Kalman means and covariances included,
-as one core.Trajectories block of columns with rows in id order, takes
+as one core.Trajectories block of columns with rows in id order (a
+covariance is its four per-coordinate 2x2 blocks; see motion), takes
 a frame's detections as one core.Detections block (empty for a frame
 without detections) and returns the frame's output as one motio.TrackRows
 block: every stage of a step works on arrays. Rows start and absorb their

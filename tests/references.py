@@ -22,6 +22,12 @@ detection) lists of window_tracks. reference_clear_mot and reference_idf1
 are the metrics as they were written over lists of TrackRow records,
 regrouped per frame with one IoU matrix per frame. The tests require the
 columnar and batched code to agree with them byte for byte.
+
+oracle_kf_init_batch, oracle_kf_predict_batch and oracle_kf_update_batch
+are the Kalman filter on full (M, 8, 8) covariances with a Cholesky and
+two solves per update, as motion ran it before it kept per-coordinate
+(M, 3, 4) blocks; blocks_to_matrices expands blocks to compare with them.
+masked_sigmoid is nn.sigmoid as it was written with boolean masks.
 """
 
 from __future__ import annotations
@@ -46,12 +52,17 @@ from graphmot.graph import _check_alpha, build_graph
 from graphmot.metrics import ClearMotResult, FrameDetail, RatioAnalysisReport
 from graphmot.motio import TrackRow, _parse_track_line, read_features
 from graphmot.motion import (
+    _MIN_SIZE,
+    DEFAULT_KALMAN,
+    INIT_VEL_STD,
     STOP_APPEARANCE,
     STOP_OUT_OF_VIEW,
     STOP_VERIFIER,
     ForecastDecision,
     FrameContext,
     KalmanState,
+    _height,
+    _measurements,
     boxes_from_means,
     default_verifier_rows,
     kf_init,
@@ -63,6 +74,75 @@ from graphmot.motion import (
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
 from graphmot.tracker import StepStats, greedy_match
+
+
+_EYE4 = np.eye(4)
+_EYE8 = np.eye(8)
+_F = np.eye(8)
+_F[:4, 4:] = np.eye(4)
+_H = np.eye(4, 8)
+
+
+def blocks_to_matrices(covs: np.ndarray) -> np.ndarray:
+    """(M, 3, 4) covariance blocks -> the (M, 8, 8) covariances they stand
+    for: position variances p on the first four diagonal entries, velocity
+    variances v on the last four, covariances c at (k, k + 4) and (k + 4, k)."""
+    full = np.zeros((len(covs), 8, 8))
+    k = np.arange(4)
+    p, c, v = covs.swapaxes(0, 1)
+    full[:, k, k], full[:, k, k + 4], full[:, k + 4, k], full[:, k + 4, k + 4] = p, c, c, v
+    return full
+
+
+def oracle_kf_init_batch(boxes, params=DEFAULT_KALMAN):
+    """kf_init_batch on (N, 8, 8) covariances, as motion computed it before
+    it kept per-coordinate blocks."""
+    means = np.zeros((len(boxes), 8))
+    means[:, :4] = _measurements(boxes)
+    weights = np.array([2 * params.meas_weight] * 4 + [INIT_VEL_STD] * 4)
+    stds = weights * means[:, 3:4]
+    return means, stds[:, :, None] ** 2 * _EYE8
+
+
+def oracle_kf_predict_batch(means, covs, params=DEFAULT_KALMAN):
+    """kf_predict_batch on (M, 8, 8) covariances: F P F^T + Q."""
+    weights = np.array([params.pos_weight] * 4 + [params.vel_weight] * 4)
+    q = weights * _height(means)
+    cov = _F @ covs @ _F.T + q[:, :, None] ** 2 * _EYE8
+    return means @ _F.T, 0.5 * (cov + cov.swapaxes(1, 2))
+
+
+def oracle_kf_update_batch(means, covs, boxes, params=DEFAULT_KALMAN):
+    """kf_update_batch on (M, 8, 8) covariances: Cholesky of the innovation
+    covariance, the gain by two triangular solves and the Joseph form.
+    Raises ValueError where the Cholesky refuses."""
+    r = np.float_power(params.meas_weight * _height(means), 2)[:, :, None] * _EYE4
+    innovation = _measurements(boxes) - means[:, :4]
+    s = covs[:, :4, :4] + r
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("innovation covariance is not positive definite") from exc
+    pht = covs[:, :, :4]
+    k = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, pht.swapaxes(1, 2)))
+    k = k.swapaxes(1, 2)
+    mean = means + (k @ innovation[:, :, None])[:, :, 0]
+    ikh = _EYE8 - k @ _H
+    cov = ikh @ covs @ ikh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)
+    mean[:, 2:4] = np.maximum(mean[:, 2:4], _MIN_SIZE)
+    return mean, 0.5 * (cov + cov.swapaxes(1, 2))
+
+
+def masked_sigmoid(x):
+    """nn.sigmoid as it was written with boolean masks: 1 / (1 + e^-x) where
+    x >= 0 and e^x / (1 + e^x) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def reference_integrate(mode, f_prev, f_new, overlap=None, cell=None, state=None):
@@ -191,7 +271,7 @@ class ReferenceTracker:
         self.feature_source = feature_source
         self.trajectories: list[Trajectory] = []
         self._means = np.zeros((0, 8))
-        self._covs = np.zeros((0, 8, 8))
+        self._covs = np.zeros((0, 3, 4))
         self.next_id = 1
         self.last_frame = None
         self.stats: list[StepStats] = []

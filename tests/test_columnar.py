@@ -515,7 +515,7 @@ class TestForecastGatesMatchForecastLost:
         assert stops.dtype == np.int8
         for r in range(n):
             traj = Trajectory(1, features[r], BoundingBox(*last[r]), 1,
-                              KalmanState(means[r], np.eye(8)), frames_lost=1)
+                              KalmanState(means[r], np.zeros((3, 4))), frames_lost=1)
             want = reference_forecast_lost(traj, ctx, 0.6, one_box)
             assert (STOP_REASONS[stops[r]], checked[r] if want.keep else False) == (
                 want.reason, want.appearance_checked if want.keep else False)

@@ -965,8 +965,8 @@ def param_digest(model):
 # identity-by-identity teacher forcing this module keeps as its reference
 # (NumPy 2.4, OpenBLAS, x86-64); tests/test_golden.py covers "iou".
 TRAINED_WEIGHTS = {
-    "average": "0c1e588d1e027805326f1b94961ffa1583d9995648c705b172e1666d4db69e13",
-    "lstm": "b5f190fbf2dfd2b84bab9b4236c383751a58a287db8c9972ffaae7b9d2b97e50",
+    "average": "71a803ae58f5c133da009cb49b21d92fa6bfcb68576bcce261cd1bebd7de24a3",
+    "lstm": "f078fa0196199c718f4b929e23854157832beb329866029f19a433135a4c5032",
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import masked_sigmoid
 
 from graphmot.nn import (
     AdamOptimizer,
@@ -14,8 +15,33 @@ from graphmot.nn import (
     grad_check,
     load_checkpoint,
     save_checkpoint,
+    sigmoid,
     weighted_bce,
 )
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestSigmoid:
+    """The one-expression sigmoid gives the bits of the masked one."""
+
+    def test_special_values(self):
+        x = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 710.0, -710.0,
+                      745.0, -745.0, 1e-320, -1e-320])
+        assert same_bits(sigmoid(x), masked_sigmoid(x))
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1000.0])
+    def test_normal_samples(self, scale):
+        x = np.random.default_rng(int(scale * 10)).normal(0.0, scale, 20_000)
+        assert same_bits(sigmoid(x), masked_sigmoid(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
+    def test_arbitrary_floats(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert same_bits(sigmoid(x), masked_sigmoid(x))
 
 
 class TestMlpForward:
