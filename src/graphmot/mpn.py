@@ -241,18 +241,18 @@ def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnSta
     )
 
 
-def _scatter_sum(rows, plan: ScatterPlan, n: int) -> np.ndarray:
-    # One flat bincount sums each node's rows in edge order from zero,
-    # exactly as np.add.at would, at a fraction of its cost. (Without edges
-    # bincount returns integers.)
-    out = np.bincount(plan.flat, weights=rows.ravel(), minlength=n * rows.shape[1])
+def _scatter_sum(rows, flat: np.ndarray, n: int) -> np.ndarray:
+    # One flat bincount (over a ScatterPlan's flat index) sums each node's
+    # rows in row order from zero, exactly as np.add.at would, at a fraction
+    # of its cost. (Without edges bincount returns integers.)
+    out = np.bincount(flat, weights=rows.ravel(), minlength=n * rows.shape[1])
     return out.astype(np.float64, copy=False).reshape(n, rows.shape[1])
 
 
 def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
     # Dividing by max(count, 1) leaves an empty node's zero sum at zero;
     # the copy then restores its previous value.
-    out = _scatter_sum(messages, plan, len(previous))
+    out = _scatter_sum(messages, plan.flat, len(previous))
     if aggregation == "mean":
         out /= plan.denominators
     np.copyto(out, previous, where=plan.empty)
@@ -318,7 +318,7 @@ def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation)
     layers = len(node_update.weights)
     if layers == 1:  # z is the message
         return _aggregate(z, plan, previous, aggregation)
-    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1), plan, len(previous))
+    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1), plan.flat, len(previous))
     w, b = node_update.weights[-1], node_update.biases[-1]
     if aggregation == "mean":
         hidden /= plan.denominators
@@ -402,10 +402,6 @@ def score_graph(model: MpnModel, graph: AssocGraph) -> np.ndarray:
     return classify_edges(model, state)
 
 
-def _scatter_rows(target, index, rows):
-    np.add.at(target, index, rows)
-
-
 def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     """Reverse the full forward pass.
 
@@ -424,41 +420,38 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     g_hl, cls_grads = model.classifier.backward(state.classifier_cache, dlogits[:, None])
     _acc(grads["classifier"], cls_grads)
 
-    d_traj = np.zeros_like(state.traj_layers[-1])
-    d_det = np.zeros_like(state.det_layers[-1])
+    # Each node's input gradient sums its node_update rows, then its
+    # edge_update rows, in edge order: one bincount over the forward's plan
+    # index, stacked twice.
+    t_plan, d_plan = state.traj_plan, state.det_plan
+    t_twice, d_twice = np.tile(t_plan.flat, 2), np.tile(d_plan.flat, 2)
+    d_traj, d_det = np.zeros_like(state.traj_layers[-1]), np.zeros_like(state.det_layers[-1])
     d_edge = g_hl
     for level in range(model.rounds, 0, -1):
         caches = state.round_caches[level - 1]
-        t_prev = state.traj_layers[level - 1]
-        d_prev = state.det_layers[level - 1]
-        d_traj_prev = np.zeros_like(t_prev)
-        d_det_prev = np.zeros_like(d_prev)
 
         # Aggregation adjoints; empty-neighborhood nodes pass straight through.
-        t_empty, d_empty = state.traj_plan.empty, state.det_plan.empty
         if model.aggregation == "mean":
-            t_scale = np.where(t_empty, 0.0, d_traj / state.traj_plan.denominators)
-            d_scale = np.where(d_empty, 0.0, d_det / state.det_plan.denominators)
+            t_scale = np.where(t_plan.empty, 0.0, d_traj / t_plan.denominators)
+            d_scale = np.where(d_plan.empty, 0.0, d_det / d_plan.denominators)
         else:
-            t_scale = np.where(t_empty, 0.0, d_traj)
-            d_scale = np.where(d_empty, 0.0, d_det)
-        np.copyto(d_traj_prev, d_traj, where=t_empty)
-        np.copyto(d_det_prev, d_det, where=d_empty)
+            t_scale = np.where(t_plan.empty, 0.0, d_traj)
+            d_scale = np.where(d_plan.empty, 0.0, d_det)
 
         gx_in, vx_grads = model.node_update.backward(caches.traj_cache, t_scale[ti])
         _acc(grads["node_update"], vx_grads)
-        _scatter_rows(d_traj_prev, ti, gx_in[:, :dn])
-        d_edge_total = d_edge + gx_in[:, dn:]
-
         gy_in, vy_grads = model.node_update.backward(caches.det_cache, d_scale[dj])
         _acc(grads["node_update"], vy_grads)
-        _scatter_rows(d_det_prev, dj, gy_in[:, :dn])
+        d_edge_total = d_edge + gx_in[:, dn:]
         d_edge_total = d_edge_total + gy_in[:, dn:]
 
         ge_in, e_grads = model.edge_update.backward(caches.edge_cache, d_edge_total)
         _acc(grads["edge_update"], e_grads)
-        _scatter_rows(d_traj_prev, ti, ge_in[:, :dn])
-        _scatter_rows(d_det_prev, dj, ge_in[:, dn : 2 * dn])
+        d_traj_prev = _scatter_sum(np.concatenate([gx_in[:, :dn], ge_in[:, :dn]]), t_twice, len(d_traj))
+        d_det_prev = _scatter_sum(np.concatenate([gy_in[:, :dn], ge_in[:, dn : 2 * dn]]), d_twice,
+                                  len(d_det))
+        np.copyto(d_traj_prev, d_traj, where=t_plan.empty)
+        np.copyto(d_det_prev, d_det, where=d_plan.empty)
 
         d_traj, d_det, d_edge = d_traj_prev, d_det_prev, ge_in[:, 2 * dn :]
 
