@@ -17,7 +17,10 @@ concatenated form its backward caches differentiate.
 
 Gradients are hand-derived reverse-mode, mirroring the forward pass layer
 by layer; training minimizes a positive-weighted binary cross-entropy over
-edges with teacher-forced trajectory features.
+edges with teacher-forced trajectory features. A batch's graphs are small,
+so training stacks them into disjoint unions (GraphUnion, join) of at most
+UNION_EDGES (256) edges and runs one forward and one backward per union
+instead of per graph.
 """
 
 from __future__ import annotations
@@ -163,6 +166,19 @@ def _assemble(sizes, rounds, aggregation, rng, step_count: int = 0) -> MpnModel:
 
 
 @dataclass
+class GraphUnion:
+    """The disjoint union of several graphs, as far as the network reads an
+    AssocGraph: encode, propagate, classify_edges and mpn_backward read only
+    these node features, edge features and edge indices."""
+
+    traj_features: np.ndarray
+    det_features: np.ndarray
+    edge_features: np.ndarray
+    edge_traj: np.ndarray
+    edge_det: np.ndarray
+
+
+@dataclass
 class _RoundCache:
     edge_cache: object
     traj_cache: object
@@ -201,7 +217,7 @@ class MpnState:
     with the cached ones to rounding.
     """
 
-    graph: AssocGraph
+    graph: AssocGraph | GraphUnion
     traj_layers: list[np.ndarray]
     det_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
@@ -221,7 +237,7 @@ def _run(mlp: Mlp, x: np.ndarray, caches: bool):
     return mlp.apply(x), None
 
 
-def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnState:
+def encode(model: MpnModel, graph: AssocGraph | GraphUnion, *, caches: bool = True) -> MpnState:
     """Layer-0 embeddings from the node and edge encoders."""
     if graph.edge_features is None:
         raise ValueError("graph has no edge features; run init_edge_features first")
@@ -234,8 +250,8 @@ def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnSta
         traj_layers=[t0],
         det_layers=[d0],
         edge_layers=[h0],
-        traj_plan=ScatterPlan.of(graph.edge_traj, len(graph.trajectories), width) if caches else None,
-        det_plan=ScatterPlan.of(graph.edge_det, len(graph.detections), width) if caches else None,
+        traj_plan=ScatterPlan.of(graph.edge_traj, len(t0), width) if caches else None,
+        det_plan=ScatterPlan.of(graph.edge_det, len(d0), width) if caches else None,
         keep_caches=caches,
         encoder_caches=(t_cache, d_cache, h_cache) if caches else None,
     )
@@ -385,7 +401,7 @@ def classify_edges(model: MpnModel, state: MpnState) -> np.ndarray:
     return sigmoid(state.logits)
 
 
-def mpn_forward(model: MpnModel, graph: AssocGraph) -> tuple[np.ndarray, MpnState]:
+def mpn_forward(model: MpnModel, graph: AssocGraph | GraphUnion) -> tuple[np.ndarray, MpnState]:
     """Edge probabilities plus the state mpn_backward needs."""
     state = encode(model, graph)
     propagate(model, state)
@@ -442,8 +458,7 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
         _acc(grads["node_update"], vx_grads)
         gy_in, vy_grads = model.node_update.backward(caches.det_cache, d_scale[dj])
         _acc(grads["node_update"], vy_grads)
-        d_edge_total = d_edge + gx_in[:, dn:]
-        d_edge_total = d_edge_total + gy_in[:, dn:]
+        d_edge_total = d_edge + gx_in[:, dn:] + gy_in[:, dn:]
 
         ge_in, e_grads = model.edge_update.backward(caches.edge_cache, d_edge_total)
         _acc(grads["edge_update"], e_grads)
@@ -519,9 +534,54 @@ class _LstmChain:
 
 @dataclass
 class _TrainGraph:
-    graph: AssocGraph
+    graph: AssocGraph | GraphUnion
     labels: np.ndarray
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain
+
+
+# A batch's training graphs run forward and backward as disjoint unions of at
+# most this many edges; a graph with more runs alone. With the benchmark's
+# training recipe, `crossing` batches (8 graphs of about 18 edges) stay whole.
+# On `crowded` (about 141 edges per graph) unbounded unions raised one
+# train_model call's tracemalloc peak from 7.8 to 38 MB and the benchmark's
+# peak RSS from 116 to 143 MB, and trained slower (0.073 against 0.058 s per
+# epoch, in-process medians of six runs, one BLAS thread, x86-64).
+UNION_EDGES = 256
+
+
+def split_by_edges(batch: list[_TrainGraph]) -> list[list[_TrainGraph]]:
+    """batch in its order, cut greedily into runs of at most UNION_EDGES
+    edges; a graph with more edges than that is a run of its own."""
+    runs: list[list[_TrainGraph]] = []
+    edges = 0
+    for tg in batch:
+        if not runs or edges + tg.labels.size > UNION_EDGES:
+            runs.append([])
+            edges = 0
+        runs[-1].append(tg)
+        edges += tg.labels.size
+    return runs
+
+
+def join(graphs: list[_TrainGraph]) -> _TrainGraph:
+    """The training graph of the disjoint union of graphs: node and edge
+    rows stacked in order, each edge's node indices offset by the rows of
+    the graphs before its own, labels stacked and LSTM chains re-keyed to
+    their offset trajectory rows. No edge joins nodes of two graphs, so
+    every node aggregates the same rows in the same order as in its own
+    graph; only BLAS may round a product of more rows differently."""
+    traj_rows = np.cumsum([0] + [len(tg.graph.traj_features) for tg in graphs])
+    det_rows = np.cumsum([0] + [len(tg.graph.det_features) for tg in graphs])
+    union = GraphUnion(
+        np.concatenate([tg.graph.traj_features for tg in graphs]),
+        np.concatenate([tg.graph.det_features for tg in graphs]),
+        np.concatenate([tg.graph.edge_features for tg in graphs]),
+        np.concatenate([tg.graph.edge_traj + t for tg, t in zip(graphs, traj_rows)]),
+        np.concatenate([tg.graph.edge_det + d for tg, d in zip(graphs, det_rows)]),
+    )
+    chains = {int(t) + row: chain for tg, t in zip(graphs, traj_rows)
+              for row, chain in tg.lstm_chains.items()}
+    return _TrainGraph(union, np.concatenate([tg.labels for tg in graphs]), chains)
 
 
 @dataclass
@@ -835,32 +895,11 @@ def _backprop_lstm_chains(model, chains, d_traj_feats, grads_flat):
     return
 
 
-def train_model(
-    model: MpnModel,
-    sequences: list[dict[int, Detections]],
-    cfg: TrainConfig,
-    *,
-    integration: str = "average",
-    k_neighbors: int = 20,
-    ratio_variant: str = "none",
-    alpha: float | None = None,
-    fps: float = 30.0,
-) -> list[dict]:
-    """Train in place; returns one telemetry row per epoch.
-
-    Each sample pairs one target frame with trajectories teacher-forced
-    from the preceding frames of its window. Except in "lstm" mode, every
-    sample of a sequence is teacher-forced once per call, all in one
-    teacher_force_samples walk. Batches average the weighted BCE over all
-    edges; the positive weight defaults to the batch's negative/positive
-    ratio.
-
-    A row holds the epoch, learning rate, mean batch loss and edge
-    accuracy, the seconds spent teacher-forcing (on the first epoch; 0
-    after), building graphs, in forward and backward passes and in
-    optimizer steps, and the positive and negative edges trained on.
-    """
-    _check_fps(fps)
+def _training_samples(sequences: list[dict[int, Detections]], cfg: TrainConfig, integration: str):
+    """(samples, teachers, seconds) of train_model: one (sequence index,
+    target frame, window frames) sample per target frame with a labelled
+    window frame, each sample's TeacherForced (None in "lstm" mode), and the
+    seconds spent teacher-forcing."""
     labelled = [set(labelled_pairs(seq)) for seq in sequences]  # labelled frames
     if not any(labelled):
         raise ValueError("training requires ground-truth labels on the detections")
@@ -891,7 +930,52 @@ def train_model(
         teacher_force_s += time.perf_counter() - t0
     if not samples:
         raise ValueError("no trainable samples in the given sequences")
+    return samples, teachers, teacher_force_s
 
+
+def _positive_weight(labels: list[np.ndarray], cfg: TrainConfig) -> float:
+    """The BCE weight of a batch's positive edges: cfg.pos_weight, or the
+    batch's negative/positive ratio (1 without positives or negatives)."""
+    total_edges = sum(y.size for y in labels)
+    positives = sum(int(y.sum()) for y in labels)
+    if cfg.pos_weight is not None:
+        return cfg.pos_weight
+    if 0 < positives < total_edges:
+        return (total_edges - positives) / positives
+    return 1.0
+
+
+def train_model(
+    model: MpnModel,
+    sequences: list[dict[int, Detections]],
+    cfg: TrainConfig,
+    *,
+    integration: str = "average",
+    k_neighbors: int = 20,
+    ratio_variant: str = "none",
+    alpha: float | None = None,
+    fps: float = 30.0,
+) -> list[dict]:
+    """Train in place; returns one telemetry row per epoch.
+
+    Each sample pairs one target frame with trajectories teacher-forced
+    from the preceding frames of its window. Except in "lstm" mode, every
+    sample of a sequence is teacher-forced once per call, all in one
+    teacher_force_samples walk. Batches average the weighted BCE over all
+    edges; the positive weight defaults to the batch's negative/positive
+    ratio. A batch's graphs run forward and backward as disjoint unions of
+    at most UNION_EDGES edges (split_by_edges, join), one pass per union.
+    Each graph's edges score as in a pass of its own, to rounding; the
+    weight gradients sum the union's edges in one product.
+
+    A row holds the epoch, learning rate, mean batch loss and edge
+    accuracy, the seconds spent teacher-forcing (on the first epoch; 0
+    after), building graphs and their unions, in forward and backward
+    passes and in optimizer steps, and the positive and negative edges
+    trained on.
+    """
+    _check_fps(fps)
+    samples, teachers, teacher_force_s = _training_samples(sequences, cfg, integration)
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamOptimizer(model.param_arrays())
     optimizer.step_count = model.step_count
@@ -918,22 +1002,15 @@ def train_model(
                 )
                 if tg is not None:
                     batch.append(tg)
+            unions = [join(run) for run in split_by_edges(batch)]
             spans["graph_s"] += time.perf_counter() - t0
-            if not batch:
+            if not unions:
                 continue
-            total_edges = sum(tg.labels.size for tg in batch)
-            positives = sum(int(tg.labels.sum()) for tg in batch)
-            if cfg.pos_weight is not None:
-                omega = cfg.pos_weight
-            elif positives > 0:
-                omega = (total_edges - positives) / positives
-            else:
-                omega = 1.0
-            if omega <= 0.0:  # all-positive batch
-                omega = 1.0
+            total_edges = sum(tg.labels.size for tg in unions)
+            omega = _positive_weight([tg.labels for tg in unions], cfg)
             grads_total = model.zero_grads()
             batch_loss = 0.0
-            for tg in batch:
+            for tg in unions:
                 t0 = time.perf_counter()
                 probs, state = mpn_forward(model, tg.graph)
                 edge_losses, dp = weighted_bce(probs, tg.labels, omega)
@@ -948,11 +1025,11 @@ def train_model(
                 batch_loss += float(edge_losses.sum())
                 correct += int(((probs >= 0.5) == (tg.labels > 0.5)).sum())
                 seen += tg.labels.size
+                positive_edges += int(tg.labels.sum())
             t0 = time.perf_counter()
             optimizer.step(grads_total, lr)
             spans["optimizer_s"] += time.perf_counter() - t0
             losses.append(batch_loss / total_edges)
-            positive_edges += positives
         model.step_count = optimizer.step_count
         history.append(
             {

@@ -28,6 +28,10 @@ are the Kalman filter on full (M, 8, 8) covariances with a Cholesky and
 two solves per update, as motion ran it before it kept per-coordinate
 (M, 3, 4) blocks; blocks_to_matrices expands blocks to compare with them.
 masked_sigmoid is nn.sigmoid as it was written with boolean masks.
+
+reference_train_model is mpn.train_model as it ran before a batch's graphs
+were joined into disjoint unions: one forward and one backward per training
+graph, the gradients summed graph by graph.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import bisect
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from graphmot import kernels
+from graphmot import kernels, mpn
 from graphmot.core import (
     BoundingBox,
     Detection,
@@ -73,6 +77,7 @@ from graphmot.motion import (
     state_to_box,
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
+from graphmot.nn import AdamOptimizer, weighted_bce
 from graphmot.tracker import StepStats, greedy_match
 
 
@@ -757,3 +762,51 @@ def reference_teacher_force(frames, target_frame, tracks, integration, lstm_cell
             h_norm = float(np.linalg.norm(caches[-1].c_tanh * caches[-1].o))
             chains[k] = _LstmChain(caches, h_norm, trajectories.features[k])
     return TeacherForced(list(tracks), trajectories, boxes, chains)
+
+
+def reference_train_model(model, sequences, cfg, *, integration="average", **graph_kw):
+    """mpn.train_model with a forward and a backward per training graph.
+    graph_kw are build_training_graph's k_neighbors, ratio_variant, alpha
+    and fps. Returns (loss, edge accuracy) per epoch."""
+    samples, teachers, _ = mpn._training_samples(sequences, cfg, integration)
+    rng = np.random.default_rng(cfg.seed)
+    optimizer = AdamOptimizer(model.param_arrays())
+    optimizer.step_count = model.step_count
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        order = rng.permutation(len(samples))
+        losses, correct, seen = [], 0, 0
+        for start in range(0, len(order), cfg.batch_graphs):
+            batch = []
+            for oi in order[start : start + cfg.batch_graphs]:
+                si, t, window = samples[oi]
+                tg = mpn.build_training_graph(
+                    sequences[si], t, window, model, integration=integration, rng=rng,
+                    node_dropout=cfg.node_dropout, box_jitter=cfg.box_jitter,
+                    teacher=teachers[oi], **graph_kw,
+                )
+                if tg is not None:
+                    batch.append(tg)
+            if not batch:
+                continue
+            total_edges = sum(tg.labels.size for tg in batch)
+            omega = mpn._positive_weight([tg.labels for tg in batch], cfg)
+            grads_total = model.zero_grads()
+            batch_loss = 0.0
+            for tg in batch:
+                probs, state = mpn.mpn_forward(model, tg.graph)
+                edge_losses, dp = weighted_bce(probs, tg.labels, omega)
+                dlogits = dp * probs * (1.0 - probs) / total_edges
+                flat, d_traj_feats = mpn.mpn_backward(model, state, dlogits)
+                mpn._backprop_lstm_chains(model, tg.lstm_chains, d_traj_feats, flat)
+                for g_total, g in zip(grads_total, flat):
+                    g_total += g
+                batch_loss += float(edge_losses.sum())
+                correct += int(((probs >= 0.5) == (tg.labels > 0.5)).sum())
+                seen += tg.labels.size
+            optimizer.step(grads_total, lr)
+            losses.append(batch_loss / total_edges)
+        model.step_count = optimizer.step_count
+        history.append((float(np.mean(losses)) if losses else np.nan, correct / seen if seen else np.nan))
+    return history

@@ -189,12 +189,17 @@ def test_c04_sparsity(deploy_model):
         cfg = TrackerConfig(
             ratio_variant=variant, integration="iou", image_size=scene.config.image_size
         )
-        _, stats = run_sequence(scene.frames, deploy_model, cfg, source)
-        steps = [s for s in stats if s.n_candidates > 0]
+        # The association time is the best of three runs' means, so that one
+        # run slowed by another process on the machine does not decide it.
+        assoc_seconds = []
+        for _ in range(3):
+            _, stats = run_sequence(scene.frames, deploy_model, cfg, source)
+            steps = [s for s in stats if s.n_candidates > 0]
+            assoc_seconds.append(float(np.mean([s.assoc_seconds for s in steps])))
         stats_by_variant[variant] = (
             float(np.mean([s.n_candidates for s in steps])),
             float(np.mean([s.n_edges for s in steps])),
-            float(np.mean([s.assoc_seconds for s in steps])),
+            min(assoc_seconds),
         )
     removal = {
         v: 1.0 - edges / cand for v, (cand, edges, _) in stats_by_variant.items()

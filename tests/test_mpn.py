@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from references import max_overlap, reference_integrate, reference_teacher_force, window_tracks
+from references import (
+    max_overlap,
+    reference_integrate,
+    reference_teacher_force,
+    reference_train_model,
+    window_tracks,
+)
 
 from graphmot import integration, mpn
 from graphmot.core import BoundingBox, Detection, Detections, Trajectories, Trajectory
@@ -225,14 +231,9 @@ class TestAggregate:
         assert got.tobytes() == want.tobytes()
 
 
-@st.composite
-def random_scoring_cases(draw):
-    """A perturbed untrained model and a random graph for it: 0 to 400
-    edges (OpenBLAS takes other kernels for few rows than for many), any
-    number of nodes left without edges, and duplicate edges. The update
-    MLPs are create_model's two layers, or one, or three with hidden
-    widths other than the embeddings'."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def draw_model(draw, rng):
+    """A perturbed untrained model: the update MLPs are create_model's two
+    layers, or one, or three with hidden widths other than the embeddings'."""
     dim = draw(st.sampled_from([1, 3, 8, 17, 33]))
     dn, de = draw(st.sampled_from([2, 8, 32])), draw(st.sampled_from([3, 32]))
     model = create_model(
@@ -249,19 +250,34 @@ def random_scoring_cases(draw):
         model.node_update = Mlp([dn + de, *hidden, dn], rng)
     for p in model.param_arrays():  # non-zero biases too
         p += rng.normal(scale=0.2, size=p.shape)
+    return model
+
+
+def draw_graph(draw, rng, dim, max_edges):
+    """A random graph: any number of nodes left without edges, and
+    duplicate edges."""
     n_traj, n_det = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    n_edges = draw(st.integers(0, 400))
+    n_edges = draw(st.integers(0, max_edges))
     trajs = [make_traj(i + 1, BoundingBox(0, 0, 10, 20), f)
              for i, f in enumerate(rng.normal(size=(n_traj, dim)))]
     dets = [Detection(2, BoundingBox(0, 0, 10, 20), 0.9, unit_vec(dim, 0))] * n_det
-    graph = AssocGraph(
+    return AssocGraph(
         Trajectories.of(trajs), Detections.of(dets), np.zeros((n_traj, 4)),
         rng.integers(0, max(1, n_traj // draw(st.integers(1, 4))), n_edges),
         rng.integers(0, n_det, n_edges),
         edge_features=rng.normal(size=(n_edges, 6)),
         det_features=rng.normal(size=(n_det, dim)),
     )
-    return model, graph
+
+
+@st.composite
+def random_scoring_cases(draw):
+    """A perturbed untrained model (draw_model) and a random graph for it
+    (draw_graph) of 0 to 400 edges: OpenBLAS takes other kernels for few
+    rows than for many."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = draw_model(draw, rng)
+    return model, draw_graph(draw, rng, model.feature_dim, 400)
 
 
 def reference_mlp(mlp, x):
@@ -964,17 +980,202 @@ def param_digest(model):
 # sha256 of every parameter after two epochs, recorded with the
 # identity-by-identity teacher forcing this module keeps as its reference
 # (NumPy 2.4, OpenBLAS, x86-64); tests/test_golden.py covers "iou".
+# TRAINED_WEIGHTS trains on disjoint unions of each batch's graphs;
+# PER_GRAPH_WEIGHTS are the same trainings with one forward and backward per
+# graph (references.reference_train_model), as train_model ran before.
 TRAINED_WEIGHTS = {
+    "average": "7c7ed04b04d34cdf2319840c6acc078d237966bc92ca9bd042c766b32dcd5e35",
+    "lstm": "4d5ea8755d2162e4435a1023b397e8c4d9b39540fc9599e4ce4236d7b799f966",
+}
+PER_GRAPH_WEIGHTS = {
     "average": "71a803ae58f5c133da009cb49b21d92fa6bfcb68576bcce261cd1bebd7de24a3",
     "lstm": "f078fa0196199c718f4b929e23854157832beb329866029f19a433135a4c5032",
 }
 
 
-@pytest.mark.parametrize("integration", sorted(TRAINED_WEIGHTS))
-def test_trained_weights_pinned(integration):
+def pinned_training(integration, train=train_model, **cfg):
+    """(model, history) of the pinned two-epoch training."""
     scene = generate(preset("crossing", seed=101))
     prefix = {f: dets for f, dets in scene.frames.items() if f <= 40}
     model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
-    train_model(model, [prefix], TrainConfig(seed=11, epochs=2),
-                integration=integration, ratio_variant="app")
+    history = train(model, [prefix], TrainConfig(seed=11, epochs=2, **cfg),
+                    integration=integration, ratio_variant="app")
+    return model, history
+
+
+@pytest.mark.parametrize("integration", sorted(TRAINED_WEIGHTS))
+def test_trained_weights_pinned(integration):
+    model, _ = pinned_training(integration)
     assert param_digest(model) == TRAINED_WEIGHTS[integration]
+
+
+@pytest.mark.parametrize("integration", sorted(PER_GRAPH_WEIGHTS))
+def test_reference_training_keeps_the_per_graph_weights(integration):
+    model, _ = pinned_training(integration, reference_train_model)
+    assert param_digest(model) == PER_GRAPH_WEIGHTS[integration]
+
+
+# ---------------------------------------------------------------------------
+# Training on disjoint unions
+
+
+@pytest.mark.parametrize("integration", sorted(TRAINED_WEIGHTS))
+def test_one_graph_batches_train_as_the_per_graph_loop(integration):
+    model, history = pinned_training(integration, batch_graphs=1)
+    reference, want = pinned_training(integration, reference_train_model, batch_graphs=1)
+    assert param_digest(model) == param_digest(reference)
+    assert [(row["loss"], row["edge_accuracy"]) for row in history] == want
+
+
+@pytest.mark.parametrize("integration", sorted(TRAINED_WEIGHTS))
+def test_unions_train_the_per_graph_model_to_rounding(integration):
+    """Whole batches join into one union here; only the order in which the
+    weight gradients sum the batch's edges differs from the per-graph loop."""
+    model, _ = pinned_training(integration)
+    reference, _ = pinned_training(integration, reference_train_model)
+    for got, want in zip(model.param_arrays(), reference.param_arrays()):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def random_chains(cell, rng, rows):
+    """An LSTM chain of one to three steps on random inputs for each row."""
+    chains = {}
+    for row in rows:
+        state, caches = cell.init_state(), []
+        for _ in range(int(rng.integers(1, 4))):
+            h, state, cache = cell.step(state, rng.normal(size=cell.input_dim))
+            caches.append(cache)
+        h_norm = float(np.linalg.norm(h))
+        chains[row] = mpn._LstmChain(caches, h_norm, h / h_norm)
+    return chains
+
+
+@st.composite
+def union_cases(draw):
+    """A perturbed model (draw_model), one to four random training graphs
+    for it (draw_graph) with LSTM chains on some trajectory rows, and a
+    loss gradient per edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = draw_model(draw, rng)
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        graph = draw_graph(draw, rng, model.feature_dim, 60)
+        rows = np.flatnonzero(rng.random(len(graph.traj_features)) < 0.3).tolist()
+        labels = (rng.random(graph.n_edges) < 0.3).astype(np.float64)
+        graphs.append(mpn._TrainGraph(graph, labels, random_chains(model.lstm, rng, rows)))
+    return model, graphs, [rng.normal(size=tg.labels.size) for tg in graphs]
+
+
+def gradients(model, tg, dlogits):
+    """(probabilities, parameter gradients, trajectory feature gradients) of
+    one training graph, through the LSTM chains."""
+    probs, state = mpn_forward(model, tg.graph)
+    grads, d_traj_feats = mpn_backward(model, state, dlogits)
+    mpn._backprop_lstm_chains(model, tg.lstm_chains, d_traj_feats, grads)
+    return probs, grads, d_traj_feats
+
+
+class TestUnion:
+    @settings(max_examples=100, deadline=None)
+    @given(case=union_cases())
+    def test_gradients_are_the_sum_of_the_graphs(self, case):
+        model, graphs, dlogits = case
+        union = mpn.join(graphs)
+        assert np.array_equal(union.labels, np.concatenate([tg.labels for tg in graphs]))
+        got_probs, got, got_feats = gradients(model, union, np.concatenate(dlogits))
+
+        want = model.zero_grads()
+        probs, feats = [], []
+        for tg, dl in zip(graphs, dlogits):
+            p, grads, d_traj_feats = gradients(model, tg, dl)
+            for total, g in zip(want, grads):
+                total += g
+            probs.append(p)
+            feats.append(d_traj_feats)
+        # Nodes of different graphs share no edge, so each graph scores as on
+        # its own, up to BLAS rounding products of more rows differently.
+        assert np.allclose(got_probs, np.concatenate(probs), rtol=1e-12, atol=0.0)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+        want_feats = np.concatenate(feats)
+        assert np.abs(got_feats - want_feats).max(initial=0.0) \
+            <= 1e-12 * np.abs(want_feats).max(initial=0.0)
+
+    def test_chains_are_keyed_by_their_offset_rows(self):
+        rng = np.random.default_rng(3)
+        model = create_model(4, d_node=4, d_edge=4, seed=3)
+        sizes = [(3, 2), (1, 4), (5, 1)]
+        graphs = []
+        for n_traj, n_det in sizes:
+            graph = AssocGraph(
+                Trajectories.of([make_traj(i + 1, BoundingBox(0, 0, 10, 20), unit_vec(4, 0))
+                                 for i in range(n_traj)]),
+                Detections.of([make_det(BoundingBox(0, 0, 10, 20), unit_vec(4, 1))] * n_det),
+                np.zeros((n_traj, 4)), np.arange(n_traj) % n_traj, np.arange(n_traj) % n_det,
+                edge_features=rng.normal(size=(n_traj, 6)),
+            )
+            chains = random_chains(model.lstm, rng, [n_traj - 1])
+            graphs.append(mpn._TrainGraph(graph, np.ones(n_traj), chains))
+        union = mpn.join(graphs)
+        assert list(union.lstm_chains) == [2, 3, 8]
+        assert [union.lstm_chains[k] for k in (2, 3, 8)] == \
+            [tg.lstm_chains[len(tg.labels) - 1] for tg in graphs]
+        assert union.graph.edge_traj.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert union.graph.edge_det.tolist() == [0, 1, 0, 2, 6, 6, 6, 6, 6]
+        assert len(union.graph.traj_features) == 9 and len(union.graph.det_features) == 7
+
+
+def sized(*edges):
+    """Training graphs that split_by_edges can cut: only their labels."""
+    return [mpn._TrainGraph(None, np.zeros(n), {}) for n in edges]
+
+
+class TestSplitByEdges:
+    def test_runs_fill_the_budget_greedily_in_order(self):
+        batch = sized(100, 100, 56, 1, 300, 10, 246, 1, 256, 3)
+        runs = mpn.split_by_edges(batch)
+        assert [[tg.labels.size for tg in run] for run in runs] == \
+            [[100, 100, 56], [1], [300], [10, 246], [1], [256], [3]]
+        assert [tg for run in runs for tg in run] == batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(edges=st.lists(st.integers(1, 600), max_size=12))
+    def test_runs_hold_the_budget_or_one_graph(self, edges):
+        runs = mpn.split_by_edges(sized(*edges))
+        assert [tg.labels.size for run in runs for tg in run] == edges
+        sums = [sum(tg.labels.size for tg in run) for run in runs]
+        for run, total in zip(runs, sums):
+            assert total <= mpn.UNION_EDGES or len(run) == 1
+        # Greedy: no run could have taken the next run's first graph.
+        for total, after in zip(sums, runs[1:]):
+            assert total + after[0].labels.size > mpn.UNION_EDGES
+
+    def test_training_runs_one_forward_per_run(self, monkeypatch):
+        """train_model cuts each batch with split_by_edges, here under a
+        budget of 30 edges, and a larger graph trains alone."""
+        scene = generate(preset("crossing", seed=101))
+        prefix = {f: dets for f, dets in scene.frames.items() if f <= 25}
+        built, forwards = [], []
+        build, forward = mpn.build_training_graph, mpn.mpn_forward
+
+        def recording_build(*args, **kwargs):
+            tg = build(*args, **kwargs)
+            built.append(None if tg is None else tg.labels.size)
+            return tg
+
+        def recording_forward(model, graph):
+            forwards.append(graph.edge_traj.size)
+            return forward(model, graph)
+
+        monkeypatch.setattr(mpn, "UNION_EDGES", 30)
+        monkeypatch.setattr(mpn, "build_training_graph", recording_build)
+        monkeypatch.setattr(mpn, "mpn_forward", recording_forward)
+        model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
+        cfg = TrainConfig(seed=11, epochs=2)
+        train_model(model, [prefix], cfg, ratio_variant="app")
+        want = []
+        for start in range(0, len(built), cfg.batch_graphs):
+            batch = sized(*(n for n in built[start : start + cfg.batch_graphs] if n is not None))
+            want += [sum(tg.labels.size for tg in run) for run in mpn.split_by_edges(batch)]
+        assert forwards == want
+        assert any(n > 30 for n in forwards) and any(n < 30 for n in forwards)
