@@ -114,12 +114,20 @@ def kf_init_batch(
 def kf_predict_batch(
     means: np.ndarray, covs: np.ndarray, params: KalmanParams = DEFAULT_KALMAN
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step for stacked (M, 8) means and (M, 3, 4) blocks."""
+    """One constant-velocity step for stacked (M, 8) means and (M, 3, 4)
+    blocks, returned as new arrays: the inputs may be views of a caller's
+    rows, so the step runs in place on copies."""
     h = _height(means)
-    p, c, v = covs.swapaxes(0, 1)
-    p = (p + c) + (c + v) + (params.pos_weight * h) ** 2  # the order F P F^T sums in
-    covs = np.stack((p, c + v, v + (params.vel_weight * h) ** 2), axis=1)
-    return np.hstack((means[:, :4] + means[:, 4:], means[:, 4:])), covs
+    means, covs = means.copy(), covs.copy()
+    p, c, v = covs.swapaxes(0, 1)  # views of the copy
+    # p becomes (p + c) + (c + v) + q_p², the order F P F^T sums in.
+    p += c
+    c += v
+    p += c
+    p += (params.pos_weight * h) ** 2
+    v += (params.vel_weight * h) ** 2
+    means[:, :4] += means[:, 4:]
+    return means, covs
 
 
 def kf_update_batch(

@@ -9,18 +9,18 @@ updated separately so the graph stays bipartite, but both sides share the
 same node-update parameters. A small classifier head turns final edge
 embeddings into match probabilities.
 
-Inference (score_graph) runs the rounds projected: the first-layer weights
-split by input block, so node embeddings are projected per node rather
-than per edge, and node_update's linear output layer runs per node after
-aggregation. This agrees with mpn_forward to rounding; training keeps the
-concatenated form its backward caches differentiate.
+The rounds run projected: the first-layer weights split by input block, so
+node embeddings are projected per node rather than per edge, and
+node_update's linear output layer runs per node after aggregation. Training
+(mpn_forward) and inference (score_graph) run the same rounds, with and
+without the references the backward pass reads, so they give the same bits.
 
-Gradients are hand-derived reverse-mode, mirroring the forward pass layer
-by layer; training minimizes a positive-weighted binary cross-entropy over
-edges with teacher-forced trajectory features. A batch's graphs are small,
-so training stacks them into disjoint unions (GraphUnion, join) of at most
-UNION_EDGES (256) edges and runs one forward and one backward per union
-instead of per graph.
+Gradients are hand-derived reverse-mode, mirroring the projected forward
+pass layer by layer; training minimizes a positive-weighted binary
+cross-entropy over edges with teacher-forced trajectory features. A batch's
+graphs are small, so training stacks them into disjoint unions (GraphUnion,
+join) of at most UNION_EDGES (256) edges and runs one forward and one
+backward per union instead of per graph.
 """
 
 from __future__ import annotations
@@ -178,13 +178,6 @@ class GraphUnion:
     edge_det: np.ndarray
 
 
-@dataclass
-class _RoundCache:
-    edge_cache: object
-    traj_cache: object
-    det_cache: object
-
-
 @dataclass(frozen=True)
 class ScatterPlan:
     """How (k, width) rows of messages sum into (n, width) nodes, row i
@@ -202,30 +195,43 @@ class ScatterPlan:
 
     @classmethod
     def of(cls, index: np.ndarray, n: int, width: int) -> "ScatterPlan":
-        flat = (index[:, None] * width + np.arange(width)).ravel()
         counts = np.bincount(index, minlength=n)[:, None]
-        return cls(flat, np.maximum(counts, 1).astype(np.float64), counts == 0)
+        return cls(_flat(index, width), np.maximum(counts, 1).astype(np.float64), counts == 0)
+
+
+def _flat(index: np.ndarray, width: int) -> np.ndarray:
+    """The entries of (k, width) rows in a flattened (n, width) array, row
+    i landing in row index[i]."""
+    return (index[:, None] * width + np.arange(width)).ravel()
 
 
 @dataclass
 class MpnState:
-    """Per-layer embeddings plus the caches the backward pass needs.
+    """Per-layer embeddings plus what the backward pass reads.
 
-    Without caches (keep_caches False, as score_graph runs) no backward
-    cache is kept, the layer lists hold only the latest layer, there are
-    no scatter plans, and propagate runs the projected rounds, which agree
-    with the cached ones to rounding.
+    propagate stacks trajectory and detection rows into one node array, so
+    after layer 0 each traj_layers / det_layers entry is a view of one of
+    those arrays. With caches the layer lists hold every layer and, per
+    round, round_nodes holds the stacked node rows the round read,
+    edge_hidden and message_hidden the hidden activations of edge_update
+    per edge and of node_update per message, and aggregated the node rows
+    node_update's output layer read (None for a one-layer node_update);
+    all are references to the forward's arrays, not copies. Without caches
+    (score_graph) the layer lists hold only the latest layer and nothing
+    else is kept, so mpn_backward refuses the state.
     """
 
     graph: AssocGraph | GraphUnion
     traj_layers: list[np.ndarray]
     det_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
-    traj_plan: ScatterPlan | None
-    det_plan: ScatterPlan | None
-    keep_caches: bool = True
+    caches: bool = True
     encoder_caches: tuple | None = None
-    round_caches: list[_RoundCache] = field(default_factory=list)
+    plan: ScatterPlan | None = None
+    round_nodes: list[np.ndarray] = field(default_factory=list)
+    edge_hidden: list[list[np.ndarray]] = field(default_factory=list)
+    message_hidden: list[list[np.ndarray]] = field(default_factory=list)
+    aggregated: list[np.ndarray | None] = field(default_factory=list)
     classifier_cache: object = None
     logits: np.ndarray | None = None
 
@@ -244,15 +250,12 @@ def encode(model: MpnModel, graph: AssocGraph | GraphUnion, *, caches: bool = Tr
     t0, t_cache = _run(model.node_encoder, graph.traj_features, caches)
     d0, d_cache = _run(model.node_encoder, graph.det_features, caches)
     h0, h_cache = _run(model.edge_encoder, graph.edge_features, caches)
-    width = t0.shape[1]
     return MpnState(
         graph=graph,
         traj_layers=[t0],
         det_layers=[d0],
         edge_layers=[h0],
-        traj_plan=ScatterPlan.of(graph.edge_traj, len(t0), width) if caches else None,
-        det_plan=ScatterPlan.of(graph.edge_det, len(d0), width) if caches else None,
-        keep_caches=caches,
+        caches=caches,
         encoder_caches=(t_cache, d_cache, h_cache) if caches else None,
     )
 
@@ -275,66 +278,125 @@ def _aggregate(messages, plan: ScatterPlan, previous, aggregation):
     return out
 
 
-def propagate(model: MpnModel, state: MpnState) -> MpnState:
-    """Run the model's propagation rounds.
+def _projection(model: MpnModel, dn: int) -> tuple[np.ndarray, np.ndarray]:
+    """(project, bias): node rows times project are the node rows times
+    [edge_update's trajectory block | its detection block | node_update's
+    node block] of the first-layer weights. Each edge gathers one
+    projection per block, so bias carries the first layers' biases."""
+    w_edge, w_node = model.edge_update.weights[0], model.node_update.weights[0]
+    project = np.hstack([w_edge[:, :dn].T, w_edge[:, dn : 2 * dn].T, w_node[:, :dn].T])
+    bias = np.concatenate([model.edge_update.biases[0], np.zeros(len(w_edge)),
+                           model.node_update.biases[0]])
+    return project, bias
 
-    With caches each round appends its layers and backward caches to the
-    state, running the MLPs on the concatenated inputs [t, d, h], [t, h']
-    and [d, h'] that mpn_backward differentiates. Without caches the
-    rounds run projected (_projected_rounds), which agrees with them to
-    rounding, and the state's one layer is replaced by the last.
+
+def propagate(model: MpnModel, state: MpnState) -> MpnState:
+    """Run the model's propagation rounds on node-side projections.
+
+    Trajectory and detection embeddings are stacked into one node array,
+    and each edge has two messages, one to each end. The first layers'
+    weights split by input block (_projection), so every node is
+    projected once by the blocks that take node embeddings, and the
+    projections are gathered to the edges; node_update's projection of the
+    edge embedding is shared by both messages of an edge, and its output
+    layer runs per node (_update_nodes). The weights are read from the
+    model on every call, so training updates show.
+
+    With caches each round appends its layers and keeps references to what
+    mpn_backward reads (MpnState); without them the state's one layer is
+    replaced by the last. Both run the same arithmetic, so they give the
+    same bits.
     """
-    if not state.keep_caches:
-        return _projected_rounds(model, state)
     ti, dj = state.graph.edge_traj, state.graph.edge_det
-    t_prev, d_prev, h_prev = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
-    n_edges, dn = ti.size, t_prev.shape[1]
+    t, d, h = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
+    n_traj, dn = len(t), t.shape[1]
+    edge_update, node_update = model.edge_update, model.node_update
+    project, bias = _projection(model, dn)
+    eh = len(edge_update.weights[0])
+    # Contiguous copies multiply E rows faster than the strided views.
+    e_h = np.ascontiguousarray(edge_update.weights[0][:, 2 * dn :].T)
+    n_h = np.ascontiguousarray(node_update.weights[0][:, dn:].T)
+    dk = dj + n_traj  # each edge's detection row in the node array
+    ends = np.concatenate([ti, dk])  # message k goes to node ends[k]
+    width = node_update.layer_sizes[-2] if len(node_update.weights) > 1 else dn
+    plan = ScatterPlan.of(ends, n_traj + len(d), width)
+    nodes = np.concatenate([t, d])
     for _ in range(model.rounds):
-        # The inputs are filled in place and kept by the caches.
-        e_in = np.empty((n_edges, 2 * dn + h_prev.shape[1]))
-        x_in = np.empty((n_edges, dn + h_prev.shape[1]))
-        y_in = np.empty_like(x_in)
-        np.take(t_prev, ti, axis=0, out=x_in[:, :dn], mode="clip")
-        np.take(d_prev, dj, axis=0, out=y_in[:, :dn], mode="clip")
-        e_in[:, :dn] = x_in[:, :dn]
-        e_in[:, dn : 2 * dn] = y_in[:, :dn]
-        e_in[:, 2 * dn :] = h_prev
-        h_prev, e_cache = model.edge_update.forward(e_in)
-        x_in[:, dn:] = h_prev
-        y_in[:, dn:] = h_prev
-        x_msg, x_cache = model.node_update.forward(x_in)
-        t_prev = _aggregate(x_msg, state.traj_plan, t_prev, model.aggregation)
-        y_msg, y_cache = model.node_update.forward(y_in)
-        d_prev = _aggregate(y_msg, state.det_plan, d_prev, model.aggregation)
-        state.traj_layers.append(t_prev)
-        state.det_layers.append(d_prev)
-        state.edge_layers.append(h_prev)
-        state.round_caches.append(_RoundCache(e_cache, x_cache, y_cache))
+        edge_hidden, message_hidden = ([], []) if state.caches else (None, None)
+        projected = nodes @ project
+        projected += bias
+        z = h @ e_h
+        z += projected[ti, :eh]
+        z += projected[dk, eh : 2 * eh]
+        h_next = _layers_after_first(edge_update, z, len(edge_update.weights), edge_hidden)
+        shared = h_next @ n_h
+        messages = projected[ends, 2 * eh :]
+        to_ends = messages.reshape(2, len(h_next), messages.shape[1])  # a view
+        to_ends += shared
+        nodes_next, hidden = _update_nodes(node_update, messages, plan, nodes, model.aggregation,
+                                           message_hidden)
+        if state.caches:
+            state.round_nodes.append(nodes)
+            state.edge_hidden.append(edge_hidden)
+            state.message_hidden.append(message_hidden)
+            state.aggregated.append(hidden)
+            state.traj_layers.append(nodes_next[:n_traj])
+            state.det_layers.append(nodes_next[n_traj:])
+            state.edge_layers.append(h_next)
+        nodes, h = nodes_next, h_next
+    state.plan = plan
+    if not state.caches:
+        state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = \
+            nodes[:n_traj], nodes[n_traj:], h
     return state
 
 
-def _layers_after_first(mlp: Mlp, z: np.ndarray, stop: int) -> np.ndarray:
+def _layers_after_first(mlp: Mlp, z: np.ndarray, stop: int, kept: list | None = None) -> np.ndarray:
     """The input of layer `stop` of mlp (its output when stop is the layer
-    count) from the first layer's pre-activation z, which it overwrites."""
+    count) from the first layer's pre-activation z, which it overwrites.
+    Every ReLU output is appended to kept, when given."""
     last = len(mlp.weights) - 1
     for k in range(1, stop):
         np.maximum(z, 0.0, out=z)
+        if kept is not None:
+            kept.append(z)
         z = z @ mlp.weights[k].T
         z += mlp.biases[k]
     if stop - 1 != last:
         np.maximum(z, 0.0, out=z)
+        if kept is not None:
+            kept.append(z)
     return z
 
 
-def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation):
-    """_aggregate of node_update's per-edge messages, from their first-layer
-    pre-activations z. The output layer is linear, like the mean and the
-    sum, so it runs once per node on the aggregated input to it; with
-    "sum" its bias counts once per edge."""
+def _layers_after_first_backward(mlp: Mlp, stop: int, kept: list, g: np.ndarray,
+                                 grads) -> np.ndarray:
+    """The gradient of the first layer's pre-activation, from the gradient
+    g of what _layers_after_first(mlp, z, stop, kept) returned, which it
+    may overwrite; the gradients of layers 1 to stop - 1 add into grads
+    (mlp.params order)."""
+    if stop - 1 != len(mlp.weights) - 1:
+        g *= kept[-1] > 0.0
+    for k in range(stop - 1, 0, -1):
+        grads[2 * k] += g.T @ kept[k - 1]
+        grads[2 * k + 1] += g.sum(axis=0)
+        g = g @ mlp.weights[k]
+        g *= kept[k - 1] > 0.0
+    return g
+
+
+def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation, kept=None):
+    """(nodes, hidden): _aggregate of node_update's per-edge messages, from
+    their first-layer pre-activations z, and the node rows its output layer
+    read (None for one layer). The output layer is linear, like the mean
+    and the sum, so it runs once per node on the aggregated input to it;
+    with "sum" its bias counts once per edge. The hidden activations go to
+    kept, when given."""
     layers = len(node_update.weights)
     if layers == 1:  # z is the message
-        return _aggregate(z, plan, previous, aggregation)
-    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1), plan.flat, len(previous))
+        return _aggregate(z, plan, previous, aggregation), None
+    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1, kept), plan.flat,
+                          len(previous))
     w, b = node_update.weights[-1], node_update.biases[-1]
     if aggregation == "mean":
         hidden /= plan.denominators
@@ -344,59 +406,12 @@ def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation)
         out = hidden @ w.T
         out += plan.denominators * b  # the edge count where it is not 0
     np.copyto(out, previous, where=plan.empty)
-    return out
-
-
-def _projected_rounds(model: MpnModel, state: MpnState) -> MpnState:
-    """propagate without caches, on node-side projections.
-
-    Trajectory and detection embeddings are stacked into one node array,
-    and each edge has two messages, one to each end. The first layers'
-    weights split by input block, so every node is projected once by the
-    blocks that take node embeddings, and the projections are gathered to
-    the edges; node_update's projection of the edge embedding is shared by
-    both messages of an edge, and its output layer runs per node
-    (_update_nodes). The weights are read from the model on every call, so
-    training updates show.
-    """
-    ti, dj = state.graph.edge_traj, state.graph.edge_det
-    t, d, h = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
-    n_traj, dn = len(t), t.shape[1]
-    edge_update, node_update = model.edge_update, model.node_update
-    w_edge, w_node = edge_update.weights[0], node_update.weights[0]
-    eh = len(w_edge)
-    # Node rows times [edge_update's trajectory block | its detection block |
-    # node_update's node block]. Each edge gathers one projection per block,
-    # so the projections carry the first layers' biases.
-    project = np.hstack([w_edge[:, :dn].T, w_edge[:, dn : 2 * dn].T, w_node[:, :dn].T])
-    bias = np.concatenate([edge_update.biases[0], np.zeros(eh), node_update.biases[0]])
-    # Contiguous copies multiply E rows faster than the strided views.
-    e_h = np.ascontiguousarray(w_edge[:, 2 * dn :].T)
-    n_h = np.ascontiguousarray(w_node[:, dn:].T)
-    dk = dj + n_traj  # each edge's detection row in the node array
-    ends = np.concatenate([ti, dk])  # message k goes to node ends[k]
-    width = node_update.layer_sizes[-2] if len(node_update.weights) > 1 else dn
-    plan = ScatterPlan.of(ends, n_traj + len(d), width)
-    nodes = np.concatenate([t, d])
-    for _ in range(model.rounds):
-        projected = nodes @ project
-        projected += bias
-        z = h @ e_h
-        z += projected[ti, :eh]
-        z += projected[dk, eh : 2 * eh]
-        h = _layers_after_first(edge_update, z, len(edge_update.weights))
-        shared = h @ n_h
-        messages = projected[ends, 2 * eh :]
-        to_ends = messages.reshape(2, len(h), messages.shape[1])  # a view
-        to_ends += shared
-        nodes = _update_nodes(node_update, messages, plan, nodes, model.aggregation)
-    state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = nodes[:n_traj], nodes[n_traj:], h
-    return state
+    return out, hidden
 
 
 def classify_edges(model: MpnModel, state: MpnState) -> np.ndarray:
     """Match probability per edge from the final edge embeddings."""
-    logits, state.classifier_cache = _run(model.classifier, state.edge_layers[-1], state.keep_caches)
+    logits, state.classifier_cache = _run(model.classifier, state.edge_layers[-1], state.caches)
     state.logits = logits[:, 0]
     return sigmoid(state.logits)
 
@@ -411,8 +426,8 @@ def mpn_forward(model: MpnModel, graph: AssocGraph | GraphUnion) -> tuple[np.nda
 
 def score_graph(model: MpnModel, graph: AssocGraph) -> np.ndarray:
     """Edge probabilities for inference: mpn_forward's encode, propagate and
-    classify_edges with the backward caches off, so propagate runs the
-    projected rounds, which agree with mpn_forward's to rounding."""
+    classify_edges with the backward caches off, which gives mpn_forward's
+    bits."""
     state = encode(model, graph, caches=False)
     propagate(model, state)
     return classify_edges(model, state)
@@ -425,68 +440,83 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     grads aligns with model.param_arrays() and dtraj_features is the
     gradient w.r.t. the trajectories' input appearance features (used to
     continue backprop into the recurrent integrator).
+
+    Each round is reversed in its projected form: node_update's output
+    layer per node, its hidden layers and edge_update's per edge; the
+    gradients of the gathered projections then sum back to the nodes with
+    one bincount per gather, and the node-side blocks of both first layers
+    take their gradient from one product over the node rows.
     """
-    if not state.keep_caches:
+    if not state.caches:
         raise ValueError("state was computed without caches (score_graph)")
-    graph = state.graph
-    ti, dj = graph.edge_traj, graph.edge_det
-    dn = model.node_encoder.out_dim
-    grads = {name: comp.zero_grads() for name, comp in model.components()}
+    edge_update, node_update = model.edge_update, model.node_update
+    n_traj, dn = state.traj_layers[0].shape
+    n_edges = state.graph.edge_traj.size
+    e_grads, n_grads = edge_update.zero_grads(), node_update.zero_grads()
+    d_edge, cls_grads = model.classifier.backward(state.classifier_cache, dlogits[:, None])
 
-    g_hl, cls_grads = model.classifier.backward(state.classifier_cache, dlogits[:, None])
-    _acc(grads["classifier"], cls_grads)
-
-    # Each node's input gradient sums its node_update rows, then its
-    # edge_update rows, in edge order: one bincount over the forward's plan
-    # index, stacked twice.
-    t_plan, d_plan = state.traj_plan, state.det_plan
-    t_twice, d_twice = np.tile(t_plan.flat, 2), np.tile(d_plan.flat, 2)
-    d_traj, d_det = np.zeros_like(state.traj_layers[-1]), np.zeros_like(state.det_layers[-1])
-    d_edge = g_hl
-    for level in range(model.rounds, 0, -1):
-        caches = state.round_caches[level - 1]
-
-        # Aggregation adjoints; empty-neighborhood nodes pass straight through.
+    d_nodes = np.zeros((n_traj + len(state.det_layers[0]), dn))
+    plan, ti, dj = state.plan, state.graph.edge_traj, state.graph.edge_det
+    ends = np.concatenate([ti, dj + n_traj])
+    project, _ = _projection(model, dn)
+    eh, nh = len(edge_update.weights[0]), len(node_update.weights[0])
+    t_flat, d_flat, m_flat = _flat(ti, eh), _flat(dj, eh), _flat(ends, nh)
+    # What each node adds to node_update's output-layer bias: once under
+    # "mean", once per message under "sum", nothing without messages.
+    counts = np.where(plan.empty, 0.0, plan.denominators)[:, 0]
+    bias_weight = np.minimum(counts, 1.0) if model.aggregation == "mean" else counts
+    for r in range(model.rounds - 1, -1, -1):
+        # node_update's output layer, per node. Its input rows are zero on
+        # nodes without messages, and no message reads their gradient.
+        d_out = d_nodes
+        hidden = state.aggregated[r]
+        if hidden is not None:
+            n_grads[-2] += d_nodes.T @ hidden
+            n_grads[-1] += bias_weight @ d_nodes
+            d_out = d_nodes @ node_update.weights[-1]
         if model.aggregation == "mean":
-            t_scale = np.where(t_plan.empty, 0.0, d_traj / t_plan.denominators)
-            d_scale = np.where(d_plan.empty, 0.0, d_det / d_plan.denominators)
-        else:
-            t_scale = np.where(t_plan.empty, 0.0, d_traj)
-            d_scale = np.where(d_plan.empty, 0.0, d_det)
+            d_out = d_out / plan.denominators
+        g_msg = d_out[ends]
+        if hidden is not None:
+            g_msg = _layers_after_first_backward(node_update, len(node_update.weights) - 1,
+                                                 state.message_hidden[r], g_msg, n_grads)
+        # Both messages of an edge share its projection of the edge embedding.
+        d_shared = g_msg[:n_edges] + g_msg[n_edges:]
+        n_grads[0][:, dn:] += d_shared.T @ state.edge_layers[r + 1]
+        d_edge += d_shared @ node_update.weights[0][:, dn:]
+        g_edge = _layers_after_first_backward(edge_update, len(edge_update.weights),
+                                              state.edge_hidden[r], d_edge, e_grads)
+        e_grads[0][:, 2 * dn :] += g_edge.T @ state.edge_layers[r]
+        d_edge = g_edge @ edge_update.weights[0][:, 2 * dn :]
 
-        gx_in, vx_grads = model.node_update.backward(caches.traj_cache, t_scale[ti])
-        _acc(grads["node_update"], vx_grads)
-        gy_in, vy_grads = model.node_update.backward(caches.det_cache, d_scale[dj])
-        _acc(grads["node_update"], vy_grads)
-        d_edge_total = d_edge + gx_in[:, dn:] + gy_in[:, dn:]
-
-        ge_in, e_grads = model.edge_update.backward(caches.edge_cache, d_edge_total)
-        _acc(grads["edge_update"], e_grads)
-        d_traj_prev = _scatter_sum(np.concatenate([gx_in[:, :dn], ge_in[:, :dn]]), t_twice, len(d_traj))
-        d_det_prev = _scatter_sum(np.concatenate([gy_in[:, :dn], ge_in[:, dn : 2 * dn]]), d_twice,
-                                  len(d_det))
-        np.copyto(d_traj_prev, d_traj, where=t_plan.empty)
-        np.copyto(d_det_prev, d_det, where=d_plan.empty)
-
-        d_traj, d_det, d_edge = d_traj_prev, d_det_prev, ge_in[:, 2 * dn :]
+        # The gathered projections' gradients, summed back to the nodes.
+        d_projected = np.zeros((len(d_nodes), project.shape[1]))
+        d_projected[:n_traj, :eh] = _scatter_sum(g_edge, t_flat, n_traj)
+        d_projected[n_traj:, eh : 2 * eh] = _scatter_sum(g_edge, d_flat, len(d_nodes) - n_traj)
+        d_projected[:, 2 * eh :] = _scatter_sum(g_msg, m_flat, len(d_nodes))
+        d_blocks = d_projected.T @ state.round_nodes[r]
+        e_grads[0][:, :dn] += d_blocks[:eh]
+        e_grads[0][:, dn : 2 * dn] += d_blocks[eh : 2 * eh]
+        n_grads[0][:, :dn] += d_blocks[2 * eh :]
+        d_bias = d_projected.sum(axis=0)
+        e_grads[1] += d_bias[:eh]
+        n_grads[1] += d_bias[2 * eh :]
+        # A node without messages is read by no edge, so its gradient, which
+        # would pass straight through, stays zero.
+        d_nodes = d_projected @ project.T
 
     t_cache, d_cache, h_cache = state.encoder_caches
-    d_traj_feats, nt_grads = model.node_encoder.backward(t_cache, d_traj)
-    _acc(grads["node_encoder"], nt_grads)
-    _, nd_grads = model.node_encoder.backward(d_cache, d_det)
-    _acc(grads["node_encoder"], nd_grads)
-    _, ee_grads = model.edge_encoder.backward(h_cache, d_edge)
-    _acc(grads["edge_encoder"], ee_grads)
-
-    flat = []
-    for name, _ in model.components():
-        flat.extend(grads[name])
-    return flat, d_traj_feats
-
-
-def _acc(into: list[np.ndarray], add: list[np.ndarray]) -> None:
-    for a, b in zip(into, add):
-        a += b
+    d_traj_feats, traj_grads = model.node_encoder.backward(t_cache, d_nodes[:n_traj])
+    _, det_grads = model.node_encoder.backward(d_cache, d_nodes[n_traj:])
+    grads = {
+        "node_encoder": [t + d for t, d in zip(traj_grads, det_grads)],
+        "edge_encoder": model.edge_encoder.backward(h_cache, d_edge)[1],
+        "edge_update": e_grads,
+        "node_update": n_grads,
+        "classifier": cls_grads,
+        "lstm": model.lstm.zero_grads(),
+    }
+    return [g for name, _ in model.components() for g in grads[name]], d_traj_feats
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +571,12 @@ class _TrainGraph:
 
 # A batch's training graphs run forward and backward as disjoint unions of at
 # most this many edges; a graph with more runs alone. With the benchmark's
-# training recipe, `crossing` batches (8 graphs of about 18 edges) stay whole.
-# On `crowded` (about 141 edges per graph) unbounded unions raised one
-# train_model call's tracemalloc peak from 7.8 to 38 MB and the benchmark's
-# peak RSS from 116 to 143 MB, and trained slower (0.073 against 0.058 s per
-# epoch, in-process medians of six runs, one BLAS thread, x86-64).
+# training recipe, `crossing` batches (8 graphs of about 18 edges) stay whole,
+# and one train_model call's tracemalloc peak is 4.0 MB. On `crowded` (about
+# 141 edges per graph) it is 4.3 MB; unbounded unions raise it to 17 MB and
+# train at 0.038-0.040 against 0.042-0.043 s per epoch (in-process medians of
+# five runs, one BLAS thread, x86-64). The bound holds until the benchmark's
+# peak RSS is measured with larger unions.
 UNION_EDGES = 256
 
 

@@ -32,6 +32,13 @@ masked_sigmoid is nn.sigmoid as it was written with boolean masks.
 reference_train_model is mpn.train_model as it ran before a batch's graphs
 were joined into disjoint unions: one forward and one backward per training
 graph, the gradients summed graph by graph.
+
+concatenated_forward and concatenated_backward are the network's training
+pass as it ran before training differentiated the projected rounds: every
+round runs edge_update on the per-edge concatenation [t, d, h] and
+node_update on [t, h'] and [d, h'], and the backward reverses those MLPs
+row by row with np.add.at sums back to the nodes. The tests require
+mpn_backward's gradients to agree with them to rounding.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ from graphmot.motion import (
     state_to_box,
 )
 from graphmot.mpn import TeacherForced, _LstmChain, score_graph
-from graphmot.nn import AdamOptimizer, weighted_bce
+from graphmot.nn import AdamOptimizer, sigmoid, weighted_bce
 from graphmot.tracker import StepStats, greedy_match
 
 
@@ -810,3 +817,66 @@ def reference_train_model(model, sequences, cfg, *, integration="average", **gra
         model.step_count = optimizer.step_count
         history.append((float(np.mean(losses)) if losses else np.nan, correct / seen if seen else np.nan))
     return history
+
+
+def concatenated_forward(model, graph):
+    """(probabilities, caches) of the training forward pass on the
+    concatenated MLP inputs; graph is an AssocGraph or a GraphUnion."""
+    ti, dj = graph.edge_traj, graph.edge_det
+    t, t_cache = model.node_encoder.forward(graph.traj_features)
+    d, d_cache = model.node_encoder.forward(graph.det_features)
+    h, h_cache = model.edge_encoder.forward(graph.edge_features)
+    t_plan = mpn.ScatterPlan.of(ti, len(t), t.shape[1])
+    d_plan = mpn.ScatterPlan.of(dj, len(d), d.shape[1])
+    rounds = []
+    for _ in range(model.rounds):
+        h, e_cache = model.edge_update.forward(np.concatenate([t[ti], d[dj], h], axis=1))
+        x_msg, x_cache = model.node_update.forward(np.concatenate([t[ti], h], axis=1))
+        y_msg, y_cache = model.node_update.forward(np.concatenate([d[dj], h], axis=1))
+        t = mpn._aggregate(x_msg, t_plan, t, model.aggregation)
+        d = mpn._aggregate(y_msg, d_plan, d, model.aggregation)
+        rounds.append((e_cache, x_cache, y_cache))
+    logits, c_cache = model.classifier.forward(h)
+    return sigmoid(logits[:, 0]), (graph, (t_cache, d_cache, h_cache), t_plan, d_plan, rounds,
+                                   c_cache)
+
+
+def concatenated_backward(model, caches, dlogits):
+    """(parameter gradients in model.param_arrays() order, trajectory
+    feature gradients) of concatenated_forward's pass."""
+    graph, (t_cache, d_cache, h_cache), t_plan, d_plan, rounds, c_cache = caches
+    ti, dj = graph.edge_traj, graph.edge_det
+    dn = model.node_encoder.out_dim
+    grads = {name: comp.zero_grads() for name, comp in model.components()}
+
+    def add(name, more):
+        for g, m in zip(grads[name], more):
+            g += m
+
+    d_edge, more = model.classifier.backward(c_cache, dlogits[:, None])
+    add("classifier", more)
+    d_traj = np.zeros((len(t_plan.empty), dn))
+    d_det = np.zeros((len(d_plan.empty), dn))
+    for e_cache, x_cache, y_cache in reversed(rounds):
+        scales = []
+        for grad, plan in ((d_traj, t_plan), (d_det, d_plan)):
+            if model.aggregation == "mean":
+                grad = grad / plan.denominators
+            scales.append(np.where(plan.empty, 0.0, grad))
+        gx, more = model.node_update.backward(x_cache, scales[0][ti])
+        add("node_update", more)
+        gy, more = model.node_update.backward(y_cache, scales[1][dj])
+        add("node_update", more)
+        ge, more = model.edge_update.backward(e_cache, d_edge + gx[:, dn:] + gy[:, dn:])
+        add("edge_update", more)
+        t_prev, d_prev = np.zeros_like(d_traj), np.zeros_like(d_det)
+        np.add.at(t_prev, ti, gx[:, :dn] + ge[:, :dn])
+        np.add.at(d_prev, dj, gy[:, :dn] + ge[:, dn : 2 * dn])
+        np.copyto(t_prev, d_traj, where=t_plan.empty)
+        np.copyto(d_prev, d_det, where=d_plan.empty)
+        d_traj, d_det, d_edge = t_prev, d_prev, ge[:, 2 * dn :]
+    d_traj_feats, more = model.node_encoder.backward(t_cache, d_traj)
+    add("node_encoder", more)
+    add("node_encoder", model.node_encoder.backward(d_cache, d_det)[1])
+    add("edge_encoder", model.edge_encoder.backward(h_cache, d_edge)[1])
+    return [g for name, _ in model.components() for g in grads[name]], d_traj_feats

@@ -292,6 +292,19 @@ class TestBlocksAgainstFullCovariances:
             assert (np.abs(blocks_to_matrices(got_covs) - want_covs) <= 1e-12 * scale).all()
             means[seen], covs[seen] = got_means, got_covs
 
+    def test_predict_leaves_viewed_rows_alone(self):
+        """ground_truth_walk predicts views of its rows (a slice of them)
+        and assigns the result back; the step must not write through."""
+        means, covs = kf_init_batch(np.array([[10.0, 20.0, 5.0, 12.0], [0.0, 0.0, 8.0, 16.0]]))
+        means[:, 4:] = [1.5, -2.0, 0.25, 0.5]
+        before = means.copy(), covs.copy()
+        got_means, got_covs = kf_predict_batch(means[:1], covs[:1])
+        assert means.tobytes() == before[0].tobytes() and covs.tobytes() == before[1].tobytes()
+        want_means, want_covs = oracle_kf_predict_batch(before[0][:1],
+                                                        blocks_to_matrices(before[1][:1]))
+        assert got_means.tobytes() == want_means.tobytes()
+        assert blocks_to_matrices(got_covs).tobytes() == want_covs.tobytes()
+
 
 class TestCovarianceHealth:
     def test_symmetric_psd_through_random_cycles(self):

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from references import (
+    concatenated_backward,
+    concatenated_forward,
     max_overlap,
     reference_integrate,
     reference_teacher_force,
@@ -16,7 +18,7 @@ from references import (
     window_tracks,
 )
 
-from graphmot import integration, mpn
+from graphmot import integration, mpn, tracker
 from graphmot.core import BoundingBox, Detection, Detections, Trajectories, Trajectory
 from graphmot.graph import AssocGraph, build_graph
 from graphmot.motion import kf_init, kf_predict, kf_update, state_to_box
@@ -36,6 +38,7 @@ from graphmot.mpn import (
 )
 from graphmot.nn import Mlp, grad_check, load_checkpoint, save_checkpoint, weighted_bce
 from graphmot.synth import generate, preset
+from graphmot.tracker import TrackerConfig, run_sequence
 
 
 def unit_vec(dim, axis):
@@ -310,19 +313,19 @@ class TestScoreGraph:
     @settings(max_examples=150, deadline=None)
     @given(case=random_scoring_cases())
     def test_forward_bytes_and_inference_logits_match_reference(self, case):
-        """mpn_forward gives the reference's bits; score_graph's projected
-        rounds give its logits to within 1e-9 of the largest magnitude."""
+        """mpn_forward gives score_graph's bits, and both give the
+        reference's logits to within 1e-9 of the largest magnitude."""
         model, graph = case
         want = reference_logits(model, graph)
         probs, forward = mpn_forward(model, graph)
-        assert forward.logits.tobytes() == want.tobytes()
-        assert probs.tobytes() == mpn.sigmoid(want).tobytes()
-
         inference = propagate(model, encode(model, graph, caches=False))
         got = score_graph(model, graph)
         assert got.tobytes() == classify_edges(model, inference).tobytes()
+        assert probs.tobytes() == got.tobytes()
+        assert forward.logits.tobytes() == inference.logits.tobytes()
         scale = np.abs(want).max(initial=0.0)
-        assert np.abs(inference.logits - want).max(initial=0.0) <= 1e-9 * scale
+        for logits in (forward.logits, inference.logits):
+            assert np.abs(logits - want).max(initial=0.0) <= 1e-9 * scale
 
         # Nodes without edges keep their encoder embeddings on both paths.
         for side, index in (("traj_layers", graph.edge_traj), ("det_layers", graph.edge_det)):
@@ -335,12 +338,30 @@ class TestScoreGraph:
         model = create_model(6, rounds=3, seed=2)
         g = grid_graph(3, 4)
         state = propagate(model, encode(model, g, caches=False))
-        assert state.round_caches == [] and state.encoder_caches is None
-        assert len(state.traj_layers) == len(state.edge_layers) == 1
+        assert state.encoder_caches is None
+        assert state.round_nodes == state.edge_hidden == state.message_hidden == []
+        assert state.aggregated == []
+        assert len(state.traj_layers) == len(state.det_layers) == len(state.edge_layers) == 1
         classify_edges(model, state)
         assert state.classifier_cache is None
         with pytest.raises(ValueError, match="without caches"):
             mpn_backward(model, state, np.zeros(g.n_edges))
+
+    def test_caches_keep_references_per_round(self):
+        """A cached forward keeps each round's stacked nodes, hidden
+        activations and aggregated rows, and its layers are views of the
+        stacked node arrays, not copies."""
+        model = create_model(6, rounds=3, seed=2)
+        g = grid_graph(3, 4)
+        _, state = mpn_forward(model, g)
+        assert len(state.traj_layers) == len(state.det_layers) == len(state.edge_layers) == 4
+        assert len(state.round_nodes) == len(state.edge_hidden) == len(state.aggregated) == 3
+        for r in range(1, 3):
+            assert state.traj_layers[r].base is state.round_nodes[r]
+            assert state.det_layers[r].base is state.round_nodes[r]
+        assert [len(kept) for kept in state.edge_hidden] == [1, 1, 1]
+        assert [kept[0].shape for kept in state.message_hidden] == [(2 * g.n_edges, 32)] * 3
+        assert [rows.shape for rows in state.aggregated] == [(7, 32)] * 3
 
 
 class TestClassify:
@@ -445,6 +466,77 @@ class TestGradients:
         grads, _ = mpn_backward(model, state, dlogits)
         report = grad_check(loss, model.param_arrays(), grads)
         assert report.passed, report.max_rel_error
+
+
+def grad_check_graph(rng, dim, edges):
+    """A graph of four trajectories and five detections with the given
+    (trajectory, detection) edges, as GraphUnion arrays."""
+    ti, dj = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return mpn.GraphUnion(rng.normal(size=(4, dim)), rng.normal(size=(5, dim)),
+                          rng.normal(size=(len(edges), 6)), ti, dj)
+
+
+class TestProjectedBackward:
+    @pytest.mark.parametrize("aggregation", mpn.AGGREGATIONS)
+    @pytest.mark.parametrize("hidden", [[], None, [4, 5]], ids=["1-layer", "2-layer", "3-layer"])
+    @pytest.mark.parametrize("edges", [
+        [],
+        # Trajectory 3 and detections 1 and 4 have no edge; one edge is doubled.
+        [(0, 0), (0, 2), (1, 2), (1, 3), (2, 0), (2, 0)],
+    ], ids=["no-edges", "edgeless-nodes"])
+    def test_matches_finite_differences(self, aggregation, hidden, edges):
+        rng = np.random.default_rng(len(edges) + len(hidden or [0, 0, 0]))
+        dn, de = 3, 2
+        model = create_model(3, d_node=dn, d_edge=de, rounds=2, aggregation=aggregation, seed=5)
+        if hidden is not None:
+            model.edge_update = Mlp([2 * dn + de, *hidden, de], rng)
+            model.node_update = Mlp([dn + de, *hidden, dn], rng)
+        for p in model.param_arrays():
+            p += rng.normal(scale=0.3, size=p.shape)
+        graph = grad_check_graph(rng, 3, edges)
+        weights = rng.normal(size=len(edges))
+
+        def loss():
+            return float(weights @ mpn_forward(model, graph)[1].logits)
+
+        _, state = mpn_forward(model, graph)
+        grads, d_traj_feats = mpn_backward(model, state, weights)
+        report = grad_check(loss, model.param_arrays() + [graph.traj_features],
+                            grads + [d_traj_feats])
+        assert report.passed, (report.max_rel_error, report.worst_param, report.worst_coord)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=random_scoring_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_gradients_match_the_concatenated_oracle(self, case, seed):
+        """Parameter and trajectory-feature gradients agree with the
+        concatenated rounds' to 1e-12 of each array's largest magnitude."""
+        model, graph = case
+        dlogits = np.random.default_rng(seed).normal(size=graph.n_edges)
+        probs, state = mpn_forward(model, graph)
+        got = mpn_backward(model, state, dlogits)
+        want_probs, caches = concatenated_forward(model, graph)
+        want = concatenated_backward(model, caches, dlogits)
+        assert np.abs(probs - want_probs).max(initial=0.0) <= 1e-12
+        for g, w in zip(got[0] + [got[1]], want[0] + [want[1]]):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+
+    def test_training_forward_scores_the_tracker_graphs_bit_for_bit(self, monkeypatch):
+        """mpn_forward's probabilities are score_graph's, byte for byte, on
+        the graphs a tracker builds with a trained model."""
+        model, _ = pinned_training("average")
+        scene = generate(preset("crowded", seed=3, n_frames=30))
+        scored = []
+
+        def recording(model_, graph):
+            probs = score_graph(model_, graph)
+            # Before the tracker updates the trajectory rows the graph reads.
+            scored.append(mpn_forward(model_, graph)[0].tobytes() == probs.tobytes())
+            return probs
+
+        monkeypatch.setattr(tracker, "score_graph", recording)
+        run_sequence(scene.frames, model, TrackerConfig())
+        assert len(scored) > 20 and all(scored)
 
 
 class TestTraining:
@@ -984,12 +1076,12 @@ def param_digest(model):
 # PER_GRAPH_WEIGHTS are the same trainings with one forward and backward per
 # graph (references.reference_train_model), as train_model ran before.
 TRAINED_WEIGHTS = {
-    "average": "7c7ed04b04d34cdf2319840c6acc078d237966bc92ca9bd042c766b32dcd5e35",
-    "lstm": "4d5ea8755d2162e4435a1023b397e8c4d9b39540fc9599e4ce4236d7b799f966",
+    "average": "e68aeb986c26a2b2d8ceb4ec0e8a3218d2a2bf3292182b566107fe177982b98d",
+    "lstm": "ad310c651f12366818900aed90105e9e8e83cd609f0a8595ef60319505796b08",
 }
 PER_GRAPH_WEIGHTS = {
-    "average": "71a803ae58f5c133da009cb49b21d92fa6bfcb68576bcce261cd1bebd7de24a3",
-    "lstm": "f078fa0196199c718f4b929e23854157832beb329866029f19a433135a4c5032",
+    "average": "6ad7afe7bf312dc0660270ffb19a3612e0aed1b597ab61c90d6e7bdfd043b066",
+    "lstm": "feb4d22fcd4222e12e67254009d47d48f782537f203f3c143a16d9603fac956e",
 }
 
 
@@ -1067,12 +1159,12 @@ def union_cases(draw):
 
 
 def gradients(model, tg, dlogits):
-    """(probabilities, parameter gradients, trajectory feature gradients) of
-    one training graph, through the LSTM chains."""
-    probs, state = mpn_forward(model, tg.graph)
+    """(logits, parameter gradients, trajectory feature gradients) of one
+    training graph, through the LSTM chains."""
+    _, state = mpn_forward(model, tg.graph)
     grads, d_traj_feats = mpn_backward(model, state, dlogits)
     mpn._backprop_lstm_chains(model, tg.lstm_chains, d_traj_feats, grads)
-    return probs, grads, d_traj_feats
+    return state.logits, grads, d_traj_feats
 
 
 class TestUnion:
@@ -1082,19 +1174,23 @@ class TestUnion:
         model, graphs, dlogits = case
         union = mpn.join(graphs)
         assert np.array_equal(union.labels, np.concatenate([tg.labels for tg in graphs]))
-        got_probs, got, got_feats = gradients(model, union, np.concatenate(dlogits))
+        got_logits, got, got_feats = gradients(model, union, np.concatenate(dlogits))
 
         want = model.zero_grads()
-        probs, feats = [], []
+        logits, feats = [], []
         for tg, dl in zip(graphs, dlogits):
-            p, grads, d_traj_feats = gradients(model, tg, dl)
+            z, grads, d_traj_feats = gradients(model, tg, dl)
             for total, g in zip(want, grads):
                 total += g
-            probs.append(p)
+            logits.append(z)
             feats.append(d_traj_feats)
         # Nodes of different graphs share no edge, so each graph scores as on
-        # its own, up to BLAS rounding products of more rows differently.
-        assert np.allclose(got_probs, np.concatenate(probs), rtol=1e-12, atol=0.0)
+        # its own, up to BLAS rounding products of more rows differently. The
+        # logits are compared: a saturated probability such as e^-460 would
+        # magnify their rounding far past any relative bound.
+        want_logits = np.concatenate(logits)
+        assert np.abs(got_logits - want_logits).max(initial=0.0) \
+            <= 1e-12 * np.abs(want_logits).max(initial=0.0)
         for g, w in zip(got, want):
             assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
         want_feats = np.concatenate(feats)
