@@ -209,31 +209,32 @@ def _flat(index: np.ndarray, width: int) -> np.ndarray:
 class MpnState:
     """Per-layer embeddings plus what the backward pass reads.
 
-    propagate stacks trajectory and detection rows into one node array, so
-    after layer 0 each traj_layers / det_layers entry is a view of one of
-    those arrays. With caches the layer lists hold every layer and, per
-    round, round_nodes holds the stacked node rows the round read,
-    edge_hidden and message_hidden the hidden activations of edge_update
-    per edge and of node_update per message, and aggregated the node rows
-    node_update's output layer read (None for a one-layer node_update);
-    all are references to the forward's arrays, not copies. Without caches
-    (score_graph) the layer lists hold only the latest layer and nothing
-    else is kept, so mpn_backward refuses the state.
+    Each node_layers entry stacks the trajectory rows (the first n_traj)
+    over the detection rows. With caches the layer lists hold every layer,
+    so round r reads node_layers[r] and edge_layers[r], and per round
+    edge_hidden and message_hidden keep the hidden activations of
+    edge_update per edge and of node_update per message, and aggregated
+    the node rows node_update's output layer read (None for a one-layer
+    node_update); all are references to the forward's arrays, not copies.
+    Without caches (score_graph) the layer lists hold only the latest layer
+    and nothing else is kept, so mpn_backward refuses the state.
     """
 
     graph: AssocGraph | GraphUnion
-    traj_layers: list[np.ndarray]
-    det_layers: list[np.ndarray]
+    node_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
     caches: bool = True
     encoder_caches: tuple | None = None
     plan: ScatterPlan | None = None
-    round_nodes: list[np.ndarray] = field(default_factory=list)
     edge_hidden: list[list[np.ndarray]] = field(default_factory=list)
     message_hidden: list[list[np.ndarray]] = field(default_factory=list)
     aggregated: list[np.ndarray | None] = field(default_factory=list)
     classifier_cache: object = None
     logits: np.ndarray | None = None
+
+    @property
+    def n_traj(self) -> int:
+        return len(self.graph.traj_features)
 
 
 def _run(mlp: Mlp, x: np.ndarray, caches: bool):
@@ -252,8 +253,7 @@ def encode(model: MpnModel, graph: AssocGraph | GraphUnion, *, caches: bool = Tr
     h0, h_cache = _run(model.edge_encoder, graph.edge_features, caches)
     return MpnState(
         graph=graph,
-        traj_layers=[t0],
-        det_layers=[d0],
+        node_layers=[np.concatenate([t0, d0])],
         edge_layers=[h0],
         caches=caches,
         encoder_caches=(t_cache, d_cache, h_cache) if caches else None,
@@ -293,9 +293,9 @@ def _projection(model: MpnModel, dn: int) -> tuple[np.ndarray, np.ndarray]:
 def propagate(model: MpnModel, state: MpnState) -> MpnState:
     """Run the model's propagation rounds on node-side projections.
 
-    Trajectory and detection embeddings are stacked into one node array,
-    and each edge has two messages, one to each end. The first layers'
-    weights split by input block (_projection), so every node is
+    Nodes are the stacked trajectory and detection rows (MpnState), and
+    each edge has two messages, one to each end. The first layers' weights
+    split by input block (_projection), so every node is
     projected once by the blocks that take node embeddings, and the
     projections are gathered to the edges; node_update's projection of the
     edge embedding is shared by both messages of an edge, and its output
@@ -308,8 +308,8 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
     same bits.
     """
     ti, dj = state.graph.edge_traj, state.graph.edge_det
-    t, d, h = state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1]
-    n_traj, dn = len(t), t.shape[1]
+    nodes, h, n_traj = state.node_layers[-1], state.edge_layers[-1], state.n_traj
+    dn = nodes.shape[1]
     edge_update, node_update = model.edge_update, model.node_update
     project, bias = _projection(model, dn)
     eh = len(edge_update.weights[0])
@@ -319,8 +319,7 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
     dk = dj + n_traj  # each edge's detection row in the node array
     ends = np.concatenate([ti, dk])  # message k goes to node ends[k]
     width = node_update.layer_sizes[-2] if len(node_update.weights) > 1 else dn
-    plan = ScatterPlan.of(ends, n_traj + len(d), width)
-    nodes = np.concatenate([t, d])
+    plan = ScatterPlan.of(ends, len(nodes), width)
     for _ in range(model.rounds):
         edge_hidden, message_hidden = ([], []) if state.caches else (None, None)
         projected = nodes @ project
@@ -336,18 +335,15 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
         nodes_next, hidden = _update_nodes(node_update, messages, plan, nodes, model.aggregation,
                                            message_hidden)
         if state.caches:
-            state.round_nodes.append(nodes)
             state.edge_hidden.append(edge_hidden)
             state.message_hidden.append(message_hidden)
             state.aggregated.append(hidden)
-            state.traj_layers.append(nodes_next[:n_traj])
-            state.det_layers.append(nodes_next[n_traj:])
+            state.node_layers.append(nodes_next)
             state.edge_layers.append(h_next)
         nodes, h = nodes_next, h_next
     state.plan = plan
     if not state.caches:
-        state.traj_layers[-1], state.det_layers[-1], state.edge_layers[-1] = \
-            nodes[:n_traj], nodes[n_traj:], h
+        state.node_layers[-1], state.edge_layers[-1] = nodes, h
     return state
 
 
@@ -450,12 +446,12 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     if not state.caches:
         raise ValueError("state was computed without caches (score_graph)")
     edge_update, node_update = model.edge_update, model.node_update
-    n_traj, dn = state.traj_layers[0].shape
+    n_traj, dn = state.n_traj, state.node_layers[0].shape[1]
     n_edges = state.graph.edge_traj.size
     e_grads, n_grads = edge_update.zero_grads(), node_update.zero_grads()
     d_edge, cls_grads = model.classifier.backward(state.classifier_cache, dlogits[:, None])
 
-    d_nodes = np.zeros((n_traj + len(state.det_layers[0]), dn))
+    d_nodes = np.zeros_like(state.node_layers[0])
     plan, ti, dj = state.plan, state.graph.edge_traj, state.graph.edge_det
     ends = np.concatenate([ti, dj + n_traj])
     project, _ = _projection(model, dn)
@@ -494,7 +490,7 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
         d_projected[:n_traj, :eh] = _scatter_sum(g_edge, t_flat, n_traj)
         d_projected[n_traj:, eh : 2 * eh] = _scatter_sum(g_edge, d_flat, len(d_nodes) - n_traj)
         d_projected[:, 2 * eh :] = _scatter_sum(g_msg, m_flat, len(d_nodes))
-        d_blocks = d_projected.T @ state.round_nodes[r]
+        d_blocks = d_projected.T @ state.node_layers[r]
         e_grads[0][:, :dn] += d_blocks[:eh]
         e_grads[0][:, dn : 2 * dn] += d_blocks[eh : 2 * eh]
         n_grads[0][:, :dn] += d_blocks[2 * eh :]
