@@ -11,13 +11,15 @@ all their edges. Distances come in two flavors: "iou" (1 - IoU against the
 trajectory's motion-predicted box) and "app" (appearance feature distance).
 
 Every stage reads columns: the trajectories as a core.Trajectories block and
-the detections as a core.Detections block, so the tracker and the trainer
-share one builder.
+the detections as a core.Detections block. The tracker builds one frame's
+graph (build_graph); training builds a batch's graphs as one disjoint union
+in one pass (build_union), with the same candidate rule (nearest_rows), the
+same per-edge ratio test and the same edge features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +40,23 @@ class AssocGraph:
     traj_boxes are the (M, 4) xywh boxes used for all geometry (the
     tracker passes motion-predicted boxes; lost targets are represented
     by their forecast position, not the stale last observation).
-    traj_features (M, d) and det_features (N, d) are the blocks' features
-    unless given, for the distances, the edge features and the network's
-    node encoder.
+    traj_features (M, d), det_features (N, d), det_boxes (N, 4) and
+    last_seen (M,) are the blocks' columns unless given, for the
+    distances, the edge features and the network's node encoder; the
+    edges' frame gaps are counted from detections.frame, or from the
+    detections' own det_frames (N,) when given.
+
+    These are the blocks' arrays, not copies. The tracker's graph reads its
+    live Trajectories.features, which integration.absorb overwrites after
+    the graph is scored: a graph kept past its frame reads other features.
+
+    A disjoint union of several frames' graphs (build_union) has no blocks
+    (trajectories and detections are None) and gives every array, with
+    det_frames.
     """
 
-    trajectories: Trajectories
-    detections: Detections
+    trajectories: Trajectories | None
+    detections: Detections | None
     traj_boxes: np.ndarray
     edge_traj: np.ndarray
     edge_det: np.ndarray
@@ -53,16 +65,43 @@ class AssocGraph:
     n_candidates: int = 0
     traj_features: np.ndarray | None = None
     det_features: np.ndarray | None = None
+    det_boxes: np.ndarray | None = None
+    last_seen: np.ndarray | None = None
+    det_frames: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.traj_features is None:
-            self.traj_features = self.trajectories.features
-        if self.det_features is None:
-            self.det_features = self.detections.features
+        if self.trajectories is not None:
+            if self.traj_features is None:
+                self.traj_features = self.trajectories.features
+            if self.last_seen is None:
+                self.last_seen = self.trajectories.last_seen
+        if self.detections is not None:
+            if self.det_features is None:
+                self.det_features = self.detections.features
+            if self.det_boxes is None:
+                self.det_boxes = self.detections.boxes
 
     @property
     def n_edges(self) -> int:
         return int(self.edge_traj.size)
+
+
+def nearest_rows(dist: np.ndarray, k: int, heights: np.ndarray | None = None):
+    """The candidate rule: the min(k, heights[j]) rows of a distance block
+    nearest to each column j, as (rows, columns) index arrays, column by
+    column and nearest first.
+
+    One stable sort of each column breaks ties toward the lower row.
+    heights default to the block's height; a shorter column holds inf
+    below its height, so that one block holds the columns of several
+    graphs (build_union), each with its own rows on top.
+    """
+    take = min(k, len(dist))
+    nearest = np.argsort(dist, axis=0, kind="stable")[:take].T  # (N, take), a row per column
+    columns = np.arange(dist.shape[1], dtype=np.intp)
+    if heights is None:
+        return nearest.ravel(), np.repeat(columns, take)
+    return nearest[np.arange(take) < heights[:, None]], np.repeat(columns, np.minimum(heights, take))
 
 
 def candidate_edges(
@@ -71,7 +110,7 @@ def candidate_edges(
     k: int,
     traj_boxes: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K nearest trajectories per detection, by center distance.
+    """K nearest trajectories per detection, by center distance (nearest_rows).
 
     Ties are broken toward the lower trajectory id, then the lower row.
     traj_boxes default to the trajectories' last boxes. Returns
@@ -92,22 +131,21 @@ def candidate_edges(
     rank = np.argsort(ids, kind="stable") if (ids[1:] < ids[:-1]).any() else None
     if rank is not None:
         dist = dist[rank]
-    take = min(k, len(trajectories))
-    nearest = np.argsort(dist, axis=0, kind="stable")[:take]  # (take, N), one column per detection
+    edge_traj, edge_det = nearest_rows(dist, k)
     if rank is not None:
-        nearest = rank[nearest]
-    edge_det = np.repeat(np.arange(len(detections), dtype=np.intp), take)
-    return nearest.T.ravel(), edge_det, traj_boxes
+        edge_traj = rank[edge_traj]
+    return edge_traj, edge_det, traj_boxes
 
 
 def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
-    """Per-edge distance under the chosen ratio-test variant."""
+    """Per-edge distance under the chosen ratio-test variant, computed per
+    edge: the entry of the full iou_matrix or feature_dist_matrix, bit for
+    bit."""
+    et, ed = graph.edge_traj, graph.edge_det
     if variant == "iou":
-        overlap = kernels.iou_matrix(graph.traj_boxes, graph.detections.boxes)
-        return 1.0 - overlap[graph.edge_traj, graph.edge_det]
+        return 1.0 - kernels.iou_rows(graph.traj_boxes[et], graph.det_boxes[ed])
     if variant == "app":
-        dist = kernels.feature_dist_matrix(graph.traj_features, graph.det_features)
-        return dist[graph.edge_traj, graph.edge_det]
+        return kernels.feature_dist_rows(graph.traj_features[et], graph.det_features[ed])
     raise ValueError(f"no distances for variant {variant!r}")
 
 
@@ -145,7 +183,8 @@ def candidate_runs(edge_traj: np.ndarray, edge_dist: np.ndarray):
 
 
 def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
-    """Drop every non-winning edge of each conclusive trajectory.
+    """Drop every non-winning edge of each conclusive trajectory, in place;
+    returns graph.
 
     Requires graph.edge_dist. Idempotent: conclusive trajectories are left
     with one edge, which the single-candidate rule then never touches.
@@ -161,36 +200,36 @@ def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
     # The rest of a conclusive run is dropped.
     keep = np.empty_like(first)
     keep[order] = first | ~conclusive[run]
-    return replace(
-        graph,
-        edge_traj=graph.edge_traj[keep],
-        edge_det=graph.edge_det[keep],
-        edge_dist=graph.edge_dist[keep],
-        edge_features=None if graph.edge_features is None else graph.edge_features[keep],
-    )
+    graph.edge_traj, graph.edge_det = graph.edge_traj[keep], graph.edge_det[keep]
+    graph.edge_dist = graph.edge_dist[keep]
+    if graph.edge_features is not None:
+        graph.edge_features = graph.edge_features[keep]
+    return graph
 
 
 def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
-    """Attach the 6-dim edge feature to every edge.
+    """Attach the 6-dim edge feature to every edge, in place; returns graph.
 
     Components: center offsets normalized by the mean box height
     (2*dx/(h_t+h_d), 2*dy/(h_t+h_d)), log size ratios (log h_d/h_t,
     log w_d/w_t), the frame gap scaled by 1/fps, and the appearance
     distance between the trajectory and detection features.
     """
-    if graph.n_edges == 0:
-        return replace(graph, edge_features=np.zeros((0, EDGE_FEATURE_DIM)))
     et, ed = graph.edge_traj, graph.edge_det
+    if not et.size:
+        graph.edge_features = np.zeros((0, EDGE_FEATURE_DIM))
+        return graph
     tb = graph.traj_boxes[et]
-    db = graph.detections.boxes[ed]
+    db = graph.det_boxes[ed]
     tcx, tcy = tb[:, 0] + 0.5 * tb[:, 2], tb[:, 1] + 0.5 * tb[:, 3]
     dcx, dcy = db[:, 0] + 0.5 * db[:, 2], db[:, 1] + 0.5 * db[:, 3]
     h_sum = tb[:, 3] + db[:, 3]
-    gaps = (graph.detections.frame - graph.trajectories.last_seen[et]).astype(np.float64)
+    frames = graph.detections.frame if graph.det_frames is None else graph.det_frames[ed]
+    gaps = (frames - graph.last_seen[et]).astype(np.float64)
     if np.any(gaps < 1):
         raise ValueError("edge with non-positive frame gap; frames out of order?")
     app = np.linalg.norm(graph.traj_features[et] - graph.det_features[ed], axis=1)
-    features = np.column_stack(
+    graph.edge_features = np.column_stack(
         [
             2.0 * (dcx - tcx) / h_sum,
             2.0 * (dcy - tcy) / h_sum,
@@ -200,7 +239,21 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
             app,
         ]
     )
-    return replace(graph, edge_features=features)
+    return graph
+
+
+def _check_variant(ratio_variant: str, fps: float) -> None:
+    if ratio_variant not in RATIO_VARIANTS:
+        raise ValueError(f"unknown ratio variant {ratio_variant!r}")
+    _check_fps(fps)
+
+
+def _filter_and_encode(graph: AssocGraph, ratio_variant, alpha, fps) -> AssocGraph:
+    """The ratio filter, when ratio_variant asks for one, then the edge features."""
+    if ratio_variant != "none":
+        graph.edge_dist = edge_distances(graph, ratio_variant)
+        ratio_test_filter(graph, DEFAULT_ALPHA[ratio_variant] if alpha is None else alpha)
+    return init_edge_features(graph, fps)
 
 
 def build_graph(
@@ -217,9 +270,7 @@ def build_graph(
 
     traj_boxes default to the trajectories' last boxes.
     """
-    if ratio_variant not in RATIO_VARIANTS:
-        raise ValueError(f"unknown ratio variant {ratio_variant!r}")
-    _check_fps(fps)
+    _check_variant(ratio_variant, fps)
     if not trajectories or not detections:
         return None
     edge_traj, edge_det, traj_boxes = candidate_edges(
@@ -233,7 +284,52 @@ def build_graph(
         edge_det,
         n_candidates=int(edge_traj.size),
     )
-    if ratio_variant != "none":
-        graph.edge_dist = edge_distances(graph, ratio_variant)
-        graph = ratio_test_filter(graph, DEFAULT_ALPHA[ratio_variant] if alpha is None else alpha)
-    return init_edge_features(graph, fps)
+    return _filter_and_encode(graph, ratio_variant, alpha, fps)
+
+
+def build_union(
+    traj_counts: np.ndarray,
+    det_counts: np.ndarray,
+    *,
+    traj_boxes: np.ndarray,
+    traj_features: np.ndarray,
+    last_seen: np.ndarray,
+    det_boxes: np.ndarray,
+    det_features: np.ndarray,
+    det_frames: np.ndarray,
+    k_neighbors: int = 20,
+    ratio_variant: str = "none",
+    alpha: float | None = None,
+    fps: float = 30.0,
+) -> AssocGraph:
+    """build_graph of several graphs at once, as their disjoint union.
+
+    Graph g holds traj_counts[g] trajectory rows and det_counts[g]
+    detection rows, both at least 1, stacked in graph order, each graph's
+    trajectories in id order. Every array is per row of the union; the
+    edges are the graphs' edges in graph order, indexing the union's rows,
+    with the bits build_graph gives each graph.
+
+    One padded (max M, N) center-distance block holds, in column j, the
+    distances to its own graph's trajectories on top and inf below, so one
+    nearest_rows selects every graph's candidates; the ratio test and the
+    edge features are per edge already.
+    """
+    _check_variant(ratio_variant, fps)
+    _check_k(k_neighbors)
+    traj_counts = np.asarray(traj_counts, dtype=np.intp)
+    det_graph = np.repeat(np.arange(len(det_counts)), det_counts)
+    heights = traj_counts[det_graph]  # per detection
+    first = (np.cumsum(traj_counts) - traj_counts)[det_graph]  # its graph's first trajectory
+    below = np.arange(traj_counts.max(initial=0))[:, None]
+    padding = below >= heights
+    dist = kernels.center_dist(traj_boxes[np.where(padding, 0, first + below)], det_boxes)
+    dist[padding] = np.inf
+    local, edge_det = nearest_rows(dist, k_neighbors, heights)
+    edge_traj = first[edge_det] + local
+    graph = AssocGraph(
+        None, None, traj_boxes, edge_traj, edge_det, n_candidates=int(edge_traj.size),
+        traj_features=traj_features, det_features=det_features, det_boxes=det_boxes,
+        last_seen=last_seen, det_frames=det_frames,
+    )
+    return _filter_and_encode(graph, ratio_variant, alpha, fps)

@@ -1,9 +1,10 @@
 """Pairwise geometry kernels over arrays of boxes and features.
 
 Boxes are (N, 4) arrays of (x, y, w, h). The matrix functions return the
-full (N, M) matrix between their two inputs; iou_pairs returns only the
-same-frame pairs of two row blocks that overlap at or above a threshold,
-with the IoU iou_matrix gives each of them, bit for bit.
+full (N, M) matrix between their two inputs and the row functions the
+value of each pair of rows, bit for bit the matrix entry; iou_pairs
+returns only the same-frame pairs of two row blocks that overlap at or
+above a threshold, with the IoU iou_matrix gives each of them, bit for bit.
 """
 
 import numpy as np
@@ -96,13 +97,32 @@ def iou_pairs(frames_a, boxes_a, frames_b, boxes_b, threshold):
     return np.concatenate(found_a), np.concatenate(found_b), np.concatenate(found)
 
 
+def center_dist(a, b):
+    """Distance between the centers of the (x, y, w, h) boxes in the last
+    axis of a and b, broadcast."""
+    dx = (a[..., 0] + 0.5 * a[..., 2]) - (b[..., 0] + 0.5 * b[..., 2])
+    dy = (a[..., 1] + 0.5 * a[..., 3]) - (b[..., 1] + 0.5 * b[..., 3])
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def center_dist_matrix(boxes_a, boxes_b):
     """Pairwise Euclidean distance between box centers."""
     a = np.ascontiguousarray(boxes_a, dtype=np.float64).reshape(-1, 4)
     b = np.ascontiguousarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    dx = (a[:, None, 0] + 0.5 * a[:, None, 2]) - (b[None, :, 0] + 0.5 * b[None, :, 2])
-    dy = (a[:, None, 1] + 0.5 * a[:, None, 3]) - (b[None, :, 1] + 0.5 * b[None, :, 3])
-    return np.sqrt(dx * dx + dy * dy)
+    return center_dist(a[:, None, :], b[None, :, :])
+
+
+def iou_rows(boxes_a, boxes_b):
+    """IoU of row i of boxes_a with row i of boxes_b, as iou_matrix gives
+    each pair, bit for bit."""
+    return _iou(np.asarray(boxes_a, dtype=np.float64), np.asarray(boxes_b, dtype=np.float64))
+
+
+def feature_dist_rows(feats_a, feats_b):
+    """Euclidean distance of row i of feats_a to row i of feats_b, as
+    feature_dist_matrix gives each pair, bit for bit."""
+    diff = np.asarray(feats_a, dtype=np.float64) - np.asarray(feats_b, dtype=np.float64)
+    return np.sqrt(np.einsum("nd,nd->n", diff, diff))
 
 
 def feature_dist_matrix(feats_a, feats_b):

@@ -18,9 +18,10 @@ without the references the backward pass reads, so they give the same bits.
 Gradients are hand-derived reverse-mode, mirroring the projected forward
 pass layer by layer; training minimizes a positive-weighted binary
 cross-entropy over edges with teacher-forced trajectory features. A batch's
-graphs are small, so training stacks them into disjoint unions (GraphUnion,
-join) of at most UNION_EDGES (256) edges and runs one forward and one
-backward per union instead of per graph.
+graphs are small, so training builds each batch's graphs as one disjoint
+union in one pass (training_union, graph.build_union) and runs one forward
+and one backward per run of at most UNION_EDGES (256) of its edges
+(split_by_edges) instead of per graph.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import bisect
 import math
 import numbers
 import time
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Detections, Trajectories, frame_overlaps
-from .graph import EDGE_FEATURE_DIM, AssocGraph, _check_fps, build_graph
+from .graph import EDGE_FEATURE_DIM, AssocGraph, _check_fps, build_union
 from .integration import absorb, start
 from .motion import boxes_from_means, kf_predict_batch
 from .nn import AdamOptimizer, LstmCell, Mlp, sigmoid, weighted_bce
@@ -216,6 +218,8 @@ class MpnState:
     edge_update per edge and of node_update per message, and aggregated
     the node rows node_update's output layer read (None for a one-layer
     node_update); all are references to the forward's arrays, not copies.
+    projection is the stacked node-side weights the rounds ran with
+    (_projection), which the backward reuses.
     Without caches (score_graph) the layer lists hold only the latest layer
     and nothing else is kept, so mpn_backward refuses the state.
     """
@@ -226,6 +230,7 @@ class MpnState:
     caches: bool = True
     encoder_caches: tuple | None = None
     plan: ScatterPlan | None = None
+    projection: np.ndarray | None = None
     edge_hidden: list[list[np.ndarray]] = field(default_factory=list)
     message_hidden: list[list[np.ndarray]] = field(default_factory=list)
     aggregated: list[np.ndarray | None] = field(default_factory=list)
@@ -341,7 +346,7 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
             state.node_layers.append(nodes_next)
             state.edge_layers.append(h_next)
         nodes, h = nodes_next, h_next
-    state.plan = plan
+    state.plan, state.projection = plan, project
     if not state.caches:
         state.node_layers[-1], state.edge_layers[-1] = nodes, h
     return state
@@ -454,7 +459,7 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
     d_nodes = np.zeros_like(state.node_layers[0])
     plan, ti, dj = state.plan, state.graph.edge_traj, state.graph.edge_det
     ends = np.concatenate([ti, dj + n_traj])
-    project, _ = _projection(model, dn)
+    project = state.projection
     eh, nh = len(edge_update.weights[0]), len(node_update.weights[0])
     t_flat, d_flat, m_flat = _flat(ti, eh), _flat(dj, eh), _flat(ends, nh)
     # What each node adds to node_update's output-layer bias: once under
@@ -565,50 +570,45 @@ class _TrainGraph:
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain
 
 
-# A batch's training graphs run forward and backward as disjoint unions of at
-# most this many edges; a graph with more runs alone. With the benchmark's
-# training recipe, `crossing` batches (8 graphs of about 18 edges) stay whole,
-# and one train_model call's tracemalloc peak is 4.0 MB. On `crowded` (about
-# 141 edges per graph) it is 4.3 MB; unbounded unions raise it to 17 MB and
-# train at 0.038-0.040 against 0.042-0.043 s per epoch (in-process medians of
-# five runs, one BLAS thread, x86-64). The bound holds until the benchmark's
-# peak RSS is measured with larger unions.
+# A batch's training graphs are built as one disjoint union (training_union)
+# and run forward and backward as unions of at most this many edges, cut in
+# graph order (split_by_edges); a graph with more runs alone. With the
+# benchmark's training recipe, `crossing` batches (8 graphs of about 18
+# edges) stay whole, and one train_model call's tracemalloc peak is 4.0 MB.
+# On `crowded` (about 141 edges per graph) it is 4.3 MB; unbounded unions
+# raise it to 17 MB and train at 0.038-0.040 against 0.042-0.043 s per epoch
+# (in-process medians of five runs, one BLAS thread, x86-64). The bound
+# holds until the benchmark's peak RSS is measured with larger unions.
 UNION_EDGES = 256
 
 
-def split_by_edges(batch: list[_TrainGraph]) -> list[list[_TrainGraph]]:
-    """batch in its order, cut greedily into runs of at most UNION_EDGES
-    edges; a graph with more edges than that is a run of its own."""
-    runs: list[list[_TrainGraph]] = []
-    edges = 0
-    for tg in batch:
-        if not runs or edges + tg.labels.size > UNION_EDGES:
-            runs.append([])
-            edges = 0
-        runs[-1].append(tg)
-        edges += tg.labels.size
-    return runs
+def split_by_edges(edges) -> list[range]:
+    """The positions of graphs with the given edge counts, in order, cut
+    greedily into runs of at most UNION_EDGES edges; a graph with more
+    edges than that is a run of its own."""
+    starts: list[int] = []
+    total = 0
+    for i, n in enumerate(edges):
+        if not starts or total + n > UNION_EDGES:
+            starts.append(i)
+            total = 0
+        total += n
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(edges)])]
 
 
-def join(graphs: list[_TrainGraph]) -> _TrainGraph:
-    """The training graph of the disjoint union of graphs: node and edge
-    rows stacked in order, each edge's node indices offset by the rows of
-    the graphs before its own, labels stacked and LSTM chains re-keyed to
-    their offset trajectory rows. No edge joins nodes of two graphs, so
-    every node aggregates the same rows in the same order as in its own
-    graph; only BLAS may round a product of more rows differently."""
-    traj_rows = np.cumsum([0] + [len(tg.graph.traj_features) for tg in graphs])
-    det_rows = np.cumsum([0] + [len(tg.graph.det_features) for tg in graphs])
-    union = GraphUnion(
-        np.concatenate([tg.graph.traj_features for tg in graphs]),
-        np.concatenate([tg.graph.det_features for tg in graphs]),
-        np.concatenate([tg.graph.edge_features for tg in graphs]),
-        np.concatenate([tg.graph.edge_traj + t for tg, t in zip(graphs, traj_rows)]),
-        np.concatenate([tg.graph.edge_det + d for tg, d in zip(graphs, det_rows)]),
-    )
-    chains = {int(t) + row: chain for tg, t in zip(graphs, traj_rows)
-              for row, chain in tg.lstm_chains.items()}
-    return _TrainGraph(union, np.concatenate([tg.labels for tg in graphs]), chains)
+def _cut(union: _TrainGraph, sizes: np.ndarray, run: range) -> _TrainGraph:
+    """The training graph of the graphs in run of a training_union with
+    the given sizes: node and edge rows sliced, each edge's node indices
+    and the LSTM chains' rows moved to the slices."""
+    if len(run) == len(sizes):
+        return union
+    t0, d0, e0 = sizes[: run.start].sum(axis=0)
+    t1, d1, e1 = sizes[: run.stop].sum(axis=0)
+    g = union.graph
+    graph = GraphUnion(g.traj_features[t0:t1], g.det_features[d0:d1], g.edge_features[e0:e1],
+                       g.edge_traj[e0:e1] - t0, g.edge_det[e0:e1] - d0)
+    chains = {row - t0: chain for row, chain in union.lstm_chains.items() if t0 <= row < t1}
+    return _TrainGraph(graph, union.labels[e0:e1], chains)
 
 
 @dataclass
@@ -627,12 +627,13 @@ class TeacherForced:
     boxes: np.ndarray
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain, "lstm" only
 
-    def select(self, identities) -> tuple[Trajectories, np.ndarray, dict[int, _LstmChain]]:
-        """Trajectories, boxes and chains of a subset of the identities, by identity."""
-        row = {g: r for r, g in enumerate(self.trajectories.ids.tolist())}
-        rows = sorted(row[g] for g in identities)
-        chains = {k: self.lstm_chains[r] for k, r in enumerate(rows) if r in self.lstm_chains}
-        return self.trajectories.take(rows), self.boxes[rows], chains
+    def select(self, identities) -> tuple[np.ndarray, dict[int, _LstmChain]]:
+        """The rows of a subset of the identities, in id order, and their
+        chains keyed by position among those rows."""
+        rows = np.searchsorted(self.trajectories.ids, np.sort(np.asarray(identities, np.int64)))
+        chains = {k: self.lstm_chains[r] for k, r in enumerate(rows.tolist())
+                  if r in self.lstm_chains} if self.lstm_chains else {}
+        return rows, chains
 
 
 def labelled_pairs(frames: dict[int, Detections]) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -683,6 +684,8 @@ def ground_truth_walk(
     observed ones in one batch (integration.absorb, the tracker's rule),
     with one frame_overlaps of the frame for "iou"; a second detection of
     a row's identity in the frame is a further update without a predict.
+    Every event's row and update pass are found before the walk, with one
+    sort of all events by their (end, identity) keys (_walk_events).
 
     Rows never interact, so every row gets the predicts, updates and
     integration steps it would get in a walk of its own, with the same
@@ -698,12 +701,13 @@ def ground_truth_walk(
     state = Trajectories([], [], [], [], [], [], lstm_states=[] if lstm else None)
     ends = np.zeros(0, dtype=np.int64)  # per row
     starts = np.zeros(0, dtype=np.int64)  # per row: its start number, ascending
-    start_of: dict[tuple[int, int], int] = {}  # (end, identity) of a row -> start number
-    n_started = 0
     lstm_caches: list[list] | None = [] if lstm else None  # per row
     numbers = sorted(events)
     if not numbers:
         return
+    event_frames, event_ends, gids, index, rows, passes = _walk_events(events, numbers)
+    bounds = np.searchsorted(event_frames, numbers).tolist() + [event_frames.size]
+    events_of = {f: (lo, hi) for f, lo, hi in zip(numbers, bounds, bounds[1:]) if lo < hi}
     frame = numbers[0]
     while True:
         if lost_frame_limit is None:
@@ -716,49 +720,34 @@ def ground_truth_walk(
         ending = np.flatnonzero(ends == frame)
         yield frame, live, state, lstm_caches, ending
         if ending.size:
-            for gid in state.ids[ending].tolist():
-                del start_of[frame, gid]
             keep = np.flatnonzero(ends != frame)
             state, ends, starts = state.take(keep), ends[keep], starts[keep]
             if lstm:
                 lstm_caches = [lstm_caches[r] for r in keep.tolist()]
 
-        started: list[tuple[int, int, int]] = []
-        passes: list[tuple[list[int], list[int]]] = []  # k-th update of a row here
-        updates_here: dict[int, int] = {}
-        for end, pairs in events.get(frame, {}).items():
-            if end <= frame:
-                continue
-            for gid, j in pairs:
-                number = start_of.get((end, gid))
-                if number is None:
-                    start_of[end, gid] = n_started + len(started)
-                    started.append((end, gid, j))
-                    continue
-                k = updates_here.get(number, 0)
-                updates_here[number] = k + 1
-                if k == len(passes):
-                    passes.append(([], []))
-                passes[k][0].append(number)
-                passes[k][1].append(j)
-        if started or passes:
-            detections = frames[frame]
-        if started:
-            state = state.concat(start([gid for _, gid, _ in started], detections,
-                                       [j for _, _, j in started], frame, lstm))
-            ends = np.concatenate([ends, [end for end, _, _ in started]])
-            starts = np.concatenate([starts, np.arange(n_started, n_started + len(started))])
-            n_started += len(started)
-            if lstm:
-                lstm_caches += [[] for _ in started]
-        overlaps = frame_overlaps(detections) if passes and integration == "iou" else None
-        for batch, index in passes:
-            rows = np.searchsorted(starts, batch)
-            caches = absorb(state, rows, detections, index, frame, integration,
-                            overlaps=None if overlaps is None else overlaps[index],
-                            lstm_cell=lstm_cell)
-            for r, cache in zip(rows.tolist(), caches or ()):
-                lstm_caches[r].append(cache)
+        if frame in events_of:
+            lo, hi = events_of[frame]
+            here_passes = passes[lo:hi]
+            started = lo + np.flatnonzero(here_passes < 0)
+            if started.size:
+                state = state.concat(start(gids[started], frames[frame], index[started], frame,
+                                           lstm))
+                ends = np.concatenate([ends, event_ends[started]])
+                starts = np.concatenate([starts, rows[started]])
+                if lstm:
+                    lstm_caches += [[] for _ in started]
+            last_pass = here_passes.max()
+            if last_pass >= 0:
+                detections = frames[frame]
+                overlaps = frame_overlaps(detections) if integration == "iou" else None
+                for k in range(last_pass + 1):
+                    here = lo + np.flatnonzero(here_passes == k)
+                    batch = np.searchsorted(starts, rows[here])
+                    caches = absorb(state, batch, detections, index[here], frame, integration,
+                                    overlaps=None if overlaps is None else overlaps[index[here]],
+                                    lstm_cell=lstm_cell)
+                    for r, cache in zip(batch.tolist(), caches or ()):
+                        lstm_caches[r].append(cache)
 
         if len(state) and (
             lost_frame_limit is None or frame + 1 - state.last_seen.max() <= lost_frame_limit
@@ -769,6 +758,46 @@ def ground_truth_walk(
             if later == len(numbers):
                 return
             frame = numbers[later]
+
+
+def _walk_events(events, numbers):
+    """Every event of a ground_truth_walk in walk order (its frames in the
+    ascending order of numbers, each frame's events in dict order), without
+    those at or after their row's end, as columns (frames, ends,
+    identities, indices in the frame, rows, passes).
+
+    rows numbers each (end, identity) row in the order the walk starts
+    them. passes ranks each event among its row's events in its frame,
+    less one in the frame where the row starts: -1 marks the event that
+    starts a row, and k a row's k-th update in its frame (from 0). One
+    stable sort of the events by their (end, identity) keys lays out each
+    row's events in walk order.
+    """
+    per_frame = [events[f] for f in numbers]
+    counts = [len(pairs) for found in per_frame for pairs in found.values()]
+    ends = np.repeat(np.fromiter(chain.from_iterable(per_frame), np.int64), counts)
+    frames = np.repeat(np.repeat(numbers, [len(found) for found in per_frame]), counts)
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(
+        found.values() for found in per_frame)))
+    pairs = np.fromiter(flat, np.int64, 2 * ends.size).reshape(-1, 2)
+    kept = ends > frames
+    frames, ends, gids, index = frames[kept], ends[kept], pairs[kept, 0], pairs[kept, 1]
+    order = np.lexsort((gids, ends))
+    at = np.arange(order.size)
+    first = np.ones(order.size, dtype=bool)  # a row's first event, in key order
+    first[1:] = (np.diff(ends[order]) != 0) | (np.diff(gids[order]) != 0)
+    row = np.cumsum(first) - 1  # the row of each event, in key order
+    heads = order[first]  # the walk position of each row's first event
+    number = np.empty(heads.size, dtype=np.int64)
+    number[np.argsort(heads)] = np.arange(heads.size)
+    sorted_frames = frames[order]
+    run = first.copy()  # an event opening a row's events in one frame
+    run[1:] |= sorted_frames[1:] != sorted_frames[:-1]
+    rank = at - np.maximum.accumulate(np.where(run, at, 0))
+    rows, passes = np.empty_like(at), np.empty_like(at)
+    rows[order] = number[row]
+    passes[order] = rank - (sorted_frames == frames[heads][row])
+    return frames, ends, gids, index, rows, passes
 
 
 def _teacher_forced(state, rows, lstm_caches, target_frame, identities) -> TeacherForced:
@@ -831,6 +860,117 @@ def teacher_force_samples(
     ]
 
 
+@dataclass
+class _Sample:
+    """One training sample after its augmentation draws: the rows of its
+    teacher-forced trajectories (TeacherForced.select) and their chains,
+    and its kept detections with their jittered boxes."""
+
+    teacher: TeacherForced
+    traj_rows: np.ndarray
+    chains: dict[int, _LstmChain]
+    detections: Detections
+    det_rows: np.ndarray
+    det_boxes: np.ndarray
+
+
+def _draw_sample(frames, target_frame, window_frames, model, teacher, integration,
+                 rng, node_dropout, box_jitter) -> _Sample | None:
+    """A sample's augmentation draws (build_training_graph), then its
+    teacher-forced rows; None when no detection or no identity is kept."""
+    if teacher is not None and integration == "lstm":
+        raise ValueError("lstm integration cannot reuse teacher-forced features")
+    detections = frames.get(target_frame) or Detections.of([], target_frame)
+    identities = _first_seen(frames, target_frame, window_frames) if teacher is None \
+        else teacher.identities
+    rows = np.arange(len(detections))
+    if rng is not None and node_dropout > 0.0:
+        rows = rows[rng.random(rows.size) >= node_dropout]
+        draws = rng.random(len(identities)).tolist()
+        identities = [g for g, u in zip(identities, draws) if u >= node_dropout]
+    boxes = detections.boxes[rows]
+    if rng is not None and box_jitter > 0.0:
+        boxes[:, :2] += rng.normal(0.0, box_jitter * boxes[:, 3:4], size=(rows.size, 2))
+    if not rows.size or not identities:
+        return None
+    if teacher is None:
+        sample = [(target_frame, window_frames)]
+        (teacher,) = teacher_force_samples(frames, sample, integration, model.lstm)
+    traj_rows, chains = teacher.select(identities)
+    return _Sample(teacher, traj_rows, chains, detections, rows, boxes)
+
+
+def _union(parts: list[_Sample], graph_kw) -> tuple[_TrainGraph, np.ndarray]:
+    """(training graph, sizes) of the samples' graphs, built as one disjoint
+    union (graph.build_union), with edge labels and the chains keyed by
+    union row; sizes (G, 3) counts each graph's trajectories, detections
+    and edges."""
+    traj_counts = np.array([p.traj_rows.size for p in parts])
+    det_counts = np.array([p.det_rows.size for p in parts])
+
+    def traj(column):
+        return np.concatenate([getattr(p.teacher.trajectories, column)[p.traj_rows] for p in parts])
+
+    graph = build_union(
+        traj_counts,
+        det_counts,
+        traj_boxes=np.concatenate([p.teacher.boxes[p.traj_rows] for p in parts]),
+        traj_features=traj("features"),
+        last_seen=traj("last_seen"),
+        det_boxes=np.concatenate([p.det_boxes for p in parts]),
+        det_features=np.concatenate([p.detections.features[p.det_rows] for p in parts]),
+        det_frames=np.repeat([p.detections.frame for p in parts], det_counts),
+        **graph_kw,
+    )
+    gt_ids = []
+    for p in parts:
+        labelled = p.detections.gt_ids
+        gt_ids += [None] * p.det_rows.size if labelled is None \
+            else [labelled[j] for j in p.det_rows.tolist()]
+    has_id = np.array([g is not None for g in gt_ids])
+    det_ids = np.array([0 if g is None else g for g in gt_ids], dtype=np.int64)
+    et, ed = graph.edge_traj, graph.edge_det
+    labels = (has_id[ed] & (det_ids[ed] == traj("ids")[et])).astype(np.float64)
+    first = np.cumsum(traj_counts) - traj_counts
+    chains = {int(t) + row: chain for p, t in zip(parts, first) for row, chain in p.chains.items()}
+    det_graph = np.repeat(np.arange(len(parts)), det_counts)
+    edges = np.bincount(det_graph[graph.edge_det], minlength=len(parts))
+    return _TrainGraph(graph, labels, chains), np.column_stack([traj_counts, det_counts, edges])
+
+
+def training_union(
+    samples,
+    model: MpnModel,
+    *,
+    integration: str = "average",
+    rng: np.random.Generator | None = None,
+    node_dropout: float = 0.0,
+    box_jitter: float = 0.0,
+    **graph_kw,
+) -> tuple[_TrainGraph | None, np.ndarray]:
+    """A batch's training graphs as one disjoint union, built in one pass.
+
+    samples are (frames, target frame, window frames, teacher) tuples, each
+    as build_training_graph takes them, and graph_kw its k_neighbors,
+    ratio_variant, alpha and fps. Each sample draws its augmentation in
+    order from rng, as build_training_graph would; a sample without a kept
+    detection or identity has no graph. The graphs' candidate edges, ratio
+    test, edge features and labels are then built for all of them at once,
+    and the union holds their rows and edges in sample order, with the bits
+    of a join of build_training_graph's graphs. Returns (union, sizes) as
+    _union does, (None, no sizes) without graphs.
+    """
+    parts = []
+    for frames, target_frame, window_frames, teacher in samples:
+        part = _draw_sample(frames, target_frame, window_frames, model, teacher, integration,
+                            rng, node_dropout, box_jitter)
+        if part is not None:
+            parts.append(part)
+    if not parts:
+        return None, np.zeros((0, 3), dtype=np.intp)
+    return _union(parts, graph_kw)
+
+
 def build_training_graph(
     frames: dict[int, Detections],
     target_frame: int,
@@ -861,45 +1001,24 @@ def build_training_graph(
     identities, computed once and reused; without it they are
     teacher-forced here. "lstm" features depend on the weights being
     trained, so that mode takes none.
+
+    This is training_union of the one sample; its graph also holds the
+    sample's trajectories and detections blocks.
     """
-    if teacher is not None and integration == "lstm":
-        raise ValueError("lstm integration cannot reuse teacher-forced features")
-    detections = frames.get(target_frame) or Detections.of([], target_frame)
-    identities = _first_seen(frames, target_frame, window_frames) if teacher is None \
-        else teacher.identities
-    rows = np.arange(len(detections))
-    if rng is not None and node_dropout > 0.0:
-        rows = rows[rng.random(rows.size) >= node_dropout]
-        draws = rng.random(len(identities)).tolist()
-        identities = [g for g, u in zip(identities, draws) if u >= node_dropout]
-    boxes = detections.boxes[rows]
-    if rng is not None and box_jitter > 0.0:
-        boxes[:, :2] += rng.normal(0.0, box_jitter * boxes[:, 3:4], size=(rows.size, 2))
-    if not rows.size or not identities:
+    part = _draw_sample(frames, target_frame, window_frames, model, teacher, integration,
+                        rng, node_dropout, box_jitter)
+    if part is None:
         return None
-    if teacher is None:
-        sample = [(target_frame, window_frames)]
-        (teacher,) = teacher_force_samples(frames, sample, integration, model.lstm)
-    trajectories, traj_boxes, chains = teacher.select(identities)
+    tg, _ = _union([part], dict(k_neighbors=k_neighbors, ratio_variant=ratio_variant,
+                                alpha=alpha, fps=fps))
+    detections, rows = part.detections, part.det_rows
     gt_ids = detections.gt_ids
-    detections = Detections.trusted(
-        target_frame, boxes, detections.confidences[rows], detections.features[rows],
+    tg.graph.trajectories = part.teacher.trajectories.take(part.traj_rows)
+    tg.graph.detections = Detections.trusted(
+        target_frame, part.det_boxes, detections.confidences[rows], tg.graph.det_features,
         None if gt_ids is None else [gt_ids[j] for j in rows.tolist()],
     )
-
-    graph = build_graph(
-        trajectories,
-        detections,
-        k_neighbors=k_neighbors,
-        ratio_variant=ratio_variant,
-        alpha=alpha,
-        fps=fps,
-        traj_boxes=traj_boxes,
-    )
-    if graph is None or graph.n_edges == 0:
-        return None
-    labels = graph.detections.labelled_as(graph.edge_det, graph.trajectories.ids[graph.edge_traj])
-    return _TrainGraph(graph, labels.astype(np.float64), chains)
+    return tg
 
 
 def _backprop_lstm_chains(model, chains, d_traj_feats, grads_flat):
@@ -990,10 +1109,11 @@ def train_model(
     sample of a sequence is teacher-forced once per call, all in one
     teacher_force_samples walk. Batches average the weighted BCE over all
     edges; the positive weight defaults to the batch's negative/positive
-    ratio. A batch's graphs run forward and backward as disjoint unions of
-    at most UNION_EDGES edges (split_by_edges, join), one pass per union.
-    Each graph's edges score as in a pass of its own, to rounding; the
-    weight gradients sum the union's edges in one product.
+    ratio. A batch's graphs are built as one disjoint union in one pass
+    (training_union), then run forward and backward as unions of at most
+    UNION_EDGES edges (split_by_edges), one pass per union. Each graph's
+    edges score as in a pass of its own, to rounding; the weight gradients
+    sum the union's edges in one product.
 
     A row holds the epoch, learning rate, mean batch loss and edge
     accuracy, the seconds spent teacher-forcing (on the first epoch; 0
@@ -1016,25 +1136,22 @@ def train_model(
         positive_edges = 0
         spans = dict.fromkeys(("graph_s", "forward_s", "backward_s", "optimizer_s"), 0.0)
         for start in range(0, len(order), cfg.batch_graphs):
-            batch = []
             t0 = time.perf_counter()
+            batch = []
             for oi in order[start : start + cfg.batch_graphs]:
                 si, t, window = samples[oi]
-                tg = build_training_graph(
-                    sequences[si], t, window, model,
-                    integration=integration, k_neighbors=k_neighbors,
-                    ratio_variant=ratio_variant, alpha=alpha, fps=fps,
-                    rng=rng, node_dropout=cfg.node_dropout, box_jitter=cfg.box_jitter,
-                    teacher=teachers[oi],
-                )
-                if tg is not None:
-                    batch.append(tg)
-            unions = [join(run) for run in split_by_edges(batch)]
+                batch.append((sequences[si], t, window, teachers[oi]))
+            union, sizes = training_union(
+                batch, model, integration=integration, rng=rng, node_dropout=cfg.node_dropout,
+                box_jitter=cfg.box_jitter, k_neighbors=k_neighbors,
+                ratio_variant=ratio_variant, alpha=alpha, fps=fps,
+            )
+            unions = [_cut(union, sizes, run) for run in split_by_edges(sizes[:, 2].tolist())]
             spans["graph_s"] += time.perf_counter() - t0
             if not unions:
                 continue
-            total_edges = sum(tg.labels.size for tg in unions)
-            omega = _positive_weight([tg.labels for tg in unions], cfg)
+            total_edges = union.labels.size
+            omega = _positive_weight([union.labels], cfg)
             grads_total = model.zero_grads()
             batch_loss = 0.0
             for tg in unions:

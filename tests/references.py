@@ -31,7 +31,9 @@ masked_sigmoid is nn.sigmoid as it was written with boolean masks.
 
 reference_train_model is mpn.train_model as it ran before a batch's graphs
 were joined into disjoint unions: one forward and one backward per training
-graph, the gradients summed graph by graph.
+graph, the gradients summed graph by graph. reference_training_union is
+mpn.training_union as training built its unions before they were built in
+one pass: build_training_graph per sample, then join of the graphs.
 
 concatenated_forward and concatenated_backward are the network's training
 pass as it ran before training differentiated the projected rounds: every
@@ -817,6 +819,39 @@ def reference_train_model(model, sequences, cfg, *, integration="average", **gra
         model.step_count = optimizer.step_count
         history.append((float(np.mean(losses)) if losses else np.nan, correct / seen if seen else np.nan))
     return history
+
+
+def join(graphs):
+    """The training graph of the disjoint union of training graphs: node and
+    edge rows stacked in order, each edge's node indices offset by the rows
+    of the graphs before its own, labels stacked and LSTM chains re-keyed
+    to their offset trajectory rows. mpn.training_union builds this union
+    in one pass."""
+    traj_rows = np.cumsum([0] + [len(tg.graph.traj_features) for tg in graphs])
+    det_rows = np.cumsum([0] + [len(tg.graph.det_features) for tg in graphs])
+    union = mpn.GraphUnion(
+        np.concatenate([tg.graph.traj_features for tg in graphs]),
+        np.concatenate([tg.graph.det_features for tg in graphs]),
+        np.concatenate([tg.graph.edge_features for tg in graphs]),
+        np.concatenate([tg.graph.edge_traj + t for tg, t in zip(graphs, traj_rows)]),
+        np.concatenate([tg.graph.edge_det + d for tg, d in zip(graphs, det_rows)]),
+    )
+    chains = {int(t) + row: chain for tg, t in zip(graphs, traj_rows)
+              for row, chain in tg.lstm_chains.items()}
+    return mpn._TrainGraph(union, np.concatenate([tg.labels for tg in graphs]), chains)
+
+
+def reference_training_union(samples, model, **kwargs):
+    """mpn.training_union as a loop: build_training_graph of each sample,
+    drawing from the same rng, and join of their graphs. Returns (union or
+    None, the graphs)."""
+    graphs = []
+    for frames, target_frame, window_frames, teacher in samples:
+        tg = mpn.build_training_graph(frames, target_frame, window_frames, model,
+                                      teacher=teacher, **kwargs)
+        if tg is not None:
+            graphs.append(tg)
+    return (join(graphs) if graphs else None), graphs
 
 
 def concatenated_forward(model, graph):

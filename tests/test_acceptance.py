@@ -184,23 +184,31 @@ def test_c04_sparsity(deploy_model):
     start = time.perf_counter()
     scene = generate(preset("crowded", seed=1))
     source = SceneFeatureSource(scene)
-    stats_by_variant = {}
-    for variant in ("none", "iou", "app"):
-        cfg = TrackerConfig(
-            ratio_variant=variant, integration="iou", image_size=scene.config.image_size
+    variants = ("none", "iou", "app")
+    configs = {
+        v: TrackerConfig(ratio_variant=v, integration="iou", image_size=scene.config.image_size)
+        for v in variants
+    }
+    # The association time is the best of three runs' means, so that one
+    # run slowed by another process on the machine does not decide it. The
+    # variants take turns within each repetition, so that a slow spell of
+    # the machine slows all of them alike.
+    assoc_seconds = {v: [] for v in variants}
+    steps = {}
+    for _ in range(3):
+        for variant in variants:
+            _, stats = run_sequence(scene.frames, deploy_model, configs[variant], source)
+            steps[variant] = [s for s in stats if s.n_candidates > 0]
+            assoc_seconds[variant].append(
+                float(np.mean([s.assoc_seconds for s in steps[variant]])))
+    stats_by_variant = {
+        v: (
+            float(np.mean([s.n_candidates for s in steps[v]])),
+            float(np.mean([s.n_edges for s in steps[v]])),
+            min(assoc_seconds[v]),
         )
-        # The association time is the best of three runs' means, so that one
-        # run slowed by another process on the machine does not decide it.
-        assoc_seconds = []
-        for _ in range(3):
-            _, stats = run_sequence(scene.frames, deploy_model, cfg, source)
-            steps = [s for s in stats if s.n_candidates > 0]
-            assoc_seconds.append(float(np.mean([s.assoc_seconds for s in steps])))
-        stats_by_variant[variant] = (
-            float(np.mean([s.n_candidates for s in steps])),
-            float(np.mean([s.n_edges for s in steps])),
-            min(assoc_seconds),
-        )
+        for v in variants
+    }
     removal = {
         v: 1.0 - edges / cand for v, (cand, edges, _) in stats_by_variant.items()
     }

@@ -96,3 +96,26 @@ class TestIouPairs:
         boxes = np.array([[0.0, 0.0, 10.0, 10.0]])
         with pytest.raises(ValueError, match="iou_threshold must be in"):
             kernels.iou_pairs([1], boxes, [1], boxes, threshold)
+
+
+class TestRows:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), n=st.integers(1, 30),
+           d=st.integers(1, 64), pairs=st.integers(0, 200))
+    def test_rows_are_the_matrix_entries_bit_for_bit(self, seed, m, n, d, pairs):
+        # Graph edges compute their distances per edge; the ratio test must
+        # see the bits of the full matrices the tracker used to index.
+        rng = np.random.default_rng(seed)
+        a, b = random_boxes(rng, m), random_boxes(rng, n)
+        fa, fb = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        i, j = rng.integers(0, m, size=pairs), rng.integers(0, n, size=pairs)
+        assert kernels.iou_rows(a[i], b[j]).tobytes() == kernels.iou_matrix(a, b)[i, j].tobytes()
+        assert kernels.feature_dist_rows(fa[i], fb[j]).tobytes() == \
+            kernels.feature_dist_matrix(fa, fb)[i, j].tobytes()
+
+    def test_center_dist_broadcasts_like_the_matrix(self):
+        rng = np.random.default_rng(9)
+        a, b = random_boxes(rng, 7), random_boxes(rng, 5)
+        padded = a[np.arange(7)[:, None].repeat(5, axis=1)]  # (7, 5, 4), a row per column
+        assert kernels.center_dist(padded, b).tobytes() == \
+            kernels.center_dist_matrix(a, b).tobytes()

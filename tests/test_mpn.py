@@ -11,10 +11,12 @@ from hypothesis.extra import numpy as hnp
 from references import (
     concatenated_backward,
     concatenated_forward,
+    join,
     max_overlap,
     reference_integrate,
     reference_teacher_force,
     reference_train_model,
+    reference_training_union,
     window_tracks,
 )
 
@@ -882,19 +884,20 @@ class TestTeacherForcing:
         frames, dim = teacher_scene
         second = {f: dets for f, dets in frames.items() if f > 5}
         walks, teachers = [], {}
-        original_walk, original_graph = mpn.ground_truth_walk, mpn.build_training_graph
+        original_walk, original_union = mpn.ground_truth_walk, mpn.training_union
 
         def counting_walk(frames_, *args, **kwargs):
             walks.append(frames_)
             return original_walk(frames_, *args, **kwargs)
 
-        def recording(frames_, target_frame, *args, teacher=None, **kwargs):
-            assert teacher is not None
-            teachers.setdefault((id(frames_), target_frame), set()).add(id(teacher))
-            return original_graph(frames_, target_frame, *args, teacher=teacher, **kwargs)
+        def recording(samples, *args, **kwargs):
+            for frames_, target_frame, _, teacher in samples:
+                assert teacher is not None
+                teachers.setdefault((id(frames_), target_frame), set()).add(id(teacher))
+            return original_union(samples, *args, **kwargs)
 
         monkeypatch.setattr(mpn, "ground_truth_walk", counting_walk)
-        monkeypatch.setattr(mpn, "build_training_graph", recording)
+        monkeypatch.setattr(mpn, "training_union", recording)
         model = create_model(dim, d_node=8, d_edge=8, seed=7)
         train_model(model, [frames, second], TrainConfig(epochs=3, seed=1), integration="iou")
         assert [id(w) for w in walks] == [id(frames), id(second)]
@@ -927,10 +930,11 @@ class TestTeacherForcing:
 
 
 @st.composite
-def labeled_stream(draw, first_frame=1):
+def labeled_stream(draw, first_frame=1, coarse=False):
     """Frames from first_frame on, each absent, empty or holding detections
     of identities 1-4 (an identity may be detected twice, and identities
-    leave and return) and clutter without gt_id."""
+    leave and return) and clutter without gt_id. Coarse boxes lie on a
+    grid, so that equal distances are common."""
     frames = {}
     for f in range(first_frame, first_frame + draw(st.integers(1, 16))):
         kind = draw(st.sampled_from(["absent", "empty", "detections", "detections", "detections"]))
@@ -938,8 +942,12 @@ def labeled_stream(draw, first_frame=1):
             continue
         dets = []
         for _ in range(0 if kind == "empty" else draw(st.integers(1, 6))):
-            x, y = draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0))
-            w, h = draw(st.floats(5.0, 40.0)), draw(st.floats(10.0, 80.0))
+            if coarse:
+                x, y = draw(st.sampled_from([0.0, 10.0, 20.0])), draw(st.sampled_from([0.0, 10.0]))
+                w, h = 10.0, draw(st.sampled_from([20.0, 40.0]))
+            else:
+                x, y = draw(st.floats(0.0, 200.0)), draw(st.floats(0.0, 100.0))
+                w, h = draw(st.floats(5.0, 40.0)), draw(st.floats(10.0, 80.0))
             feature = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3)))
             dets.append(Detection(f, BoundingBox(x, y, w, h), 0.9,
                                   feature / np.linalg.norm(feature),
@@ -995,12 +1003,13 @@ class TestBatchedTeacherForcing:
         assume(want)
         got = {}
 
-        def recording(frames_, target_frame, window, model, *, teacher=None, **kwargs):
-            got[id(frames_), target_frame] = teacher
-            return None
+        def recording(samples, *args, **kwargs):
+            for frames_, target_frame, _, teacher in samples:
+                got[id(frames_), target_frame] = teacher
+            return None, np.zeros((0, 3), dtype=np.intp)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mpn, "build_training_graph", recording)
+            patch.setattr(mpn, "training_union", recording)
             train_model(create_model(3, d_node=4, d_edge=4), sequences,
                         TrainConfig(epochs=1, frames_per_graph=4, frame_stride=stride),
                         integration=integration)
@@ -1024,19 +1033,65 @@ class TestBatchedTeacherForcing:
             mpn.teacher_force_samples(frames, [(t, window), (t, window)], "average")
 
 
+class TestTrainingUnion:
+    @settings(max_examples=200, deadline=None)
+    @given(frames=st.one_of(labeled_stream(), labeled_stream(coarse=True)),
+           integration=st.sampled_from(["average", "iou", "lstm"]),
+           variant=st.sampled_from(["none", "iou", "app"]), k=st.integers(1, 3),
+           dropout=st.sampled_from([0.0, 0.3, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_join_of_the_per_graph_graphs(self, frames, integration, variant, k,
+                                                     dropout, seed):
+        # Every frame is a target, also an empty one and one without labelled
+        # frames before it; with four identities, k < M is common.
+        numbers = sorted(frames)
+        targets = numbers + [max(numbers, default=0) + 1]
+        samples = [(t, [f for f in numbers if t - 6 <= f < t]) for t in targets]
+        model = create_model(3, d_node=4, d_edge=4, seed=seed % 7)
+        teachers = [None] * len(samples) if integration == "lstm" else \
+            mpn.teacher_force_samples(frames, samples, integration)
+        batch = [(frames, t, window, teacher) for (t, window), teacher in zip(samples, teachers)]
+        kwargs = dict(integration=integration, k_neighbors=k, ratio_variant=variant,
+                      node_dropout=dropout, box_jitter=0.05)
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, sizes = mpn.training_union(batch, model, rng=rng, **kwargs)
+        want, graphs = reference_training_union(batch, model, rng=want_rng, **kwargs)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if want is None:
+            assert got is None and sizes.shape == (0, 3)
+            return
+        for name in ("traj_features", "det_features", "edge_traj", "edge_det", "edge_features"):
+            assert_same_bits(getattr(got.graph, name), getattr(want.graph, name))
+        assert_same_bits(got.labels, want.labels)
+        assert got.lstm_chains.keys() == want.lstm_chains.keys()
+        for row, chain in want.lstm_chains.items():
+            assert_same_chain(got.lstm_chains[row], chain.caches, chain.h_norm, chain.feature)
+        assert sizes.tolist() == [[len(tg.graph.traj_features), len(tg.graph.det_features),
+                                   tg.labels.size] for tg in graphs]
+        # Cut into runs of at most 8 edges, each run is the join of its graphs.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpn, "UNION_EDGES", 8)
+            runs = mpn.split_by_edges(sizes[:, 2].tolist())
+        for run in runs:
+            cut, joined = mpn._cut(got, sizes, run), join([graphs[i] for i in run])
+            for name in ("traj_features", "det_features", "edge_traj", "edge_det",
+                         "edge_features"):
+                assert_same_bits(getattr(cut.graph, name), getattr(joined.graph, name))
+            assert_same_bits(cut.labels, joined.labels)
+            assert cut.lstm_chains.keys() == joined.lstm_chains.keys()
+
+
 def test_training_history_reports_stage_times_and_edges(monkeypatch):
     scene = generate(preset("crossing", seed=101))
     prefix = {f: dets for f, dets in scene.frames.items() if f <= 25}
-    edges = []
-    original = mpn.build_training_graph
+    edges = []  # (edges, positives) per batch
+    original = mpn.training_union
 
     def counting(*args, **kwargs):
-        tg = original(*args, **kwargs)
-        if tg is not None:
-            edges.append((tg.labels.size, int(tg.labels.sum())))
-        return tg
+        union, sizes = original(*args, **kwargs)
+        edges.append((0, 0) if union is None else (union.labels.size, int(union.labels.sum())))
+        return union, sizes
 
-    monkeypatch.setattr(mpn, "build_training_graph", counting)
+    monkeypatch.setattr(mpn, "training_union", counting)
     model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
     history = train_model(model, [prefix], TrainConfig(seed=11, epochs=2), ratio_variant="app")
     per_epoch = len(edges) // 2
@@ -1166,7 +1221,7 @@ class TestUnion:
     @given(case=union_cases())
     def test_gradients_are_the_sum_of_the_graphs(self, case):
         model, graphs, dlogits = case
-        union = mpn.join(graphs)
+        union = join(graphs)
         assert np.array_equal(union.labels, np.concatenate([tg.labels for tg in graphs]))
         got_state, got, got_feats = gradients(model, union, np.concatenate(dlogits))
 
@@ -1207,7 +1262,7 @@ class TestUnion:
             )
             chains = random_chains(model.lstm, rng, [n_traj - 1])
             graphs.append(mpn._TrainGraph(graph, np.ones(n_traj), chains))
-        union = mpn.join(graphs)
+        union = join(graphs)
         assert list(union.lstm_chains) == [2, 3, 8]
         assert [union.lstm_chains[k] for k in (2, 3, 8)] == \
             [tg.lstm_chains[len(tg.labels) - 1] for tg in graphs]
@@ -1216,57 +1271,55 @@ class TestUnion:
         assert len(union.graph.traj_features) == 9 and len(union.graph.det_features) == 7
 
 
-def sized(*edges):
-    """Training graphs that split_by_edges can cut: only their labels."""
-    return [mpn._TrainGraph(None, np.zeros(n), {}) for n in edges]
+def sized(runs, edges):
+    """The edge counts of each run of graph positions."""
+    return [[edges[i] for i in run] for run in runs]
 
 
 class TestSplitByEdges:
     def test_runs_fill_the_budget_greedily_in_order(self):
-        batch = sized(100, 100, 56, 1, 300, 10, 246, 1, 256, 3)
-        runs = mpn.split_by_edges(batch)
-        assert [[tg.labels.size for tg in run] for run in runs] == \
+        edges = [100, 100, 56, 1, 300, 10, 246, 1, 256, 3]
+        runs = mpn.split_by_edges(edges)
+        assert sized(runs, edges) == \
             [[100, 100, 56], [1], [300], [10, 246], [1], [256], [3]]
-        assert [tg for run in runs for tg in run] == batch
+        assert [i for run in runs for i in run] == list(range(len(edges)))
 
     @settings(max_examples=200, deadline=None)
     @given(edges=st.lists(st.integers(1, 600), max_size=12))
     def test_runs_hold_the_budget_or_one_graph(self, edges):
-        runs = mpn.split_by_edges(sized(*edges))
-        assert [tg.labels.size for run in runs for tg in run] == edges
-        sums = [sum(tg.labels.size for tg in run) for run in runs]
+        runs = mpn.split_by_edges(edges)
+        assert [i for run in runs for i in run] == list(range(len(edges)))
+        assert [n for run in sized(runs, edges) for n in run] == edges
+        sums = [sum(run) for run in sized(runs, edges)]
         for run, total in zip(runs, sums):
             assert total <= mpn.UNION_EDGES or len(run) == 1
         # Greedy: no run could have taken the next run's first graph.
         for total, after in zip(sums, runs[1:]):
-            assert total + after[0].labels.size > mpn.UNION_EDGES
+            assert total + edges[after[0]] > mpn.UNION_EDGES
 
     def test_training_runs_one_forward_per_run(self, monkeypatch):
         """train_model cuts each batch with split_by_edges, here under a
         budget of 30 edges, and a larger graph trains alone."""
         scene = generate(preset("crossing", seed=101))
         prefix = {f: dets for f, dets in scene.frames.items() if f <= 25}
-        built, forwards = [], []
-        build, forward = mpn.build_training_graph, mpn.mpn_forward
+        built, forwards = [], []  # edges per graph of each batch; per forward pass
+        build, forward = mpn.training_union, mpn.mpn_forward
 
         def recording_build(*args, **kwargs):
-            tg = build(*args, **kwargs)
-            built.append(None if tg is None else tg.labels.size)
-            return tg
+            union, sizes = build(*args, **kwargs)
+            built.append(sizes[:, 2].tolist())
+            return union, sizes
 
         def recording_forward(model, graph):
             forwards.append(graph.edge_traj.size)
             return forward(model, graph)
 
         monkeypatch.setattr(mpn, "UNION_EDGES", 30)
-        monkeypatch.setattr(mpn, "build_training_graph", recording_build)
+        monkeypatch.setattr(mpn, "training_union", recording_build)
         monkeypatch.setattr(mpn, "mpn_forward", recording_forward)
         model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
         cfg = TrainConfig(seed=11, epochs=2)
         train_model(model, [prefix], cfg, ratio_variant="app")
-        want = []
-        for start in range(0, len(built), cfg.batch_graphs):
-            batch = sized(*(n for n in built[start : start + cfg.batch_graphs] if n is not None))
-            want += [sum(tg.labels.size for tg in run) for run in mpn.split_by_edges(batch)]
+        want = [sum(run) for edges in built for run in sized(mpn.split_by_edges(edges), edges)]
         assert forwards == want
         assert any(n > 30 for n in forwards) and any(n < 30 for n in forwards)
