@@ -50,9 +50,10 @@ class AssocGraph:
     live Trajectories.features, which integration.absorb overwrites after
     the graph is scored: a graph kept past its frame reads other features.
 
-    A disjoint union of several frames' graphs (build_union) has no blocks
-    (trajectories and detections are None) and gives every array, with
-    det_frames.
+    A disjoint union of several frames' graphs (build_union, and training's
+    runs of it) has no blocks: trajectories and detections are None, and it
+    gives the arrays its readers need. The network reads only the node
+    features, the edge features and the edge indices.
     """
 
     trajectories: Trajectories | None

@@ -167,19 +167,6 @@ def _assemble(sizes, rounds, aggregation, rng, step_count: int = 0) -> MpnModel:
     )
 
 
-@dataclass
-class GraphUnion:
-    """The disjoint union of several graphs, as far as the network reads an
-    AssocGraph: encode, propagate, classify_edges and mpn_backward read only
-    these node features, edge features and edge indices."""
-
-    traj_features: np.ndarray
-    det_features: np.ndarray
-    edge_features: np.ndarray
-    edge_traj: np.ndarray
-    edge_det: np.ndarray
-
-
 @dataclass(frozen=True)
 class ScatterPlan:
     """How (k, width) rows of messages sum into (n, width) nodes, row i
@@ -224,7 +211,7 @@ class MpnState:
     and nothing else is kept, so mpn_backward refuses the state.
     """
 
-    graph: AssocGraph | GraphUnion
+    graph: AssocGraph
     node_layers: list[np.ndarray]
     edge_layers: list[np.ndarray]
     caches: bool = True
@@ -249,7 +236,7 @@ def _run(mlp: Mlp, x: np.ndarray, caches: bool):
     return mlp.apply(x), None
 
 
-def encode(model: MpnModel, graph: AssocGraph | GraphUnion, *, caches: bool = True) -> MpnState:
+def encode(model: MpnModel, graph: AssocGraph, *, caches: bool = True) -> MpnState:
     """Layer-0 embeddings from the node and edge encoders."""
     if graph.edge_features is None:
         raise ValueError("graph has no edge features; run init_edge_features first")
@@ -417,7 +404,7 @@ def classify_edges(model: MpnModel, state: MpnState) -> np.ndarray:
     return sigmoid(state.logits)
 
 
-def mpn_forward(model: MpnModel, graph: AssocGraph | GraphUnion) -> tuple[np.ndarray, MpnState]:
+def mpn_forward(model: MpnModel, graph: AssocGraph) -> tuple[np.ndarray, MpnState]:
     """Edge probabilities plus the state mpn_backward needs."""
     state = encode(model, graph)
     propagate(model, state)
@@ -565,7 +552,7 @@ class _LstmChain:
 
 @dataclass
 class _TrainGraph:
-    graph: AssocGraph | GraphUnion
+    graph: AssocGraph
     labels: np.ndarray
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain
 
@@ -605,8 +592,9 @@ def _cut(union: _TrainGraph, sizes: np.ndarray, run: range) -> _TrainGraph:
     t0, d0, e0 = sizes[: run.start].sum(axis=0)
     t1, d1, e1 = sizes[: run.stop].sum(axis=0)
     g = union.graph
-    graph = GraphUnion(g.traj_features[t0:t1], g.det_features[d0:d1], g.edge_features[e0:e1],
-                       g.edge_traj[e0:e1] - t0, g.edge_det[e0:e1] - d0)
+    graph = AssocGraph(None, None, g.traj_boxes[t0:t1], g.edge_traj[e0:e1] - t0,
+                       g.edge_det[e0:e1] - d0, edge_features=g.edge_features[e0:e1],
+                       traj_features=g.traj_features[t0:t1], det_features=g.det_features[d0:d1])
     chains = {row - t0: chain for row, chain in union.lstm_chains.items() if t0 <= row < t1}
     return _TrainGraph(graph, union.labels[e0:e1], chains)
 

@@ -61,7 +61,7 @@ from graphmot.core import (
     frame_overlaps,
     iou,
 )
-from graphmot.graph import _check_alpha, build_graph
+from graphmot.graph import AssocGraph, _check_alpha, build_graph
 from graphmot.metrics import ClearMotResult, FrameDetail, RatioAnalysisReport
 from graphmot.motio import TrackRow, _parse_track_line, read_features
 from graphmot.motion import (
@@ -829,12 +829,15 @@ def join(graphs):
     in one pass."""
     traj_rows = np.cumsum([0] + [len(tg.graph.traj_features) for tg in graphs])
     det_rows = np.cumsum([0] + [len(tg.graph.det_features) for tg in graphs])
-    union = mpn.GraphUnion(
-        np.concatenate([tg.graph.traj_features for tg in graphs]),
-        np.concatenate([tg.graph.det_features for tg in graphs]),
-        np.concatenate([tg.graph.edge_features for tg in graphs]),
+    union = AssocGraph(
+        None,
+        None,
+        np.concatenate([tg.graph.traj_boxes for tg in graphs]),
         np.concatenate([tg.graph.edge_traj + t for tg, t in zip(graphs, traj_rows)]),
         np.concatenate([tg.graph.edge_det + d for tg, d in zip(graphs, det_rows)]),
+        edge_features=np.concatenate([tg.graph.edge_features for tg in graphs]),
+        traj_features=np.concatenate([tg.graph.traj_features for tg in graphs]),
+        det_features=np.concatenate([tg.graph.det_features for tg in graphs]),
     )
     chains = {int(t) + row: chain for tg, t in zip(graphs, traj_rows)
               for row, chain in tg.lstm_chains.items()}
@@ -856,7 +859,7 @@ def reference_training_union(samples, model, **kwargs):
 
 def concatenated_forward(model, graph):
     """(probabilities, caches) of the training forward pass on the
-    concatenated MLP inputs; graph is an AssocGraph or a GraphUnion."""
+    concatenated MLP inputs, on an AssocGraph or a union of them."""
     ti, dj = graph.edge_traj, graph.edge_det
     t, t_cache = model.node_encoder.forward(graph.traj_features)
     d, d_cache = model.node_encoder.forward(graph.det_features)

@@ -475,10 +475,12 @@ class TestGradients:
 
 def grad_check_graph(rng, dim, edges):
     """A graph of four trajectories and five detections with the given
-    (trajectory, detection) edges, as GraphUnion arrays."""
+    (trajectory, detection) edges, as the arrays of a graph without blocks."""
     ti, dj = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-    return mpn.GraphUnion(rng.normal(size=(4, dim)), rng.normal(size=(5, dim)),
-                          rng.normal(size=(len(edges), 6)), ti, dj)
+    traj_features, det_features = rng.normal(size=(4, dim)), rng.normal(size=(5, dim))
+    return AssocGraph(None, None, np.zeros((4, 4)), ti, dj,
+                      edge_features=rng.normal(size=(len(edges), 6)),
+                      traj_features=traj_features, det_features=det_features)
 
 
 class TestProjectedBackward:
