@@ -10,11 +10,11 @@ Trajectories with a single candidate, or with an indecisive margin, keep
 all their edges. Distances come in two flavors: "iou" (1 - IoU against the
 trajectory's motion-predicted box) and "app" (appearance feature distance).
 
-Every stage reads columns: the trajectories as a core.Trajectories block and
-the detections as a core.Detections block. The tracker builds one frame's
-graph (build_graph); training builds a batch's graphs as one disjoint union
-in one pass (build_union), with the same candidate rule (nearest_rows), the
-same per-edge ratio test and the same edge features.
+The tracker builds one frame's graph from the columns of a core.Trajectories
+and a core.Detections block (build_graph); training builds a batch's graphs
+as one disjoint union in one pass (build_union), with the same candidate
+rule (nearest_rows), the same per-edge ratio test and the same edge
+features. Every stage after the candidates reads the graph's arrays.
 """
 
 from __future__ import annotations
@@ -33,31 +33,26 @@ EDGE_FEATURE_DIM = 6
 
 @dataclass
 class AssocGraph:
-    """Bipartite trajectory/detection graph with per-edge data.
+    """Bipartite trajectory/detection graph with per-edge data, as arrays.
 
-    trajectories (M rows) and detections (N rows) are column blocks.
-    edge_traj / edge_det are parallel index arrays into their rows.
-    traj_boxes are the (M, 4) xywh boxes used for all geometry (the
-    tracker passes motion-predicted boxes; lost targets are represented
-    by their forecast position, not the stale last observation).
-    traj_features (M, d), det_features (N, d), det_boxes (N, 4) and
-    last_seen (M,) are the blocks' columns unless given, for the
-    distances, the edge features and the network's node encoder; the
-    edges' frame gaps are counted from detections.frame, or from the
-    detections' own det_frames (N,) when given.
+    edge_traj / edge_det are parallel index arrays into the M trajectory
+    and N detection rows. traj_boxes are the (M, 4) xywh boxes used for all
+    geometry (the tracker passes motion-predicted boxes; lost targets are
+    represented by their forecast position, not the stale last
+    observation). traj_features (M, d), det_features (N, d), det_boxes
+    (N, 4), last_seen (M,) and det_frames (N,) feed the distances, the
+    edge features (whose frame gaps are det_frames minus last_seen) and the
+    network's node encoder, which reads only the node features, the edge
+    features and the edge indices. One frame's graph (build_graph, of) and
+    a disjoint union of several frames' graphs (build_union) hold the same
+    arrays.
 
-    These are the blocks' arrays, not copies. The tracker's graph reads its
-    live Trajectories.features, which integration.absorb overwrites after
-    the graph is scored: a graph kept past its frame reads other features.
-
-    A disjoint union of several frames' graphs (build_union, and training's
-    runs of it) has no blocks: trajectories and detections are None, and it
-    gives the arrays its readers need. The network reads only the node
-    features, the edge features and the edge indices.
+    A graph of column blocks (of) holds the blocks' arrays, not copies. The
+    tracker's graph reads its live Trajectories.features, which
+    integration.absorb overwrites after the graph is scored: a graph kept
+    past its frame reads other features.
     """
 
-    trajectories: Trajectories | None
-    detections: Detections | None
     traj_boxes: np.ndarray
     edge_traj: np.ndarray
     edge_det: np.ndarray
@@ -70,17 +65,15 @@ class AssocGraph:
     last_seen: np.ndarray | None = None
     det_frames: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.trajectories is not None:
-            if self.traj_features is None:
-                self.traj_features = self.trajectories.features
-            if self.last_seen is None:
-                self.last_seen = self.trajectories.last_seen
-        if self.detections is not None:
-            if self.det_features is None:
-                self.det_features = self.detections.features
-            if self.det_boxes is None:
-                self.det_boxes = self.detections.boxes
+    @classmethod
+    def of(cls, trajectories: Trajectories, detections: Detections, traj_boxes, edge_traj,
+           edge_det, **kw) -> "AssocGraph":
+        """The graph of a Trajectories and a Detections block: their columns,
+        and the detections' frame as every detection's det_frames."""
+        return cls(traj_boxes, edge_traj, edge_det, traj_features=trajectories.features,
+                   det_features=detections.features, det_boxes=detections.boxes,
+                   last_seen=trajectories.last_seen,
+                   det_frames=np.full(len(detections), detections.frame, dtype=np.int64), **kw)
 
     @property
     def n_edges(self) -> int:
@@ -225,8 +218,7 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
     tcx, tcy = tb[:, 0] + 0.5 * tb[:, 2], tb[:, 1] + 0.5 * tb[:, 3]
     dcx, dcy = db[:, 0] + 0.5 * db[:, 2], db[:, 1] + 0.5 * db[:, 3]
     h_sum = tb[:, 3] + db[:, 3]
-    frames = graph.detections.frame if graph.det_frames is None else graph.det_frames[ed]
-    gaps = (frames - graph.last_seen[et]).astype(np.float64)
+    gaps = (graph.det_frames[ed] - graph.last_seen[et]).astype(np.float64)
     if np.any(gaps < 1):
         raise ValueError("edge with non-positive frame gap; frames out of order?")
     app = np.linalg.norm(graph.traj_features[et] - graph.det_features[ed], axis=1)
@@ -277,14 +269,8 @@ def build_graph(
     edge_traj, edge_det, traj_boxes = candidate_edges(
         trajectories, detections, k_neighbors, traj_boxes
     )
-    graph = AssocGraph(
-        trajectories,
-        detections,
-        traj_boxes,
-        edge_traj,
-        edge_det,
-        n_candidates=int(edge_traj.size),
-    )
+    graph = AssocGraph.of(trajectories, detections, traj_boxes, edge_traj, edge_det,
+                          n_candidates=int(edge_traj.size))
     return _filter_and_encode(graph, ratio_variant, alpha, fps)
 
 
@@ -329,7 +315,7 @@ def build_union(
     local, edge_det = nearest_rows(dist, k_neighbors, heights)
     edge_traj = first[edge_det] + local
     graph = AssocGraph(
-        None, None, traj_boxes, edge_traj, edge_det, n_candidates=int(edge_traj.size),
+        traj_boxes, edge_traj, edge_det, n_candidates=int(edge_traj.size),
         traj_features=traj_features, det_features=det_features, det_boxes=det_boxes,
         last_seen=last_seen, det_frames=det_frames,
     )

@@ -225,7 +225,7 @@ def ratio_analysis(
             edge_traj, edge_det, boxes = candidate_edges(
                 trajectories, detections, k_neighbors, boxes_from_means(trajectories.means)
             )
-            graph = AssocGraph(trajectories, detections, boxes, edge_traj, edge_det)
+            graph = AssocGraph.of(trajectories, detections, boxes, edge_traj, edge_det)
             dist = edge_distances(graph, variant)
             order, _, best = candidate_runs(edge_traj, dist)
             dist = dist[order]

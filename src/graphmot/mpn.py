@@ -20,8 +20,8 @@ pass layer by layer; training minimizes a positive-weighted binary
 cross-entropy over edges with teacher-forced trajectory features. A batch's
 graphs are small, so training builds each batch's graphs as one disjoint
 union in one pass (training_union, graph.build_union) and runs one forward
-and one backward per run of at most UNION_EDGES (256) of its edges
-(split_by_edges) instead of per graph.
+and one backward on the union, so a step's memory is set by
+TrainConfig.batch_graphs.
 """
 
 from __future__ import annotations
@@ -513,6 +513,11 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    # A batch's graphs train as one union in one forward and backward pass, so
+    # batch_graphs sets a step's memory. With the benchmark's recipe one
+    # train_model call's tracemalloc peak is 3.8 MB on `crossing` (at most 204
+    # edges per batch) and 16.7 MB on `crowded` (median 1,032, at most 1,299
+    # edges per batch), the same for 2 and 6 epochs.
     batch_graphs: int = 8
     frames_per_graph: int = 15
     epochs: int = 25
@@ -527,9 +532,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("batch_graphs", 1), ("frames_per_graph", 2), ("frame_stride", 1),
-                            ("epochs", 0), ("lr_decay_every", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+                            ("epochs", 0), ("lr_decay_every", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_count(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("lr", "lr_decay_factor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -555,48 +561,6 @@ class _TrainGraph:
     graph: AssocGraph
     labels: np.ndarray
     lstm_chains: dict[int, _LstmChain]  # trajectory row -> chain
-
-
-# A batch's training graphs are built as one disjoint union (training_union)
-# and run forward and backward as unions of at most this many edges, cut in
-# graph order (split_by_edges); a graph with more runs alone. With the
-# benchmark's training recipe, `crossing` batches (8 graphs of about 18
-# edges) stay whole, and one train_model call's tracemalloc peak is 4.0 MB.
-# On `crowded` (about 141 edges per graph) it is 4.3 MB; unbounded unions
-# raise it to 17 MB and train at 0.038-0.040 against 0.042-0.043 s per epoch
-# (in-process medians of five runs, one BLAS thread, x86-64). The bound
-# holds until the benchmark's peak RSS is measured with larger unions.
-UNION_EDGES = 256
-
-
-def split_by_edges(edges) -> list[range]:
-    """The positions of graphs with the given edge counts, in order, cut
-    greedily into runs of at most UNION_EDGES edges; a graph with more
-    edges than that is a run of its own."""
-    starts: list[int] = []
-    total = 0
-    for i, n in enumerate(edges):
-        if not starts or total + n > UNION_EDGES:
-            starts.append(i)
-            total = 0
-        total += n
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [len(edges)])]
-
-
-def _cut(union: _TrainGraph, sizes: np.ndarray, run: range) -> _TrainGraph:
-    """The training graph of the graphs in run of a training_union with
-    the given sizes: node and edge rows sliced, each edge's node indices
-    and the LSTM chains' rows moved to the slices."""
-    if len(run) == len(sizes):
-        return union
-    t0, d0, e0 = sizes[: run.start].sum(axis=0)
-    t1, d1, e1 = sizes[: run.stop].sum(axis=0)
-    g = union.graph
-    graph = AssocGraph(None, None, g.traj_boxes[t0:t1], g.edge_traj[e0:e1] - t0,
-                       g.edge_det[e0:e1] - d0, edge_features=g.edge_features[e0:e1],
-                       traj_features=g.traj_features[t0:t1], det_features=g.det_features[d0:d1])
-    chains = {row - t0: chain for row, chain in union.lstm_chains.items() if t0 <= row < t1}
-    return _TrainGraph(graph, union.labels[e0:e1], chains)
 
 
 @dataclass
@@ -864,13 +828,17 @@ class _Sample:
 
 def _draw_sample(frames, target_frame, window_frames, model, teacher, integration,
                  rng, node_dropout, box_jitter) -> _Sample | None:
-    """A sample's augmentation draws (build_training_graph), then its
-    teacher-forced rows; None when no detection or no identity is kept."""
+    """A sample's augmentation draws (build_training_graph) and its
+    teacher-forced rows; None when no detection or no identity is kept.
+    Without a teacher the sample is teacher-forced first, which draws
+    nothing from rng."""
     if teacher is not None and integration == "lstm":
         raise ValueError("lstm integration cannot reuse teacher-forced features")
+    if teacher is None:
+        sample = [(target_frame, window_frames)]
+        (teacher,) = teacher_force_samples(frames, sample, integration, model.lstm)
     detections = frames.get(target_frame) or Detections.of([], target_frame)
-    identities = _first_seen(frames, target_frame, window_frames) if teacher is None \
-        else teacher.identities
+    identities = teacher.identities
     rows = np.arange(len(detections))
     if rng is not None and node_dropout > 0.0:
         rows = rows[rng.random(rows.size) >= node_dropout]
@@ -881,18 +849,14 @@ def _draw_sample(frames, target_frame, window_frames, model, teacher, integratio
         boxes[:, :2] += rng.normal(0.0, box_jitter * boxes[:, 3:4], size=(rows.size, 2))
     if not rows.size or not identities:
         return None
-    if teacher is None:
-        sample = [(target_frame, window_frames)]
-        (teacher,) = teacher_force_samples(frames, sample, integration, model.lstm)
     traj_rows, chains = teacher.select(identities)
     return _Sample(teacher, traj_rows, chains, detections, rows, boxes)
 
 
-def _union(parts: list[_Sample], graph_kw) -> tuple[_TrainGraph, np.ndarray]:
-    """(training graph, sizes) of the samples' graphs, built as one disjoint
+def _union(parts: list[_Sample], graph_kw) -> _TrainGraph:
+    """The training graph of the samples' graphs, built as one disjoint
     union (graph.build_union), with edge labels and the chains keyed by
-    union row; sizes (G, 3) counts each graph's trajectories, detections
-    and edges."""
+    union row."""
     traj_counts = np.array([p.traj_rows.size for p in parts])
     det_counts = np.array([p.det_rows.size for p in parts])
 
@@ -921,9 +885,7 @@ def _union(parts: list[_Sample], graph_kw) -> tuple[_TrainGraph, np.ndarray]:
     labels = (has_id[ed] & (det_ids[ed] == traj("ids")[et])).astype(np.float64)
     first = np.cumsum(traj_counts) - traj_counts
     chains = {int(t) + row: chain for p, t in zip(parts, first) for row, chain in p.chains.items()}
-    det_graph = np.repeat(np.arange(len(parts)), det_counts)
-    edges = np.bincount(det_graph[graph.edge_det], minlength=len(parts))
-    return _TrainGraph(graph, labels, chains), np.column_stack([traj_counts, det_counts, edges])
+    return _TrainGraph(graph, labels, chains)
 
 
 def training_union(
@@ -935,7 +897,7 @@ def training_union(
     node_dropout: float = 0.0,
     box_jitter: float = 0.0,
     **graph_kw,
-) -> tuple[_TrainGraph | None, np.ndarray]:
+) -> _TrainGraph | None:
     """A batch's training graphs as one disjoint union, built in one pass.
 
     samples are (frames, target frame, window frames, teacher) tuples, each
@@ -945,8 +907,7 @@ def training_union(
     detection or identity has no graph. The graphs' candidate edges, ratio
     test, edge features and labels are then built for all of them at once,
     and the union holds their rows and edges in sample order, with the bits
-    of a join of build_training_graph's graphs. Returns (union, sizes) as
-    _union does, (None, no sizes) without graphs.
+    of a join of build_training_graph's graphs; None without graphs.
     """
     parts = []
     for frames, target_frame, window_frames, teacher in samples:
@@ -954,9 +915,7 @@ def training_union(
                             rng, node_dropout, box_jitter)
         if part is not None:
             parts.append(part)
-    if not parts:
-        return None, np.zeros((0, 3), dtype=np.intp)
-    return _union(parts, graph_kw)
+    return _union(parts, graph_kw) if parts else None
 
 
 def build_training_graph(
@@ -990,23 +949,12 @@ def build_training_graph(
     teacher-forced here. "lstm" features depend on the weights being
     trained, so that mode takes none.
 
-    This is training_union of the one sample; its graph also holds the
-    sample's trajectories and detections blocks.
+    This is training_union of the one sample.
     """
-    part = _draw_sample(frames, target_frame, window_frames, model, teacher, integration,
-                        rng, node_dropout, box_jitter)
-    if part is None:
-        return None
-    tg, _ = _union([part], dict(k_neighbors=k_neighbors, ratio_variant=ratio_variant,
-                                alpha=alpha, fps=fps))
-    detections, rows = part.detections, part.det_rows
-    gt_ids = detections.gt_ids
-    tg.graph.trajectories = part.teacher.trajectories.take(part.traj_rows)
-    tg.graph.detections = Detections.trusted(
-        target_frame, part.det_boxes, detections.confidences[rows], tg.graph.det_features,
-        None if gt_ids is None else [gt_ids[j] for j in rows.tolist()],
-    )
-    return tg
+    return training_union([(frames, target_frame, window_frames, teacher)], model,
+                          integration=integration, rng=rng, node_dropout=node_dropout,
+                          box_jitter=box_jitter, k_neighbors=k_neighbors,
+                          ratio_variant=ratio_variant, alpha=alpha, fps=fps)
 
 
 def _backprop_lstm_chains(model, chains, d_traj_feats, grads_flat):
@@ -1067,15 +1015,14 @@ def _training_samples(sequences: list[dict[int, Detections]], cfg: TrainConfig, 
     return samples, teachers, teacher_force_s
 
 
-def _positive_weight(labels: list[np.ndarray], cfg: TrainConfig) -> float:
+def _positive_weight(labels: np.ndarray, cfg: TrainConfig) -> float:
     """The BCE weight of a batch's positive edges: cfg.pos_weight, or the
     batch's negative/positive ratio (1 without positives or negatives)."""
-    total_edges = sum(y.size for y in labels)
-    positives = sum(int(y.sum()) for y in labels)
+    positives = int(labels.sum())
     if cfg.pos_weight is not None:
         return cfg.pos_weight
-    if 0 < positives < total_edges:
-        return (total_edges - positives) / positives
+    if 0 < positives < labels.size:
+        return (labels.size - positives) / positives
     return 1.0
 
 
@@ -1098,10 +1045,10 @@ def train_model(
     teacher_force_samples walk. Batches average the weighted BCE over all
     edges; the positive weight defaults to the batch's negative/positive
     ratio. A batch's graphs are built as one disjoint union in one pass
-    (training_union), then run forward and backward as unions of at most
-    UNION_EDGES edges (split_by_edges), one pass per union. Each graph's
-    edges score as in a pass of its own, to rounding; the weight gradients
-    sum the union's edges in one product.
+    (training_union), which runs one forward and one backward pass, so
+    cfg.batch_graphs sets a step's memory. Each graph's edges score as in a
+    pass of its own, to rounding; the weight gradients sum the union's
+    edges in one product.
 
     A row holds the epoch, learning rate, mean batch loss and edge
     accuracy, the seconds spent teacher-forcing (on the first epoch; 0
@@ -1129,39 +1076,31 @@ def train_model(
             for oi in order[start : start + cfg.batch_graphs]:
                 si, t, window = samples[oi]
                 batch.append((sequences[si], t, window, teachers[oi]))
-            union, sizes = training_union(
+            union = training_union(
                 batch, model, integration=integration, rng=rng, node_dropout=cfg.node_dropout,
                 box_jitter=cfg.box_jitter, k_neighbors=k_neighbors,
                 ratio_variant=ratio_variant, alpha=alpha, fps=fps,
             )
-            unions = [_cut(union, sizes, run) for run in split_by_edges(sizes[:, 2].tolist())]
             spans["graph_s"] += time.perf_counter() - t0
-            if not unions:
+            if union is None:
                 continue
-            total_edges = union.labels.size
-            omega = _positive_weight([union.labels], cfg)
-            grads_total = model.zero_grads()
-            batch_loss = 0.0
-            for tg in unions:
-                t0 = time.perf_counter()
-                probs, state = mpn_forward(model, tg.graph)
-                edge_losses, dp = weighted_bce(probs, tg.labels, omega)
-                t1 = time.perf_counter()
-                dlogits = dp * probs * (1.0 - probs) / total_edges
-                flat, d_traj_feats = mpn_backward(model, state, dlogits)
-                _backprop_lstm_chains(model, tg.lstm_chains, d_traj_feats, flat)
-                for g_total, g in zip(grads_total, flat):
-                    g_total += g
-                spans["forward_s"] += t1 - t0
-                spans["backward_s"] += time.perf_counter() - t1
-                batch_loss += float(edge_losses.sum())
-                correct += int(((probs >= 0.5) == (tg.labels > 0.5)).sum())
-                seen += tg.labels.size
-                positive_edges += int(tg.labels.sum())
+            labels = union.labels
             t0 = time.perf_counter()
-            optimizer.step(grads_total, lr)
-            spans["optimizer_s"] += time.perf_counter() - t0
-            losses.append(batch_loss / total_edges)
+            probs, state = mpn_forward(model, union.graph)
+            edge_losses, dp = weighted_bce(probs, labels, _positive_weight(labels, cfg))
+            t1 = time.perf_counter()
+            dlogits = dp * probs * (1.0 - probs) / labels.size
+            grads, d_traj_feats = mpn_backward(model, state, dlogits)
+            _backprop_lstm_chains(model, union.lstm_chains, d_traj_feats, grads)
+            t2 = time.perf_counter()
+            optimizer.step(grads, lr)
+            spans["forward_s"] += t1 - t0
+            spans["backward_s"] += t2 - t1
+            spans["optimizer_s"] += time.perf_counter() - t2
+            losses.append(float(edge_losses.sum()) / labels.size)
+            correct += int(((probs >= 0.5) == (labels > 0.5)).sum())
+            seen += labels.size
+            positive_edges += int(labels.sum())
         model.step_count = optimizer.step_count
         history.append(
             {

@@ -800,7 +800,7 @@ def reference_train_model(model, sequences, cfg, *, integration="average", **gra
             if not batch:
                 continue
             total_edges = sum(tg.labels.size for tg in batch)
-            omega = mpn._positive_weight([tg.labels for tg in batch], cfg)
+            omega = mpn._positive_weight(np.concatenate([tg.labels for tg in batch]), cfg)
             grads_total = model.zero_grads()
             batch_loss = 0.0
             for tg in batch:
@@ -830,8 +830,6 @@ def join(graphs):
     traj_rows = np.cumsum([0] + [len(tg.graph.traj_features) for tg in graphs])
     det_rows = np.cumsum([0] + [len(tg.graph.det_features) for tg in graphs])
     union = AssocGraph(
-        None,
-        None,
         np.concatenate([tg.graph.traj_boxes for tg in graphs]),
         np.concatenate([tg.graph.edge_traj + t for tg, t in zip(graphs, traj_rows)]),
         np.concatenate([tg.graph.edge_det + d for tg, d in zip(graphs, det_rows)]),

@@ -111,7 +111,7 @@ def test_c01_gradient_integrity():
     graph = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=20,
                         ratio_variant="none")
     labels = np.array(
-        [1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
+        [1.0 if dets[j].gt_id == trajs[i].id else 0.0
          for i, j in zip(graph.edge_traj, graph.edge_det)]
     )
 

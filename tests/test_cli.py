@@ -323,7 +323,9 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("train", [{"lr_decay_every": 0}, {"batch_graphs": 0},
-                                       {"node_dropout": 1.5}, {"lr": -1}])
+                                       {"node_dropout": 1.5}, {"lr": -1},
+                                       {"frames_per_graph": 2.5}, {"batch_graphs": True},
+                                       {"epochs": 1.5}])
     def test_bad_train_value_exits_one(self, tmp_path, small_scene_dir, capsys, train):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train": train}))

@@ -116,8 +116,8 @@ def graph_with_distances(edges, dists, n_traj, n_det):
     et = np.array([e[0] for e in edges], dtype=np.intp)
     ed = np.array([e[1] for e in edges], dtype=np.intp)
     boxes = np.array([t.last_box.as_xywh() for t in trajs])
-    return AssocGraph(Trajectories.of(trajs), Detections.of(dets), boxes, et, ed,
-                      edge_dist=np.asarray(dists, float), n_candidates=len(edges))
+    return AssocGraph.of(Trajectories.of(trajs), Detections.of(dets), boxes, et, ed,
+                         edge_dist=np.asarray(dists, float), n_candidates=len(edges))
 
 
 class TestRatioFilter:
@@ -180,7 +180,7 @@ class TestEdgeFeatures:
         trajs = Trajectories.of([make_traj(1, b, f, last_seen=1)])
         dets = Detections.of([make_det(b, f, frame=2)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
-        g = AssocGraph(trajs, dets, boxes, et, ed, n_candidates=1)
+        g = AssocGraph.of(trajs, dets, boxes, et, ed, n_candidates=1)
         g = init_edge_features(g, fps=30.0)
         assert np.allclose(g.edge_features[0], [0, 0, 0, 0, 1 / 30, 0], atol=1e-12)
 
@@ -190,7 +190,7 @@ class TestEdgeFeatures:
         trajs = Trajectories.of([make_traj(1, b_t, unit_vec(4, 0))])
         dets = Detections.of([make_det(b_d, unit_vec(4, 0), frame=2)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
-        g = init_edge_features(AssocGraph(trajs, dets, boxes, et, ed), fps=30.0)
+        g = init_edge_features(AssocGraph.of(trajs, dets, boxes, et, ed), fps=30.0)
         assert g.edge_features[0][1] == pytest.approx(1.0)
         assert g.edge_features[0][0] == pytest.approx(0.0)
 
@@ -228,7 +228,7 @@ class TestEdgeFeatures:
         dets = Detections.of([make_det(b, unit_vec(4, 0), frame=5)])
         et, ed, boxes = candidate_edges(trajs, dets, 5)
         with pytest.raises(ValueError):
-            init_edge_features(AssocGraph(trajs, dets, boxes, et, ed), fps=30.0)
+            init_edge_features(AssocGraph.of(trajs, dets, boxes, et, ed), fps=30.0)
 
 
 class TestBuildGraph:

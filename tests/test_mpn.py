@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -64,7 +66,9 @@ def make_det(box, feature, frame=2, conf=0.9, gt_id=None):
     return Detection(frame, box, conf, np.asarray(feature, float), gt_id)
 
 
-def grid_graph(n_traj, n_det, dim=6, seed=0, spread=120.0, **build_kw):
+def grid_blocks(n_traj, n_det, dim=6, seed=0, spread=120.0):
+    """(trajectories, detections) of a row of targets: trajectory row i has
+    id i + 1 and detection j gt_id j + 1."""
     rng = np.random.default_rng(seed)
     trajs, dets = [], []
     for i in range(n_traj):
@@ -75,9 +79,14 @@ def grid_graph(n_traj, n_det, dim=6, seed=0, spread=120.0, **build_kw):
         f = rng.normal(size=dim)
         b = BoundingBox(spread * j + rng.uniform(-4, 4), 82.0, 28, 56)
         dets.append(make_det(b, f / np.linalg.norm(f), gt_id=j + 1))
+    return Trajectories.of(trajs), Detections.of(dets)
+
+
+def grid_graph(n_traj, n_det, dim=6, seed=0, spread=120.0, **build_kw):
+    """build_graph of grid_blocks; an edge is true when edge_traj == edge_det."""
     build_kw.setdefault("k_neighbors", 20)
     build_kw.setdefault("ratio_variant", "none")
-    return build_graph(Trajectories.of(trajs), Detections.of(dets), **build_kw)
+    return build_graph(*grid_blocks(n_traj, n_det, dim, seed, spread), **build_kw)
 
 
 def tiny_linear_model(d_feat=2, rounds=1):
@@ -105,9 +114,9 @@ def tiny_linear_model(d_feat=2, rounds=1):
 class TestEncode:
     def test_identity_encoders_pass_through(self):
         model = tiny_linear_model()
-        g = grid_graph(2, 2, dim=2)
-        state = encode(model, g)
-        feats = np.array([t.integrated_feature for t in g.trajectories])
+        trajs, dets = grid_blocks(2, 2, dim=2)
+        state = encode(model, build_graph(trajs, dets, k_neighbors=20))
+        feats = np.array([t.integrated_feature for t in trajs])
         assert np.allclose(traj_rows(state, 0), feats)
 
     def test_identical_detections_identical_embeddings(self):
@@ -270,14 +279,13 @@ def draw_graph(draw, rng, dim, max_edges):
     duplicate edges."""
     n_traj, n_det = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     n_edges = draw(st.integers(0, max_edges))
-    trajs = [make_traj(i + 1, BoundingBox(0, 0, 10, 20), f)
-             for i, f in enumerate(rng.normal(size=(n_traj, dim)))]
-    dets = [Detection(2, BoundingBox(0, 0, 10, 20), 0.9, unit_vec(dim, 0))] * n_det
+    traj_features = rng.normal(size=(n_traj, dim))
     return AssocGraph(
-        Trajectories.of(trajs), Detections.of(dets), np.zeros((n_traj, 4)),
+        np.zeros((n_traj, 4)),
         rng.integers(0, max(1, n_traj // draw(st.integers(1, 4))), n_edges),
         rng.integers(0, n_det, n_edges),
         edge_features=rng.normal(size=(n_edges, 6)),
+        traj_features=traj_features,
         det_features=rng.normal(size=(n_det, dim)),
     )
 
@@ -304,7 +312,7 @@ def reference_mlp(mlp, x):
 def reference_logits(model, graph):
     """The forward pass with concatenated MLP inputs and np.add.at sums."""
     ti, dj = graph.edge_traj, graph.edge_det
-    t = reference_mlp(model.node_encoder, np.array([x.integrated_feature for x in graph.trajectories]))
+    t = reference_mlp(model.node_encoder, graph.traj_features)
     d = reference_mlp(model.node_encoder, graph.det_features)
     h = reference_mlp(model.edge_encoder, graph.edge_features)
     t_counts = np.bincount(ti, minlength=len(t))
@@ -384,28 +392,25 @@ class TestClassify:
         probs, _ = mpn_forward(model, g)
         rng = np.random.default_rng(0)
         perm = rng.permutation(g.n_edges)
-        shuffled = AssocGraph(
-            g.trajectories, g.detections, g.traj_boxes,
-            g.edge_traj[perm], g.edge_det[perm],
-            edge_features=g.edge_features[perm], n_candidates=g.n_candidates,
-        )
+        shuffled = dataclasses.replace(g, edge_traj=g.edge_traj[perm], edge_det=g.edge_det[perm],
+                                       edge_features=g.edge_features[perm])
         probs_shuffled, _ = mpn_forward(model, shuffled)
         assert np.allclose(probs_shuffled, probs[perm], atol=1e-10)
 
     def test_node_relabeling_equivariance(self):
         model = create_model(6, rounds=3, seed=9)
-        g = grid_graph(4, 4)
+        trajs, dets = grid_blocks(4, 4)
+        g = build_graph(trajs, dets, k_neighbors=20, ratio_variant="none")
         probs, _ = mpn_forward(model, g)
-        scores = {(g.trajectories[i].id, g.detections[j].gt_id): p
+        scores = {(trajs[i].id, dets[j].gt_id): p
                   for i, j, p in zip(g.edge_traj, g.edge_det, probs)}
         pt = [2, 0, 3, 1]
         pd = [1, 3, 0, 2]
-        trajs2 = [g.trajectories[i] for i in pt]
-        dets2 = [g.detections[j] for j in pd]
-        g2 = build_graph(Trajectories.of(trajs2), Detections.of(dets2), k_neighbors=20,
-                         ratio_variant="none")
+        trajs2 = Trajectories.of([trajs[i] for i in pt])
+        dets2 = Detections.of([dets[j] for j in pd])
+        g2 = build_graph(trajs2, dets2, k_neighbors=20, ratio_variant="none")
         probs2, _ = mpn_forward(model, g2)
-        scores2 = {(g2.trajectories[i].id, g2.detections[j].gt_id): p
+        scores2 = {(trajs2[i].id, dets2[j].gt_id): p
                    for i, j, p in zip(g2.edge_traj, g2.edge_det, probs2)}
         assert scores.keys() == scores2.keys()
         for key in scores:
@@ -430,10 +435,7 @@ class TestGradients:
     def test_full_loss_matches_finite_differences(self):
         model = create_model(6, d_node=8, d_edge=8, rounds=4, seed=12)
         g = grid_graph(3, 3, dim=6, seed=13)
-        labels = np.array(
-            [1.0 if g.detections[j].gt_id == g.trajectories[i].id else 0.0
-             for i, j in zip(g.edge_traj, g.edge_det)]
-        )
+        labels = (g.edge_traj == g.edge_det).astype(np.float64)
         omega = 2.0
 
         def loss():
@@ -458,7 +460,7 @@ class TestGradients:
         ]
         g = build_graph(Trajectories.of(trajs), Detections.of(dets), k_neighbors=5,
                         ratio_variant="app", alpha=0.3)
-        assert g.n_edges == 1 and len(g.detections) == 2
+        assert g.n_edges == 1 and len(g.det_features) == 2
         labels = np.array([1.0])
 
         def loss():
@@ -478,7 +480,7 @@ def grad_check_graph(rng, dim, edges):
     (trajectory, detection) edges, as the arrays of a graph without blocks."""
     ti, dj = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     traj_features, det_features = rng.normal(size=(4, dim)), rng.normal(size=(5, dim))
-    return AssocGraph(None, None, np.zeros((4, 4)), ti, dj,
+    return AssocGraph(np.zeros((4, 4)), ti, dj,
                       edge_features=rng.normal(size=(len(edges), 6)),
                       traj_features=traj_features, det_features=det_features)
 
@@ -565,7 +567,7 @@ class TestTraining:
                 continue
             probs, _ = mpn_forward(model, g)
             for i, j, p in zip(g.edge_traj, g.edge_det, probs):
-                target = true_p if g.detections[j].gt_id == g.trajectories[i].id else false_p
+                target = true_p if dets[j].gt_id == trajs[i].id else false_p
                 target.append(p)
         assert np.mean(true_p) > np.mean(false_p) + 0.2
 
@@ -611,6 +613,11 @@ class TestTrainConfigChecks:
         ("lr_decay_factor", 0.0), ("node_dropout", 1.0), ("node_dropout", 1.5),
         ("node_dropout", -0.1), ("box_jitter", -0.01), ("pos_weight", 0.0),
         ("pos_weight", -2.0),
+        # Counts must be integers: 2.5 frames per graph trained on one-frame
+        # windows and True as 1.
+        ("frames_per_graph", 2.5), ("batch_graphs", True), ("frame_stride", True),
+        ("lr_decay_every", 2.5), ("epochs", 1.5), ("batch_graphs", "8"), ("seed", 0.5),
+        ("seed", -1),
     ])
     def test_refused_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -618,7 +625,8 @@ class TestTrainConfigChecks:
 
     def test_bounds_are_accepted(self):
         TrainConfig(batch_graphs=1, frames_per_graph=2, frame_stride=1, epochs=0,
-                    lr_decay_every=1, node_dropout=0.0, box_jitter=0.0, pos_weight=None)
+                    lr_decay_every=1, node_dropout=0.0, box_jitter=0.0, pos_weight=None, seed=0)
+        TrainConfig(batch_graphs=np.int64(3), epochs=np.int32(2))
 
     @pytest.mark.parametrize("fps", [0.0, -30.0])
     def test_training_refuses_non_positive_fps(self, fps):
@@ -753,7 +761,7 @@ def reference_training_graph(frames, target_frame, window_frames, model, *, inte
                         traj_boxes=traj_boxes, **graph_kw)
     if graph is None or graph.n_edges == 0:
         return None
-    labels = np.array([1.0 if graph.detections[j].gt_id == graph.trajectories[i].id else 0.0
+    labels = np.array([1.0 if detections[j].gt_id == trajectories[i].id else 0.0
                        for i, j in zip(graph.edge_traj, graph.edge_det)])
     return graph, labels, chains
 
@@ -770,16 +778,9 @@ def assert_same_training_graph(got, want):
     graph, labels, chains = want
     assert got is not None
     assert_same_bits(got.labels, labels)
-    for name in ("traj_boxes", "edge_traj", "edge_det", "edge_features"):
+    for name in ("traj_boxes", "traj_features", "last_seen", "det_boxes", "det_features",
+                 "det_frames", "edge_traj", "edge_det", "edge_features"):
         assert_same_bits(getattr(got.graph, name), getattr(graph, name))
-    assert got.graph.detections == graph.detections
-    assert len(got.graph.trajectories) == len(graph.trajectories)
-    for t_got, t_want in zip(got.graph.trajectories, graph.trajectories):
-        assert (t_got.id, t_got.last_box, t_got.last_seen_frame, t_got.frames_lost) == (
-            t_want.id, t_want.last_box, t_want.last_seen_frame, t_want.frames_lost)
-        assert_same_bits(t_got.integrated_feature, t_want.integrated_feature)
-        assert_same_bits(t_got.motion.mean, t_want.motion.mean)
-        assert_same_bits(t_got.motion.cov, t_want.motion.cov)
     assert got.lstm_chains.keys() == chains.keys()
     for row, (caches, h_norm, feature) in chains.items():
         assert_same_chain(got.lstm_chains[row], caches, h_norm, feature)
@@ -1008,7 +1009,7 @@ class TestBatchedTeacherForcing:
         def recording(samples, *args, **kwargs):
             for frames_, target_frame, _, teacher in samples:
                 got[id(frames_), target_frame] = teacher
-            return None, np.zeros((0, 3), dtype=np.intp)
+            return None
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mpn, "training_union", recording)
@@ -1055,11 +1056,11 @@ class TestTrainingUnion:
         kwargs = dict(integration=integration, k_neighbors=k, ratio_variant=variant,
                       node_dropout=dropout, box_jitter=0.05)
         rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, sizes = mpn.training_union(batch, model, rng=rng, **kwargs)
-        want, graphs = reference_training_union(batch, model, rng=want_rng, **kwargs)
+        got = mpn.training_union(batch, model, rng=rng, **kwargs)
+        want, _ = reference_training_union(batch, model, rng=want_rng, **kwargs)
         assert rng.bit_generator.state == want_rng.bit_generator.state
         if want is None:
-            assert got is None and sizes.shape == (0, 3)
+            assert got is None
             return
         for name in ("traj_features", "det_features", "edge_traj", "edge_det", "edge_features"):
             assert_same_bits(getattr(got.graph, name), getattr(want.graph, name))
@@ -1067,19 +1068,6 @@ class TestTrainingUnion:
         assert got.lstm_chains.keys() == want.lstm_chains.keys()
         for row, chain in want.lstm_chains.items():
             assert_same_chain(got.lstm_chains[row], chain.caches, chain.h_norm, chain.feature)
-        assert sizes.tolist() == [[len(tg.graph.traj_features), len(tg.graph.det_features),
-                                   tg.labels.size] for tg in graphs]
-        # Cut into runs of at most 8 edges, each run is the join of its graphs.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mpn, "UNION_EDGES", 8)
-            runs = mpn.split_by_edges(sizes[:, 2].tolist())
-        for run in runs:
-            cut, joined = mpn._cut(got, sizes, run), join([graphs[i] for i in run])
-            for name in ("traj_features", "det_features", "edge_traj", "edge_det",
-                         "edge_features"):
-                assert_same_bits(getattr(cut.graph, name), getattr(joined.graph, name))
-            assert_same_bits(cut.labels, joined.labels)
-            assert cut.lstm_chains.keys() == joined.lstm_chains.keys()
 
 
 def test_training_history_reports_stage_times_and_edges(monkeypatch):
@@ -1089,9 +1077,9 @@ def test_training_history_reports_stage_times_and_edges(monkeypatch):
     original = mpn.training_union
 
     def counting(*args, **kwargs):
-        union, sizes = original(*args, **kwargs)
+        union = original(*args, **kwargs)
         edges.append((0, 0) if union is None else (union.labels.size, int(union.labels.sum())))
-        return union, sizes
+        return union
 
     monkeypatch.setattr(mpn, "training_union", counting)
     model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
@@ -1120,7 +1108,7 @@ def param_digest(model):
 # graph (references.reference_train_model), as train_model ran before.
 TRAINED_WEIGHTS = {
     "average": "e68aeb986c26a2b2d8ceb4ec0e8a3218d2a2bf3292182b566107fe177982b98d",
-    "lstm": "ad310c651f12366818900aed90105e9e8e83cd609f0a8595ef60319505796b08",
+    "lstm": "2e964e2a4bad45a2af1ba1f54a3f131a927817a97780b260ce0c509491491adc",
 }
 PER_GRAPH_WEIGHTS = {
     "average": "6ad7afe7bf312dc0660270ffb19a3612e0aed1b597ab61c90d6e7bdfd043b066",
@@ -1256,11 +1244,10 @@ class TestUnion:
         graphs = []
         for n_traj, n_det in sizes:
             graph = AssocGraph(
-                Trajectories.of([make_traj(i + 1, BoundingBox(0, 0, 10, 20), unit_vec(4, 0))
-                                 for i in range(n_traj)]),
-                Detections.of([make_det(BoundingBox(0, 0, 10, 20), unit_vec(4, 1))] * n_det),
                 np.zeros((n_traj, 4)), np.arange(n_traj) % n_traj, np.arange(n_traj) % n_det,
                 edge_features=rng.normal(size=(n_traj, 6)),
+                traj_features=np.tile(unit_vec(4, 0), (n_traj, 1)),
+                det_features=np.tile(unit_vec(4, 1), (n_det, 1)),
             )
             chains = random_chains(model.lstm, rng, [n_traj - 1])
             graphs.append(mpn._TrainGraph(graph, np.ones(n_traj), chains))
@@ -1273,55 +1260,53 @@ class TestUnion:
         assert len(union.graph.traj_features) == 9 and len(union.graph.det_features) == 7
 
 
-def sized(runs, edges):
-    """The edge counts of each run of graph positions."""
-    return [[edges[i] for i in run] for run in runs]
+def crowded_prefix():
+    """The first 20 frames of a scene of 25 targets in 1920x1080, as the
+    benchmark's `crowded` workload trains on: batches of about 1,000 edges."""
+    scene = generate(preset("crowded", seed=1100, n_targets=25, image_size=(1920, 1080),
+                            n_frames=20))
+    return scene.frames, scene.config.feature_dim
 
 
-class TestSplitByEdges:
-    def test_runs_fill_the_budget_greedily_in_order(self):
-        edges = [100, 100, 56, 1, 300, 10, 246, 1, 256, 3]
-        runs = mpn.split_by_edges(edges)
-        assert sized(runs, edges) == \
-            [[100, 100, 56], [1], [300], [10, 246], [1], [256], [3]]
-        assert [i for run in runs for i in run] == list(range(len(edges)))
+def test_training_runs_one_forward_per_batch(monkeypatch):
+    """Each batch with a graph runs one mpn_forward, on all of its union's
+    edges, also where a batch has far more than 256 of them."""
+    frames, dim = crowded_prefix()
+    built, forwards = [], []  # edges per non-empty union; per forward pass
+    build, forward = mpn.training_union, mpn.mpn_forward
 
-    @settings(max_examples=200, deadline=None)
-    @given(edges=st.lists(st.integers(1, 600), max_size=12))
-    def test_runs_hold_the_budget_or_one_graph(self, edges):
-        runs = mpn.split_by_edges(edges)
-        assert [i for run in runs for i in run] == list(range(len(edges)))
-        assert [n for run in sized(runs, edges) for n in run] == edges
-        sums = [sum(run) for run in sized(runs, edges)]
-        for run, total in zip(runs, sums):
-            assert total <= mpn.UNION_EDGES or len(run) == 1
-        # Greedy: no run could have taken the next run's first graph.
-        for total, after in zip(sums, runs[1:]):
-            assert total + edges[after[0]] > mpn.UNION_EDGES
+    def recording_build(*args, **kwargs):
+        union = build(*args, **kwargs)
+        if union is not None:
+            built.append(union.labels.size)
+        return union
 
-    def test_training_runs_one_forward_per_run(self, monkeypatch):
-        """train_model cuts each batch with split_by_edges, here under a
-        budget of 30 edges, and a larger graph trains alone."""
-        scene = generate(preset("crossing", seed=101))
-        prefix = {f: dets for f, dets in scene.frames.items() if f <= 25}
-        built, forwards = [], []  # edges per graph of each batch; per forward pass
-        build, forward = mpn.training_union, mpn.mpn_forward
+    def recording_forward(model, graph):
+        forwards.append(graph.n_edges)
+        return forward(model, graph)
 
-        def recording_build(*args, **kwargs):
-            union, sizes = build(*args, **kwargs)
-            built.append(sizes[:, 2].tolist())
-            return union, sizes
+    monkeypatch.setattr(mpn, "training_union", recording_build)
+    monkeypatch.setattr(mpn, "mpn_forward", recording_forward)
+    model = create_model(dim, d_node=8, d_edge=8, seed=7)
+    history = train_model(model, [frames], TrainConfig(seed=11, epochs=2), integration="iou",
+                          ratio_variant="app")
+    assert forwards == built
+    assert max(built) > 256
+    assert sum(row["positive_edges"] + row["negative_edges"] for row in history) == sum(built)
 
-        def recording_forward(model, graph):
-            forwards.append(graph.edge_traj.size)
-            return forward(model, graph)
 
-        monkeypatch.setattr(mpn, "UNION_EDGES", 30)
-        monkeypatch.setattr(mpn, "training_union", recording_build)
-        monkeypatch.setattr(mpn, "mpn_forward", recording_forward)
-        model = create_model(scene.config.feature_dim, d_node=8, d_edge=8, seed=7)
-        cfg = TrainConfig(seed=11, epochs=2)
-        train_model(model, [prefix], cfg, ratio_variant="app")
-        want = [sum(run) for edges in built for run in sized(mpn.split_by_edges(edges), edges)]
-        assert forwards == want
-        assert any(n > 30 for n in forwards) and any(n < 30 for n in forwards)
+def test_training_memory_does_not_grow_with_epochs():
+    """One train_model call's traced peak is one batch's working set: six
+    epochs peak within 10% of two."""
+    frames, dim = crowded_prefix()
+    peaks = []
+    for epochs in (2, 6):
+        model = create_model(dim, seed=7)
+        tracemalloc.start()
+        try:
+            train_model(model, [frames], TrainConfig(seed=11, epochs=epochs), integration="iou",
+                        ratio_variant="app")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
