@@ -86,9 +86,6 @@ class MpnModel:
             out.extend(comp.params())
         return out
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.param_arrays()]
-
 
 def create_model(
     feature_dim: int,

@@ -801,7 +801,7 @@ def reference_train_model(model, sequences, cfg, *, integration="average", **gra
                 continue
             total_edges = sum(tg.labels.size for tg in batch)
             omega = mpn._positive_weight(np.concatenate([tg.labels for tg in batch]), cfg)
-            grads_total = model.zero_grads()
+            grads_total = [np.zeros_like(p) for p in model.param_arrays()]
             batch_loss = 0.0
             for tg in batch:
                 probs, state = mpn.mpn_forward(model, tg.graph)
