@@ -32,7 +32,8 @@ from .motio import (
     read_detections,
     read_track_rows,
 )
-from .mpn import TrainConfig, check_rounds, create_model, load_model, save_model, train_model
+from .fields import check_count
+from .mpn import TrainConfig, create_model, load_model, save_model, train_model
 from .synth import SceneConfig, generate, preset, standard_scenarios, write_scene
 from .tracker import TrackerConfig, run_sequence
 
@@ -67,6 +68,8 @@ def _load_config_file(path) -> dict:
     for section, payload in data.items():
         if section not in CONFIG_SECTIONS:
             raise ValueError(f"unknown config section {section!r}")
+        if not isinstance(payload, dict):
+            raise ValueError(f"config section {section!r} must be a JSON object")
         valid = {f.name for f in dataclasses.fields(CONFIG_SECTIONS[section])}
         for key in payload:
             if key not in valid:
@@ -74,10 +77,11 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _build_section(section: str, file_config: dict, overrides: dict):
-    """Config dataclass from defaults <- config file <- CLI flags."""
+def _build_section(section: str, file_config: dict, overrides: dict, base: dict | None = None):
+    """Config dataclass from defaults <- base (a preset's values) <- config
+    file <- CLI flags."""
     cls = CONFIG_SECTIONS[section]
-    values = dict(file_config.get(section, {}))
+    values = {**(base or {}), **file_config.get(section, {})}
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key in ("image_size", "speed_range", "box_width_range"):
         if key in values and isinstance(values[key], list):
@@ -106,18 +110,8 @@ def _parse_image_size(text: str) -> tuple[int, int]:
 def cmd_synth(args) -> int:
     file_config = _load_config_file(args.config)
     overrides = {"seed": args.seed, "n_frames": args.frames, "n_targets": args.targets}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.preset:
-        cfg = preset(args.preset, **overrides)
-        base = dataclasses.asdict(cfg)
-        base.update(file_config.get("scene", {}))
-        base.update(overrides)
-        for key in ("image_size", "speed_range", "box_width_range"):
-            if isinstance(base[key], list):
-                base[key] = tuple(base[key])
-        cfg = SceneConfig(**base)
-    else:
-        cfg = _build_section("scene", file_config, overrides)
+    base = dataclasses.asdict(preset(args.preset)) if args.preset else None
+    cfg = _build_section("scene", file_config, overrides, base)
     out_dir = Path(args.out)
     targets = [out_dir / name for name in ("gt.txt", "det.txt", "features.txt")]
     if not args.force:
@@ -148,7 +142,7 @@ def _load_checkpoint(path, frames, rounds=None):
     rounds replaced by rounds unless that is None."""
     model = load_model(path)
     if rounds is not None:
-        check_rounds(rounds)
+        check_count("rounds", rounds, 0)
         model.rounds = rounds
     dim = _feature_dim(frames, model.feature_dim)
     if dim != model.feature_dim:

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernels
 from .core import Detections, Trajectories
+from .fields import check_choice, check_count, check_real
 
 RATIO_VARIANTS = ("none", "iou", "app")
 DEFAULT_ALPHA = {"iou": 0.1, "app": 0.3}
@@ -111,7 +112,7 @@ def candidate_edges(
     (edge_traj, edge_det, traj_boxes); both index arrays are empty when
     either side is empty.
     """
-    _check_k(k)
+    check_count("k", k, 1)
     if traj_boxes is None:
         traj_boxes = trajectories.last_boxes
     if not trajectories or not detections:
@@ -143,21 +144,6 @@ def edge_distances(graph: AssocGraph, variant: str) -> np.ndarray:
     raise ValueError(f"no distances for variant {variant!r}")
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
-def _check_fps(fps: float) -> None:
-    if not fps > 0.0:
-        raise ValueError(f"fps must be > 0, got {fps}")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def candidate_runs(edge_traj: np.ndarray, edge_dist: np.ndarray):
     """Each trajectory's candidate edges as one run, nearest first.
 
@@ -185,7 +171,7 @@ def ratio_test_filter(graph: AssocGraph, alpha: float) -> AssocGraph:
     """
     if graph.edge_dist is None:
         raise ValueError("graph has no edge distances; compute them first")
-    _check_alpha(alpha)
+    check_real("alpha", alpha, 0.0, 1.0)
     order, first, best = candidate_runs(graph.edge_traj, graph.edge_dist)
     dist = graph.edge_dist[order]
     run = np.cumsum(first) - 1  # run of every sorted edge
@@ -235,12 +221,6 @@ def init_edge_features(graph: AssocGraph, fps: float) -> AssocGraph:
     return graph
 
 
-def _check_variant(ratio_variant: str, fps: float) -> None:
-    if ratio_variant not in RATIO_VARIANTS:
-        raise ValueError(f"unknown ratio variant {ratio_variant!r}")
-    _check_fps(fps)
-
-
 def _filter_and_encode(graph: AssocGraph, ratio_variant, alpha, fps) -> AssocGraph:
     """The ratio filter, when ratio_variant asks for one, then the edge features."""
     if ratio_variant != "none":
@@ -263,7 +243,8 @@ def build_graph(
 
     traj_boxes default to the trajectories' last boxes.
     """
-    _check_variant(ratio_variant, fps)
+    check_choice("ratio_variant", ratio_variant, RATIO_VARIANTS)
+    check_real("fps", fps, 0.0)
     if not trajectories or not detections:
         return None
     edge_traj, edge_det, traj_boxes = candidate_edges(
@@ -302,8 +283,9 @@ def build_union(
     nearest_rows selects every graph's candidates; the ratio test and the
     edge features are per edge already.
     """
-    _check_variant(ratio_variant, fps)
-    _check_k(k_neighbors)
+    check_choice("ratio_variant", ratio_variant, RATIO_VARIANTS)
+    check_real("fps", fps, 0.0)
+    check_count("k_neighbors", k_neighbors, 1)
     traj_counts = np.asarray(traj_counts, dtype=np.intp)
     det_graph = np.repeat(np.arange(len(det_counts)), det_counts)
     heights = traj_counts[det_graph]  # per detection

@@ -9,6 +9,8 @@ above a threshold, with the IoU iou_matrix gives each of them, bit for bit.
 
 import numpy as np
 
+from .fields import check_real
+
 # Candidate pairs iou_pairs handles at once (whole frames at a time, so a
 # frame with more is handled alone): its memory does not grow with the scene.
 PAIR_BUDGET = 8192
@@ -34,13 +36,6 @@ def iou_matrix(boxes_a, boxes_b):
     return _iou(a[:, None, :], b[None, :, :])
 
 
-def check_iou_threshold(value) -> None:
-    """An IoU threshold is in (0, 1]: at 0 every pair of boxes, however far
-    apart, would match."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {value}")
-
-
 def iou_pairs(frames_a, boxes_a, frames_b, boxes_b, threshold):
     """Every (i, j) with frames_a[i] == frames_b[j] whose boxes overlap at
     IoU >= threshold, as (rows of a, rows of b, IoU), rows of a ascending.
@@ -53,7 +48,8 @@ def iou_pairs(frames_a, boxes_a, frames_b, boxes_b, threshold):
     iou_matrix's arithmetic, whole frames of a at a time, about
     PAIR_BUDGET pairs at once.
     """
-    check_iou_threshold(threshold)
+    # At 0 every pair of boxes, however far apart, would match.
+    check_real("iou_threshold", threshold, 0.0, 1.0, "(]")
     frames_a = np.asarray(frames_a, dtype=np.int64)
     frames_b = np.asarray(frames_b, dtype=np.int64)
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)

@@ -37,14 +37,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .core import Detections
-from .graph import (
-    AssocGraph,
-    _check_alpha,
-    _check_k,
-    candidate_edges,
-    candidate_runs,
-    edge_distances,
-)
+from .fields import check_choice, check_count, check_real
+from .graph import AssocGraph, candidate_edges, candidate_runs, edge_distances
 from .integration import BATCHED_MODES
 from .motio import TrackRows
 from .motion import boxes_from_means
@@ -197,14 +191,13 @@ def ratio_analysis(
     >= 2 candidate edges is ratio-tested at each alpha and scored
     true/false by whether the kept edge connects its own identity.
     """
-    if variant not in ("iou", "app"):
-        raise ValueError(f"ratio analysis needs variant 'iou' or 'app', got {variant!r}")
-    if integration not in BATCHED_MODES:
-        raise ValueError(f"unsupported integration {integration!r} here")
-    _check_k(k_neighbors)
+    check_choice("variant", variant, ("iou", "app"))
+    check_choice("integration", integration, BATCHED_MODES)
+    check_count("k", k_neighbors, 1)
+    check_count("lost_frame_limit", lost_frame_limit, 0)
     alphas = tuple(alphas)
     for a in alphas:
-        _check_alpha(a)
+        check_real("alpha", a, 0.0, 1.0)
     repeated = next((a for k, a in enumerate(alphas) if a in alphas[:k]), None)
     if repeated is not None:
         raise ValueError(f"alpha {repeated} is given more than once")

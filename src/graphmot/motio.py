@@ -38,6 +38,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .core import Detections, check_detection_rows, row_norms
+from .fields import check_real
 
 
 class TrackRow(NamedTuple):
@@ -411,7 +412,7 @@ def label_detections(
     blocks that share the input blocks' arrays and carry the gt_ids column,
     as training and the ratio analysis take them; the input is not modified.
     """
-    kernels.check_iou_threshold(iou_threshold)
+    check_real("iou_threshold", iou_threshold, 0.0, 1.0, "(]")
     starts, ends = gt_rows.frame_bounds(list(frames))
     labeled: dict[int, Detections] = {}
     for (frame, dets), lo, hi in zip(frames.items(), starts.tolist(), ends.tolist()):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import time
 from itertools import chain
 from dataclasses import dataclass, field
@@ -36,8 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Detections, Trajectories, frame_overlaps
-from .graph import EDGE_FEATURE_DIM, AssocGraph, _check_fps, build_union
-from .integration import absorb, start
+from .fields import check_choice, check_count, check_real
+from .graph import EDGE_FEATURE_DIM, RATIO_VARIANTS, AssocGraph, build_union
+from .integration import INTEGRATION_MODES, absorb, start
 from .motion import boxes_from_means, kf_predict_batch
 from .nn import AdamOptimizer, LstmCell, Mlp, sigmoid, weighted_bce
 from .nn import load_checkpoint, save_checkpoint
@@ -108,29 +108,19 @@ def create_model(
     return _assemble(sizes, rounds, aggregation, np.random.default_rng(seed))
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def check_rounds(rounds) -> None:
-    """Refuse a number of propagation rounds the network cannot run."""
-    if not _is_count(rounds) or rounds < 0:
-        raise ValueError(f"rounds must be an integer >= 0, got {rounds!r}")
-
-
 def _check_shape(sizes, rounds, aggregation) -> None:
     """Refuse, naming the field, layer sizes that do not chain into one
     network, a negative number of rounds or an unknown aggregation."""
-    check_rounds(rounds)
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+    check_count("rounds", rounds, 0)
+    check_choice("aggregation", aggregation, AGGREGATIONS)
     if not isinstance(sizes, dict):
         raise ValueError(f"layer_sizes must be a mapping, got {sizes!r}")
     for name in MLPS + ("lstm",):
         layers = sizes.get(name)
-        if (not isinstance(layers, list) or len(layers) < 2 or (name == "lstm" and len(layers) != 2)
-                or not all(_is_count(s) and s > 0 for s in layers)):
+        if not isinstance(layers, list) or len(layers) < 2 or (name == "lstm" and len(layers) != 2):
             raise ValueError(f"layer_sizes.{name} must be a list of positive sizes, got {layers!r}")
+        for size in layers:
+            check_count(f"layer_sizes.{name}", size, 1)
     node, edge = sizes["node_encoder"][-1], sizes["edge_encoder"][-1]
     chain = (
         ("edge_encoder", 0, EDGE_FEATURE_DIM, "the edge feature width"),
@@ -530,18 +520,13 @@ class TrainConfig:
     def __post_init__(self):
         for name, least in (("batch_graphs", 1), ("frames_per_graph", 2), ("frame_stride", 1),
                             ("epochs", 0), ("lr_decay_every", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_count(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name in ("lr", "lr_decay_factor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not 0.0 <= self.node_dropout < 1.0:
-            raise ValueError(f"node_dropout must be in [0, 1), got {self.node_dropout}")
-        if not self.box_jitter >= 0.0:
-            raise ValueError(f"box_jitter must be >= 0, got {self.box_jitter}")
-        if self.pos_weight is not None and not self.pos_weight > 0.0:
-            raise ValueError(f"pos_weight must be None or > 0, got {self.pos_weight}")
+            check_count(name, getattr(self, name), least)
+        check_real("lr", self.lr, 0.0)
+        check_real("lr_decay_factor", self.lr_decay_factor, 0.0)
+        if self.pos_weight is not None:
+            check_real("pos_weight", self.pos_weight, 0.0)
+        check_real("node_dropout", self.node_dropout, 0.0, 1.0, "[)")
+        check_real("box_jitter", self.box_jitter, 0.0, ends="[)")
 
 
 @dataclass
@@ -1053,7 +1038,12 @@ def train_model(
     passes and in optimizer steps, and the positive and negative edges
     trained on.
     """
-    _check_fps(fps)
+    check_choice("integration", integration, INTEGRATION_MODES)
+    check_choice("ratio_variant", ratio_variant, RATIO_VARIANTS)
+    check_count("k_neighbors", k_neighbors, 1)
+    check_real("fps", fps, 0.0)
+    if ratio_variant != "none" and alpha is not None:
+        check_real("alpha", alpha, 0.0, 1.0)
     samples, teachers, teacher_force_s = _training_samples(sequences, cfg, integration)
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamOptimizer(model.param_arrays())

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import kernels
 from .core import BoundingBox, Detections, iou
+from .fields import check_bool, check_choice, check_count, check_pair, check_real
 from .motio import TrackRows, write_features, write_track_rows
 
 
@@ -56,6 +57,27 @@ class SceneConfig:
     margin: float = 10.0
     lanes: bool = False  # one target per horizontal lane: no overlaps ever
     seed: int = 0
+
+    def __post_init__(self):
+        check_pair("image_size", self.image_size)
+        for name, least in (("n_frames", 1), ("n_targets", 1), ("n_crossing_pairs", 0),
+                            ("feature_dim", 1), ("exit_targets", 0), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
+        if 2 * self.n_crossing_pairs + self.exit_targets > self.n_targets:
+            raise ValueError("not enough targets for the scripted pairs and exits")
+        for name, ends in (("speed_range", "[)"), ("box_width_range", "()")):
+            value = getattr(self, name)
+            check_pair(name, value, ends)
+            if value[0] > value[1]:
+                raise ValueError(f"{name} must be (low, high) with low <= high, got {value!r}")
+        for name in ("direction_change_prob", "occlusion_drop_iou", "dropout"):
+            check_real(name, getattr(self, name), 0.0, 1.0, "[]")
+        check_real("direction_change_max", self.direction_change_max, 0.0, math.pi, "[]")
+        check_real("crossing_turn", self.crossing_turn, -math.pi, math.pi, "[]")
+        check_real("box_aspect", self.box_aspect, 0.0)
+        for name in ("occlusion_blend", "box_noise", "clutter_rate", "feature_noise", "margin"):
+            check_real(name, getattr(self, name), 0.0, ends="[)")
+        check_bool("lanes", self.lanes)
 
 
 @dataclass
@@ -198,8 +220,6 @@ def _advance(target: _Target, cfg: SceneConfig) -> None:
 
 def generate(cfg: SceneConfig) -> SceneData:
     """Simulate the scene; deterministic for a fixed config (incl. seed)."""
-    if 2 * cfg.n_crossing_pairs + cfg.exit_targets > cfg.n_targets:
-        raise ValueError("not enough targets for the scripted pairs and exits")
     width, height = cfg.image_size
     rng = np.random.default_rng(cfg.seed)
     anchors = _identity_anchors(rng, cfg.n_targets, cfg.feature_dim)
@@ -422,8 +442,7 @@ def standard_scenarios() -> dict[str, SceneConfig]:
 def preset(name: str, seed: int | None = None, **overrides) -> SceneConfig:
     """Look up a standard scenario, optionally overriding fields."""
     presets = standard_scenarios()
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(presets)}")
+    check_choice("preset", name, tuple(presets))
     cfg = presets[name]
     if seed is not None:
         overrides["seed"] = seed

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import bisect
 import logging
-import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Detections, Trajectories
-from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, _check_alpha, _check_fps, build_graph
+from .fields import check_bool, check_choice, check_count, check_pair, check_real
+from .graph import DEFAULT_ALPHA, RATIO_VARIANTS, build_graph
 from .integration import INTEGRATION_MODES, absorb, start
 from .motion import FrameContext, boxes_from_means, forecast_gates, kf_predict_batch
 from .motio import TrackRows
@@ -59,29 +58,21 @@ class TrackerConfig:
     image_size: tuple[int, int] = (1920, 1080)
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.ratio_variant not in RATIO_VARIANTS:
-            raise ValueError(f"unknown ratio variant {self.ratio_variant!r}")
-        if self.integration not in INTEGRATION_MODES:
-            raise ValueError(f"unknown integration mode {self.integration!r}")
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        _check_fps(self.fps)
-        if self.lost_frame_limit < 0:
-            raise ValueError(f"lost_frame_limit must be >= 0, got {self.lost_frame_limit}")
-        if not 0.0 <= self.spawn_confidence <= 1.0:
-            raise ValueError(f"spawn_confidence must be in [0, 1], got {self.spawn_confidence}")
-        if not self.theta_app >= 0.0:
-            raise ValueError(f"theta_app must be >= 0, got {self.theta_app}")
+        check_real("tau", self.tau, 0.0, 1.0)
+        check_choice("ratio_variant", self.ratio_variant, RATIO_VARIANTS)
+        if self.resolved_alpha() is not None:
+            check_real("alpha", self.resolved_alpha(), 0.0, 1.0)
+        check_count("k_neighbors", self.k_neighbors, 1)
+        check_choice("integration", self.integration, INTEGRATION_MODES)
+        check_count("lost_frame_limit", self.lost_frame_limit, 0)
+        check_real("fps", self.fps, 0.0)
+        check_real("spawn_confidence", self.spawn_confidence, 0.0, 1.0, "[]")
+        check_bool("emit_forecasts", self.emit_forecasts)
+        check_bool("forecast_constraints", self.forecast_constraints)
+        check_real("theta_app", self.theta_app, 0.0, ends="[)")
         # The forecast gates measure boxes against the image: any other size
         # would stop every forecast silently.
-        size = self.image_size
-        if not (isinstance(size, (tuple, list)) and len(size) == 2
-                and all(isinstance(v, numbers.Real) and 0 < v < math.inf for v in size)):
-            raise ValueError(f"image_size must be two finite positive numbers, got {size!r}")
-        if self.resolved_alpha() is not None:
-            _check_alpha(self.resolved_alpha())
+        check_pair("image_size", self.image_size)
 
     def resolved_alpha(self) -> float | None:
         if self.ratio_variant == "none":
@@ -170,8 +161,9 @@ class Tracker:
         tracks = self._tracks
         if tracks:
             tracks.means, tracks.covs = kf_predict_batch(tracks.means, tracks.covs)
+        predicted = boxes_from_means(tracks.means)  # one box per row
 
-        matches, unmatched_t, unmatched_d = self._associate(frame, detections)
+        matches, unmatched_t, unmatched_d = self._associate(frame, detections, predicted)
         matched_t, matched_d = np.array(matches, dtype=np.intp).reshape(-1, 2).T
         if matches:
             absorb(tracks, matched_t, detections, matched_d, frame, cfg.integration,
@@ -181,7 +173,7 @@ class Tracker:
                   detections.confidences[matched_d])]
         expired = np.zeros(0, dtype=np.intp)
         if unmatched_t.size:
-            expired, forecast, boxes = self._lose(frame, unmatched_t)
+            expired, forecast, boxes = self._lose(frame, unmatched_t, predicted)
             parts.append((tracks.ids[forecast], boxes, np.ones(forecast.size)))
 
         spawn = unmatched_d[detections.confidences[unmatched_d] >= cfg.spawn_confidence]
@@ -208,7 +200,7 @@ class Tracker:
             self._tracks = survivors
         return rows
 
-    def _lose(self, frame, lost):
+    def _lose(self, frame, lost, predicted):
         """Unmatched rows lose one more frame. Returns the rows past the
         lost-frame limit, to prune, and the rows of the others whose
         predicted boxes pass the gates (all of them without constraints),
@@ -220,7 +212,7 @@ class Tracker:
         forecast = lost[~expired & ~tracks.forecast_stopped[lost]]
         if not cfg.emit_forecasts or not forecast.size:
             return lost[expired], forecast[:0], np.zeros((0, 4))
-        boxes = boxes_from_means(tracks.means[forecast])
+        boxes = predicted[forecast]
         if cfg.forecast_constraints:
             features_at = getattr(self.feature_source, "features_at", None)
             stops, checked = forecast_gates(
@@ -235,10 +227,10 @@ class Tracker:
             forecast, boxes = forecast[keep], boxes[keep]
         return lost[expired], forecast, boxes
 
-    def _associate(self, frame, detections):
-        """Build, score and resolve the frame's graph; records the step's
-        stats as last_stats. Returns (matches, unmatched trajectories,
-        unmatched detections).
+    def _associate(self, frame, detections, predicted):
+        """Build, score and resolve the frame's graph on the rows' predicted
+        boxes; records the step's stats as last_stats. Returns (matches,
+        unmatched trajectories, unmatched detections).
         """
         cfg, tracks = self.config, self._tracks
         t_start = time.perf_counter()
@@ -251,7 +243,7 @@ class Tracker:
                 ratio_variant=cfg.ratio_variant,
                 alpha=cfg.resolved_alpha(),
                 fps=cfg.fps,
-                traj_boxes=boxes_from_means(tracks.means),
+                traj_boxes=predicted,
             )
         if graph is None:
             self.last_stats = StepStats(frame, 0, 0, time.perf_counter() - t_start)

@@ -61,7 +61,8 @@ from graphmot.core import (
     frame_overlaps,
     iou,
 )
-from graphmot.graph import AssocGraph, _check_alpha, build_graph
+from graphmot.fields import check_real
+from graphmot.graph import AssocGraph, build_graph
 from graphmot.metrics import ClearMotResult, FrameDetail, RatioAnalysisReport
 from graphmot.motio import TrackRow, _parse_track_line, read_features
 from graphmot.motion import (
@@ -565,7 +566,7 @@ def conclusive_pick(dists: np.ndarray, alpha: float) -> int | None:
     is strictly below alpha times the second smallest, None otherwise
     (including the single-candidate case, where the ratio is undefined).
     """
-    _check_alpha(alpha)
+    check_real("alpha", alpha, 0.0, 1.0)
     if dists.size < 2:
         return None
     order = np.argsort(dists, kind="stable")

@@ -241,7 +241,7 @@ class TestRatioAndSparsity:
         rc = main(["ratio", "--data", str(small_scene_dir), "--k", "0", "--variant", "iou",
                    "--out", str(out_dir)])
         assert rc == 1
-        assert "k must be >= 1, got 0" in capsys.readouterr().err
+        assert "k must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not (out_dir / "ratio.txt").exists()
 
     @pytest.mark.parametrize("k, recorded", [(None, 20), (3, 3)])
@@ -288,6 +288,10 @@ class TestFeatureDimension:
             err = capsys.readouterr().err
             assert str(ckpt) in err and "5-dim" in err and "have 32" in err, err
         assert not any(tmp_path.joinpath(name).exists() for name in ("hyp.txt", "sp", "resumed.npz"))
+
+
+RULES = {"emit_forecasts": "true or false", "lr": "> 0 and finite",
+         "n_targets": "an integer >= 1"}
 
 
 class TestConfigFile:
@@ -351,6 +355,42 @@ class TestConfigFile:
         assert rc == 1
         (field,) = tracker
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
+    # A truthy string must not turn forecasts on, and a number as text must
+    # end in an error line, not a traceback.
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("track", "tracker", "emit_forecasts", "no"), ("train", "train", "lr", "0.1"),
+        ("synth", "scene", "n_targets", "5"),
+    ])
+    def test_bad_value_of_each_section_exits_one(self, tmp_path, small_scene_dir,
+                                                 small_checkpoint, capsys, command, section,
+                                                 key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        argv = {
+            "track": ["--detections", str(small_scene_dir / "det.txt"),
+                      "--features", str(small_scene_dir / "features.txt"),
+                      "--checkpoint", str(small_checkpoint)],
+            "train": ["--data", str(small_scene_dir), "--seed", "1"],
+            "synth": ["--preset", "easy", "--seed", "1"],
+        }[command]
+        rc = main([command, *argv, "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key} must be {RULES[key]}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_section_that_is_not_an_object_exits_one(self, tmp_path, small_scene_dir, capsys,
+                                                     command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scene": {}, "tracker": 5}))
+        out = tmp_path / "out"
+        argv = ["--data", str(small_scene_dir)] if command == "train" else []
+        rc = main([command, *argv, "--seed", "1", "--out", str(out), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config section 'tracker' must be a JSON object\n"
         assert not out.exists()
 
     def test_flag_overrides_config_file(self, tmp_path):

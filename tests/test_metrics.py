@@ -324,7 +324,7 @@ class TestRatioAnalysis:
 
     def test_k_checked_without_decisions(self):
         frames = orthogonal_sequence(n_ids=1)
-        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1, got 0"):
             ratio_analysis([frames], "app", [0.5], k_neighbors=0)
 
     def test_identity_returning_after_the_limit_matches_reference(self):
