@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import RATIO_VARIANTS
+from .integration import INTEGRATION_MODES
 from .metrics import clear_mot, idf1, ratio_analysis, render_ratio_report
 from .motio import (
     format_track_rows,
@@ -353,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--integration", choices=("none", "lstm", "average", "iou"), default="average")
-    p.add_argument("--ratio", choices=("none", "iou", "app"), default="none")
+    p.add_argument("--integration", choices=INTEGRATION_MODES, default="average")
+    p.add_argument("--ratio", choices=RATIO_VARIANTS, default="none")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--layers", type=int, default=None)
@@ -368,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--integration", choices=("none", "lstm", "average", "iou"), default=None)
-    p.add_argument("--ratio", choices=("none", "iou", "app"), default=None)
+    p.add_argument("--integration", choices=INTEGRATION_MODES, default=None)
+    p.add_argument("--ratio", choices=RATIO_VARIANTS, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--k", type=int, default=None)

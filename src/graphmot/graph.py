@@ -48,10 +48,13 @@ class AssocGraph:
     a disjoint union of several frames' graphs (build_union) hold the same
     arrays.
 
-    A graph of column blocks (of) holds the blocks' arrays, not copies. The
-    tracker's graph reads its live Trajectories.features, which
-    integration.absorb overwrites after the graph is scored: a graph kept
-    past its frame reads other features.
+    A graph of column blocks (of) holds the blocks' arrays, not copies. In
+    the tracker's graph traj_features and last_seen are its live
+    Trajectories.features and last_seen, which integration.absorb
+    overwrites after the graph is scored: a graph kept past its frame reads
+    other values. traj_boxes is the step's predicted boxes, which the step
+    does not write after scoring (its output boxes go to a copy), and the
+    detection arrays are the frame's read-only Detections block.
     """
 
     traj_boxes: np.ndarray

@@ -306,7 +306,7 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
         z = h @ e_h
         z += projected[ti, :eh]
         z += projected[dk, eh : 2 * eh]
-        h_next = _layers_after_first(edge_update, z, len(edge_update.weights), edge_hidden)
+        h_next = edge_update.after_first(z, len(edge_update.weights), edge_hidden)
         shared = h_next @ n_h
         messages = projected[ends, 2 * eh :]
         to_ends = messages.reshape(2, len(h_next), messages.shape[1])  # a view
@@ -326,40 +326,6 @@ def propagate(model: MpnModel, state: MpnState) -> MpnState:
     return state
 
 
-def _layers_after_first(mlp: Mlp, z: np.ndarray, stop: int, kept: list | None = None) -> np.ndarray:
-    """The input of layer `stop` of mlp (its output when stop is the layer
-    count) from the first layer's pre-activation z, which it overwrites.
-    Every ReLU output is appended to kept, when given."""
-    last = len(mlp.weights) - 1
-    for k in range(1, stop):
-        np.maximum(z, 0.0, out=z)
-        if kept is not None:
-            kept.append(z)
-        z = z @ mlp.weights[k].T
-        z += mlp.biases[k]
-    if stop - 1 != last:
-        np.maximum(z, 0.0, out=z)
-        if kept is not None:
-            kept.append(z)
-    return z
-
-
-def _layers_after_first_backward(mlp: Mlp, stop: int, kept: list, g: np.ndarray,
-                                 grads) -> np.ndarray:
-    """The gradient of the first layer's pre-activation, from the gradient
-    g of what _layers_after_first(mlp, z, stop, kept) returned, which it
-    may overwrite; the gradients of layers 1 to stop - 1 add into grads
-    (mlp.params order)."""
-    if stop - 1 != len(mlp.weights) - 1:
-        g *= kept[-1] > 0.0
-    for k in range(stop - 1, 0, -1):
-        grads[2 * k] += g.T @ kept[k - 1]
-        grads[2 * k + 1] += g.sum(axis=0)
-        g = g @ mlp.weights[k]
-        g *= kept[k - 1] > 0.0
-    return g
-
-
 def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation, kept=None):
     """(nodes, hidden): _aggregate of node_update's per-edge messages, from
     their first-layer pre-activations z, and the node rows its output layer
@@ -370,8 +336,7 @@ def _update_nodes(node_update: Mlp, z, plan: ScatterPlan, previous, aggregation,
     layers = len(node_update.weights)
     if layers == 1:  # z is the message
         return _aggregate(z, plan, previous, aggregation), None
-    hidden = _scatter_sum(_layers_after_first(node_update, z, layers - 1, kept), plan.flat,
-                          len(previous))
+    hidden = _scatter_sum(node_update.after_first(z, layers - 1, kept), plan.flat, len(previous))
     w, b = node_update.weights[-1], node_update.biases[-1]
     if aggregation == "mean":
         hidden /= plan.denominators
@@ -453,14 +418,14 @@ def mpn_backward(model: MpnModel, state: MpnState, dlogits: np.ndarray):
             d_out = d_out / plan.denominators
         g_msg = d_out[ends]
         if hidden is not None:
-            g_msg = _layers_after_first_backward(node_update, len(node_update.weights) - 1,
-                                                 state.message_hidden[r], g_msg, n_grads)
+            g_msg = node_update.after_first_backward(len(node_update.weights) - 1,
+                                                     state.message_hidden[r], g_msg, n_grads)
         # Both messages of an edge share its projection of the edge embedding.
         d_shared = g_msg[:n_edges] + g_msg[n_edges:]
         n_grads[0][:, dn:] += d_shared.T @ state.edge_layers[r + 1]
         d_edge += d_shared @ node_update.weights[0][:, dn:]
-        g_edge = _layers_after_first_backward(edge_update, len(edge_update.weights),
-                                              state.edge_hidden[r], d_edge, e_grads)
+        g_edge = edge_update.after_first_backward(len(edge_update.weights), state.edge_hidden[r],
+                                                  d_edge, e_grads)
         e_grads[0][:, 2 * dn :] += g_edge.T @ state.edge_layers[r]
         d_edge = g_edge @ edge_update.weights[0][:, 2 * dn :]
 
@@ -579,16 +544,6 @@ def labelled_pairs(frames: dict[int, Detections]) -> dict[int, tuple[tuple[int, 
         if pairs:
             labels[frame] = pairs
     return labels
-
-
-def _first_seen(frames: dict[int, Detections], target_frame: int, window_frames) -> list[int]:
-    """Identities labelled in the window frames before target_frame, in the
-    order the window first shows them."""
-    seen: dict[int, None] = {}
-    for f in window_frames:
-        if f < target_frame and f in frames:
-            seen.update(dict.fromkeys(g for g in frames[f].gt_ids or () if g is not None))
-    return list(seen)
 
 
 def ground_truth_walk(
@@ -777,7 +732,8 @@ def teacher_force_samples(
     for t, window in samples:
         if t in identities:
             raise ValueError("samples of one walk need distinct target frames")
-        identities[t] = _first_seen(frames, t, window)
+        identities[t] = list(dict.fromkeys(g for f in window if f < t
+                                           for g, _ in labels.get(f, ())))
         for f in window:
             if f < t and f in labels:
                 events.setdefault(f, {})[t] = labels[f]
@@ -1112,14 +1068,10 @@ def save_model(path, model: MpnModel) -> None:
     arrays = {}
     sizes = {}
     for name, comp in model.components():
-        if isinstance(comp, Mlp):
-            sizes[name] = comp.layer_sizes
-            for k, p in enumerate(comp.params()):
-                arrays[f"{name}.{k}"] = p
-        else:  # LstmCell
-            sizes[name] = [comp.input_dim, comp.hidden_dim]
-            for k, p in enumerate(comp.params()):
-                arrays[f"{name}.{k}"] = p
+        lstm = isinstance(comp, LstmCell)
+        sizes[name] = [comp.input_dim, comp.hidden_dim] if lstm else comp.layer_sizes
+        for k, p in enumerate(comp.params()):
+            arrays[f"{name}.{k}"] = p
     meta = {
         "layer_sizes": sizes,
         "rounds": model.rounds,

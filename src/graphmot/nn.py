@@ -5,6 +5,9 @@ Everything is plain float64 NumPy with hand-derived reverse-mode gradients;
 there is no autodiff graph. Each forward pass returns a cache that the
 matching backward pass consumes, and backward passes reject caches that do
 not belong to them; Mlp.apply is the same forward pass without the cache.
+Mlp.after_first and after_first_backward run the layers after the first
+for these passes and for the message-passing rounds, which compute the
+first layer's pre-activation themselves.
 Weight initialization is uniform in +-sqrt(6 / (fan_in + fan_out)) from a
 caller-supplied generator.
 """
@@ -88,37 +91,64 @@ class Mlp:
             raise ValueError(f"expected (*, {self.in_dim}) input, got {x.shape}")
         return x, squeeze
 
-    def _layers(self, h: np.ndarray, activations: list | None) -> np.ndarray:
-        # Bias and ReLU act in place on each layer's fresh product, which
-        # gives the same bits as `h @ w.T + b` and `np.maximum(z, 0.0)`.
+    def after_first(self, z: np.ndarray, stop: int, kept: list | None = None) -> np.ndarray:
+        """The input of layer `stop` (the output when stop is the layer
+        count) from the first layer's pre-activation z, which it overwrites.
+        Every ReLU output is appended to kept, when given.
+
+        Bias and ReLU act in place on each layer's fresh product, which
+        gives the same bits as `h @ w.T + b` and `np.maximum(z, 0.0)`.
+        """
         last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T
-            h += b
-            if k != last:
-                np.maximum(h, 0.0, out=h)
-            if activations is not None:
-                activations.append(h)
-        return h
+        for k in range(1, stop):
+            np.maximum(z, 0.0, out=z)
+            if kept is not None:
+                kept.append(z)
+            z = z @ self.weights[k].T
+            z += self.biases[k]
+        if stop - 1 != last:
+            np.maximum(z, 0.0, out=z)
+            if kept is not None:
+                kept.append(z)
+        return z
+
+    def after_first_backward(self, stop: int, kept: list, g: np.ndarray, grads) -> np.ndarray:
+        """The gradient of the first layer's pre-activation, from the gradient
+        g of what after_first(z, stop, kept) returned; the gradients of layers
+        1 to stop - 1 add into grads (params() order). g is overwritten only
+        when stop is less than the layer count."""
+        if stop - 1 != len(self.weights) - 1:
+            g *= kept[-1] > 0.0
+        for k in range(stop - 1, 0, -1):
+            grads[2 * k] += g.T @ kept[k - 1]
+            grads[2 * k + 1] += g.sum(axis=0)
+            g = g @ self.weights[k]
+            g *= kept[k - 1] > 0.0
+        return g
 
     def forward(self, x) -> tuple[np.ndarray, MlpCache]:
         x, squeeze = self._input(x)
         activations = [x]
-        h = self._layers(x, activations)
-        cache = MlpCache(self, activations, squeeze)
-        return (h[0] if squeeze else h), cache
+        z = x @ self.weights[0].T
+        z += self.biases[0]
+        h = self.after_first(z, len(self.weights), activations)
+        activations.append(h)
+        return (h[0] if squeeze else h), MlpCache(self, activations, squeeze)
 
     def apply(self, x) -> np.ndarray:
         """forward() without the cache: the same output, for inference."""
         x, squeeze = self._input(x)
-        h = self._layers(x, None)
+        z = x @ self.weights[0].T
+        z += self.biases[0]
+        h = self.after_first(z, len(self.weights))
         return h[0] if squeeze else h
 
     def backward(self, cache: MlpCache, grad_out) -> tuple[np.ndarray, list[np.ndarray]]:
         """Reverse-mode pass; returns (input gradient, parameter gradients).
 
         The parameter gradients align with params(). grad_out must match the
-        shape of the forward output that produced the cache.
+        shape of the forward output that produced the cache; it is not
+        written to.
         """
         if cache.owner is not self:
             raise ValueError("cache was produced by a different Mlp")
@@ -130,14 +160,11 @@ class Mlp:
                 f"grad shape {g.shape} does not match forward output "
                 f"{cache.activations[-1].shape}"
             )
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
-        last = len(self.weights) - 1
-        for k in range(last, -1, -1):
-            if k != last:
-                g = g * (cache.activations[k + 1] > 0.0)
-            grads[2 * k] = g.T @ cache.activations[k]
-            grads[2 * k + 1] = g.sum(axis=0)
-            g = g @ self.weights[k]
+        grads = self.zero_grads()
+        g = self.after_first_backward(len(self.weights), cache.activations[1:-1], g, grads)
+        grads[0] += g.T @ cache.activations[0]
+        grads[1] += g.sum(axis=0)
+        g = g @ self.weights[0]
         return (g[0] if cache.squeeze else g), grads
 
 

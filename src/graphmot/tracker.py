@@ -16,10 +16,10 @@ as one core.Trajectories block of columns with rows in id order (a
 covariance is its four per-coordinate 2x2 blocks; see motion), takes
 a frame's detections as one core.Detections block (empty for a frame
 without detections) and returns the frame's output as one motio.TrackRows
-block: every stage of a step works on arrays. Rows start and absorb their
-matches through integration.start and integration.absorb, the rule that
-teacher forcing uses too, and the tracker keeps only the latest step's
-StepStats.
+block in the same row order, spawns last: every stage of a step works on
+arrays. Rows start and absorb their matches through integration.start and
+integration.absorb, the rule that teacher forcing uses too, and the tracker
+keeps only the latest step's StepStats.
 """
 
 from __future__ import annotations
@@ -168,55 +168,49 @@ class Tracker:
         if matches:
             absorb(tracks, matched_t, detections, matched_d, frame, cfg.integration,
                    lstm_cell=self.model.lstm)
-        # Output (ids, boxes, confidences): matched rows, forecasts, spawns.
-        parts = [(tracks.ids[matched_t], detections.boxes[matched_d],
-                  detections.confidences[matched_d])]
-        expired = np.zeros(0, dtype=np.intp)
-        if unmatched_t.size:
-            expired, forecast, boxes = self._lose(frame, unmatched_t, predicted)
-            parts.append((tracks.ids[forecast], boxes, np.ones(forecast.size)))
+        # Each row's output: its match's box and confidence, or its forecast
+        # box at confidence 1. A copy: the graph holds predicted.
+        boxes, confidences = predicted.copy(), np.ones(len(tracks))
+        boxes[matched_t] = detections.boxes[matched_d]
+        confidences[matched_t] = detections.confidences[matched_d]
+        emit = np.zeros(len(tracks), dtype=bool)
+        emit[matched_t] = True
+        alive = self._lose(frame, unmatched_t, predicted, emit)
 
         spawn = unmatched_d[detections.confidences[unmatched_d] >= cfg.spawn_confidence]
-        if spawn.size:
-            spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
-            self.next_id += spawn.size
-            parts.append((spawn_ids, detections.boxes[spawn], detections.confidences[spawn]))
-        ids, boxes, confidences = (np.concatenate(column) for column in zip(*parts))
-        # By id: spawned ids come after every live one.
-        order = np.argsort(ids)
+        spawn_ids = np.arange(self.next_id, self.next_id + spawn.size, dtype=np.int64)
+        self.next_id += spawn.size
+        # Rows are in id order, and spawned ids come after every live one.
         rows = TrackRows.trusted(
-            np.full(ids.size, frame, dtype=np.int64), ids[order], boxes[order], confidences[order]
+            np.full(np.count_nonzero(emit) + spawn.size, frame, dtype=np.int64),
+            np.concatenate([tracks.ids[emit], spawn_ids]),
+            np.concatenate([boxes[emit], detections.boxes[spawn]]),
+            np.concatenate([confidences[emit], detections.confidences[spawn]]),
         )
-        if expired.size or spawn.size:
-            survivors = tracks
-            if expired.size:
-                alive = np.ones(len(tracks), dtype=bool)
-                alive[expired] = False
-                survivors = tracks.take(np.flatnonzero(alive))
-            if spawn.size:
-                survivors = survivors.concat(
-                    start(spawn_ids, detections, spawn, frame, tracks.lstm_states is not None)
-                )
-            self._tracks = survivors
+        survivors = tracks if alive.all() else tracks.take(np.flatnonzero(alive))
+        if spawn.size:
+            survivors = survivors.concat(
+                start(spawn_ids, detections, spawn, frame, tracks.lstm_states is not None)
+            )
+        self._tracks = survivors
         return rows
 
-    def _lose(self, frame, lost, predicted):
-        """Unmatched rows lose one more frame. Returns the rows past the
-        lost-frame limit, to prune, and the rows of the others whose
-        predicted boxes pass the gates (all of them without constraints),
-        to forecast, with those boxes; a row whose forecast is rejected
+    def _lose(self, frame, lost, predicted, emit):
+        """Unmatched rows lose one more frame. Returns the alive mask, false
+        on the rows past the lost-frame limit, to prune, and marks in emit the
+        other lost rows whose predicted boxes pass the gates (all of them
+        without constraints), to forecast; a row whose forecast is rejected
         stops forecasting."""
         cfg, tracks = self.config, self._tracks
         tracks.frames_lost[lost] += 1
-        expired = tracks.frames_lost[lost] > cfg.lost_frame_limit
-        forecast = lost[~expired & ~tracks.forecast_stopped[lost]]
+        alive = tracks.frames_lost <= cfg.lost_frame_limit  # matched rows are at 0
+        forecast = lost[alive[lost] & ~tracks.forecast_stopped[lost]]
         if not cfg.emit_forecasts or not forecast.size:
-            return lost[expired], forecast[:0], np.zeros((0, 4))
-        boxes = predicted[forecast]
+            return alive
         if cfg.forecast_constraints:
             features_at = getattr(self.feature_source, "features_at", None)
             stops, checked = forecast_gates(
-                boxes, tracks.last_boxes[forecast], tracks.features[forecast],
+                predicted[forecast], tracks.last_boxes[forecast], tracks.features[forecast],
                 FrameContext(cfg.image_size, frame, features_at), cfg.theta_app,
             )
             keep = stops == 0
@@ -224,8 +218,9 @@ class Tracker:
                 logger.info("no appearance source: forecast appearance gate skipped")
                 self._appearance_gate_noted = True
             tracks.forecast_stopped[forecast[~keep]] = True
-            forecast, boxes = forecast[keep], boxes[keep]
-        return lost[expired], forecast, boxes
+            forecast = forecast[keep]
+        emit[forecast] = True
+        return alive
 
     def _associate(self, frame, detections, predicted):
         """Build, score and resolve the frame's graph on the rows' predicted

@@ -100,15 +100,27 @@ class TestMlpForward:
         for b in mlp.biases:
             b[...] = rng.normal(size=b.shape)
         x = rng.normal(size=(rows, sizes[0]))
-        want = x
+        want, inputs = x, [x]  # inputs[k] is layer k's input
         for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
             z = want @ w.T + b
             want = z if k == len(mlp.weights) - 1 else np.maximum(z, 0.0)
+            inputs.append(want)
         out, cache = mlp.forward(x)
         assert out.tobytes() == want.tobytes()
         assert mlp.apply(x).tobytes() == want.tobytes()
         if rows:  # a 1-D input comes back 1-D from both
             assert mlp.apply(x[0]).tobytes() == mlp.forward(x[0])[0].tobytes()
+        # Every stop, node_update's stop < len(weights) among them.
+        for stop in range(1, len(mlp.weights) + 1):
+            kept = []
+            got = mlp.after_first(x @ mlp.weights[0].T + mlp.biases[0], stop, kept)
+            assert got.tobytes() == inputs[stop].tobytes()
+            hidden = inputs[1 : min(stop + 1, len(mlp.weights))]
+            assert [h.tobytes() for h in kept] == [h.tobytes() for h in hidden]
+        grad_out = rng.normal(size=out.shape)
+        given = grad_out.copy()
+        mlp.backward(cache, grad_out)
+        assert grad_out.tobytes() == given.tobytes()
 
 
 class TestMlpBackward:

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import RECIPE, model  # noqa: F401  (the golden scenes' model fixture)
 
 from graphmot.core import BoundingBox, Detection, Detections
+from graphmot.motio import read_detections
+from graphmot.motion import boxes_from_means, kf_predict_batch
 from graphmot.mpn import create_model
-from graphmot.synth import SceneFeatureSource, generate, preset
+from graphmot.synth import SceneFeatureSource, generate, preset, write_scene
 from graphmot.tracker import (
     StepStats,
     Tracker,
@@ -302,6 +305,53 @@ class TestRunSequence:
                              for r in short_rows]
 
 
+def checked_step(tracker, frame, detections):
+    """tracker.step(frame, detections), checked against the tracker's output
+    contract:
+    - a row whose trajectory was seen in this frame carries the exact box and
+      confidence of a detection, and no detection serves two rows;
+    - every other row is a forecast: confidence 1 and exactly the box of the
+      Kalman prediction of its mean before the step;
+    - spawned ids are next_id onward, in detection order;
+    - row ids are strictly ascending.
+    """
+    before = tracker.trajectories
+    means, _ = kf_predict_batch(before.means, before.covs)
+    forecast = dict(zip(before.ids.tolist(), boxes_from_means(means)))
+    first_id = tracker.next_id
+    rows = tracker.step(frame, detections)
+    after = tracker.trajectories
+    last_seen = dict(zip(after.ids.tolist(), after.last_seen.tolist()))
+    ids = rows.ids.tolist()
+    assert (rows.frames == frame).all()
+    assert all(a < b for a, b in zip(ids, ids[1:])), f"frame {frame}: ids not ascending: {ids}"
+
+    def key(boxes, confidences, k):
+        return boxes[k].tobytes() + confidences[k : k + 1].tobytes()
+
+    det_keys = [key(detections.boxes, detections.confidences, j) for j in range(len(detections))]
+    row_keys = [key(rows.boxes, rows.confidences, r) for r in range(len(rows))]
+    spawned = [r for r, i in enumerate(ids) if i >= first_id]
+    assert [ids[r] for r in spawned] == list(range(first_id, tracker.next_id)), \
+        f"frame {frame}: spawned ids {[ids[r] for r in spawned]} from {first_id}"
+    free, j = set(range(len(detections))), -1
+    for r in spawned:  # the earliest fit keeps the most detections for the matched rows
+        j = next((k for k in range(j + 1, len(detections)) if det_keys[k] == row_keys[r]), None)
+        assert j is not None, f"frame {frame}: spawns out of detection order or off a detection"
+        assert last_seen[ids[r]] == frame
+        free.discard(j)
+    for r, i in enumerate(ids[: len(ids) - len(spawned)]):
+        assert i in last_seen, f"frame {frame}: a row of id {i}, which has no trajectory"
+        if last_seen[i] == frame:
+            j = next((k for k in sorted(free) if det_keys[k] == row_keys[r]), None)
+            assert j is not None, f"frame {frame}: id {i} matched without its detection's box"
+            free.discard(j)
+        else:
+            assert row_keys[r] == key(forecast[i][None], np.ones(1), 0), \
+                f"frame {frame}: id {i} lost, but its row is not its forecast"
+    return rows
+
+
 @st.composite
 def detection_streams(draw):
     """Random frames (with gaps) of random boxes, some partly outside the
@@ -341,7 +391,7 @@ class TestRandomDetectionStreams:
         every_frame, retired, newest = [], set(), 0
         for f in range(min(frames), max(frames) + 1):
             before = {t.id for t in tracker.trajectories}
-            rows = tracker.step(f, frames.get(f, block(f)))
+            rows = checked_step(tracker, f, frames.get(f, block(f)))
             every_frame += rows
             alive = {t.id for t in tracker.trajectories}
             assert not alive & retired, "an id came back after its trajectory was pruned"
@@ -358,3 +408,23 @@ class TestRandomDetectionStreams:
         rows_b, _ = run_sequence(frames, model, cfg)
         assert rows_a == rows_b
         assert list(rows_a) == every_frame
+
+    @pytest.mark.parametrize("name", ["crossing", "crowded"])
+    def test_golden_scenes_keep_the_output_contract(self, model, name, tmp_path):
+        # test_golden's scenes, model and recipe, stepped through checked_step.
+        if name == "crossing":
+            scene = generate(preset("crossing", seed=3))
+            frames, source = scene.frames, SceneFeatureSource(scene)
+        else:
+            scene = generate(preset("crowded", seed=5, n_targets=25, image_size=(1920, 1080),
+                                    n_frames=80))
+            write_scene(scene, tmp_path)
+            frames = read_detections(tmp_path / "det.txt", tmp_path / "features.txt")
+            source = None
+        cfg = TrackerConfig(image_size=scene.config.image_size, **RECIPE)
+        tracker = Tracker(model, cfg, source)
+        every_frame = []
+        for f in range(min(frames), max(frames) + 1):
+            every_frame += checked_step(tracker, f, frames.get(f, block(f)))
+        rows, _ = run_sequence(frames, model, cfg, source)
+        assert list(rows) == every_frame
